@@ -197,6 +197,25 @@ def _right_diff_values(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
     return -np.diff(_right_sum_series(vals, gamma, h)) / h
 
 
+def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
+    """Read-only view T with T[i, k] = c[i - k] for k <= i and 0 above the diagonal."""
+    n = c.size
+    padded = np.concatenate([np.zeros(n - 1), c])
+    return np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1]
+
+
+def _diff_maps(alpha: float, beta: float, h: float, n: int):
+    """(n - 1) x n matrices (V, W) of _left_diff_values / _right_diff_values.
+
+    With w_{-alpha}, the coefficients of (1 - z)^alpha, both are Toeplitz:
+    v_j = h^-alpha sum_k w_{-alpha}(j + 1 - k) y_k and
+    w_j = h^-beta sum_k w_{-beta}(k - j) y_k.
+    """
+    V = math.pow(h, -alpha) * _lower_toeplitz(_weights(-alpha, n))[1:]
+    W = math.pow(h, -beta) * _lower_toeplitz(_weights(-beta, n)).T[:-1]
+    return V, W
+
+
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha <= 1.0):
         raise InvalidAlpha(f"alpha = {alpha} must be in (0, 1]")
@@ -268,20 +287,20 @@ def _arg_arrays(pts: np.ndarray, h: float, alpha: float, beta: float,
     return pts[:-1], u, v, w
 
 
+def _partials(L: Expr, t, u, v, w) -> np.ndarray:
+    """Rows (L_u, L_v, L_w) of the per-point gradients of L."""
+    return np.array([eval_grad(L, *args)[1:] for args in zip(t, u, v, w)]).T
+
+
+def _hessians(L: Expr, t, u, v, w) -> np.ndarray:
+    """Rows (uu, uv, uw, vv, vw, ww) of the per-point Hessians of L."""
+    return np.array([eval_jet2(L, *args).hess for args in zip(t, u, v, w)]).T
+
+
 def _el_core(L: Expr, pts: np.ndarray, h: float, alpha: float, beta: float,
              yvals: np.ndarray) -> np.ndarray:
-    t, u, v, w = _arg_arrays(pts, h, alpha, beta, yvals)
-    m = t.size
-    Lu = np.empty(m)
-    Lv = np.empty(m)
-    Lw = np.empty(m)
-    for j in range(m):
-        _, du, dv, dw = eval_grad(L, t[j], u[j], v[j], w[j])
-        Lu[j] = du
-        Lv[j] = dv
-        Lw[j] = dw
-    res = Lu[:-1] + _right_diff_values(Lv, alpha, h) + _left_diff_values(Lw, beta, h)
-    return res
+    Lu, Lv, Lw = _partials(L, *_arg_arrays(pts, h, alpha, beta, yvals))
+    return Lu[:-1] + _right_diff_values(Lv, alpha, h) + _left_diff_values(Lw, beta, h)
 
 
 def el_residual_frac(p: FracProblem, y: GridFunction) -> GridFunction:
@@ -304,46 +323,52 @@ def functional_value(p: FracProblem, y: GridFunction) -> float:
     return h * total
 
 
+def _natural_bc_rows(p: FracProblem):
+    """(left, right) natural-boundary rows as coefficients (c_u, c_v, c_w) of the
+    per-point partials (L_u, L_v, L_w) on T^kappa; None at a fixed end."""
+    h = p.grid.h
+    m = p.grid.n_steps
+    gamma = p.orders.gamma
+    nu = p.orders.nu_order
+
+    left = None
+    if p.A is None:
+        cu, cv, cw = np.zeros(m), np.zeros(m), np.zeros(m)
+        cv[0] = -math.pow(h, gamma)
+        cw[0] = 1.0
+        if gamma != 0.0:
+            c = (gamma / gamma_fn(gamma + 1.0)) * h
+            cv += c * np.array([h_factorial((j + gamma) * h, gamma - 1.0, h)
+                                for j in range(m)])
+            cv[1:] -= c * np.array([h_factorial((j - 1 + gamma) * h, gamma - 1.0, h)
+                                    for j in range(1, m)])
+        left = (cu, cv, cw)
+
+    right = None
+    if p.B is None:
+        cu, cv, cw = np.zeros(m), np.zeros(m), np.zeros(m)
+        cu[m - 1] = h
+        cv[m - 1] = math.pow(h, gamma)
+        cw[m - 1] = -math.pow(h, nu)
+        if nu != 0.0:
+            # kernels (b + nu h - sigma(t_j)) and (rho(b) + nu h - sigma(t_j))
+            c = (nu / gamma_fn(nu + 1.0)) * h
+            cw += c * np.array([h_factorial((m - 1 - j + nu) * h, nu - 1.0, h)
+                                for j in range(m)])
+            cw[:-1] -= c * np.array([h_factorial((m - 2 - j + nu) * h, nu - 1.0, h)
+                                     for j in range(m - 1)])
+        right = (cu, cv, cw)
+    return (left, right)
+
+
 def natural_bc_residuals(p: FracProblem, y: GridFunction):
     """(left, right) residuals of the natural boundary conditions; None when fixed."""
     if p.A is not None and p.B is not None:
         return (None, None)
-    pts = p.grid.points()
-    h = p.grid.h
-    gamma = p.orders.gamma
-    nu = p.orders.nu_order
-    t, u, v, w = _arg_arrays(pts, h, p.orders.alpha, p.orders.beta,
-                             np.asarray(y.values, dtype=float))
-    m = t.size  # = n points - 1
-    Lu = np.empty(m)
-    Lv = np.empty(m)
-    Lw = np.empty(m)
-    for j in range(m):
-        _, du, dv, dw = eval_grad(p.L, t[j], u[j], v[j], w[j])
-        Lu[j], Lv[j], Lw[j] = du, dv, dw
-
-    left = None
-    if p.A is None:
-        left = -math.pow(h, gamma) * Lv[0] + Lw[0]
-        if gamma != 0.0:
-            c1 = sum(h_factorial((j + gamma) * h, gamma - 1.0, h) * Lv[j]
-                     for j in range(m))
-            c2 = sum(h_factorial((j - 1 + gamma) * h, gamma - 1.0, h) * Lv[j]
-                     for j in range(1, m))
-            left += (gamma / gamma_fn(gamma + 1.0)) * h * (c1 - c2)
-
-    right = None
-    if p.B is None:
-        right = (h * Lu[m - 1] + math.pow(h, gamma) * Lv[m - 1]
-                 - math.pow(h, nu) * Lw[m - 1])
-        if nu != 0.0:
-            # kernels (b + nu h - sigma(t_j)) and (rho(b) + nu h - sigma(t_j))
-            c1 = sum(h_factorial((m - 1 - j + nu) * h, nu - 1.0, h) * Lw[j]
-                     for j in range(m))
-            c2 = sum(h_factorial((m - 2 - j + nu) * h, nu - 1.0, h) * Lw[j]
-                     for j in range(m - 1))
-            right += (nu / gamma_fn(nu + 1.0)) * h * (c1 - c2)
-    return (left, right)
+    partials = _partials(p.L, *_arg_arrays(p.grid.points(), p.grid.h, p.orders.alpha,
+                                           p.orders.beta, np.asarray(y.values, dtype=float)))
+    return tuple(None if row is None else float(sum(c @ d for c, d in zip(row, partials)))
+                 for row in _natural_bc_rows(p))
 
 
 def legendre_frac_check(p: FracProblem, y: GridFunction) -> LegendreReport:
@@ -355,13 +380,7 @@ def legendre_frac_check(p: FracProblem, y: GridFunction) -> LegendreReport:
     t, u, v, w = _arg_arrays(pts, h, p.orders.alpha, p.orders.beta,
                              np.asarray(y.values, dtype=float))
     m = t.size
-    jets = [eval_jet2(p.L, t[j], u[j], v[j], w[j]) for j in range(m)]
-    Huu = np.array([j.hess[0] for j in jets])
-    Huv = np.array([j.hess[1] for j in jets])
-    Huw = np.array([j.hess[2] for j in jets])
-    Hvv = np.array([j.hess[3] for j in jets])
-    Hvw = np.array([j.hess[4] for j in jets])
-    Hww = np.array([j.hess[5] for j in jets])
+    Huu, Huv, Huw, Hvv, Hvw, Hww = _hessians(p.L, t, u, v, w)
 
     if nu != 0.0:
         cw = nu * (1.0 - nu) / gamma_fn(nu + 1.0)
@@ -443,7 +462,37 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
                 rows.append([right])
         return np.concatenate(rows)
 
-    sols = multi_start(residual_map, n_unknowns, cfg)
+    # Row k of the system is c_k . (L_u, L_v, L_w) over T^kappa and
+    # (u, v, w) = (U, V, W) y with u_j = y_{j+1}, so its Jacobian is
+    # sum_a C_a G_a with G_a = H_au U + H_av V + H_aw W.  The interior rows of
+    # C are rows of (U, V, W)^T, because h * residual is the gradient of the
+    # functional; free ends add their natural-BC coefficient rows.
+    m = N - 1
+    lo = 0 if free_left else 1
+    V, W = (M[:, lo:lo + n_unknowns] for M in _diff_maps(alpha, beta, h, N))
+    inner = slice(1 - lo, N - 1 - lo)
+    interior_maps = (None, V[:, inner].T, W[:, inner].T)
+    u_rows = np.arange(lo + n_unknowns - 1)  # the j with y_{j+1} unknown
+    u_cols = u_rows + 1 - lo
+    bc_rows = [row for row in _natural_bc_rows(p) if row is not None]
+    bc = [np.array([row[a] for row in bc_rows]).reshape(-1, m) for a in range(3)]
+
+    def jacobian(x):
+        full = assemble(x)
+        hess = _hessians(p.L, *_arg_arrays(pts, h, alpha, beta, full))
+        J = np.zeros((n_unknowns, n_unknowns))
+        interior, ends = J[:N - 2], J[N - 2:]
+        # (H_au, H_av, H_aw) as indices into the rows (uu, uv, uw, vv, vw, ww)
+        for a, (hu, hv, hw) in enumerate(((0, 1, 2), (1, 3, 4), (2, 4, 5))):
+            G = hess[hv][:, None] * V
+            G += hess[hw][:, None] * W
+            G[u_rows, u_cols] += hess[hu][u_rows]
+            ends += bc[a] @ G
+            # U^T G is G moved down one row
+            interior += G[:N - 2] if a == 0 else interior_maps[a] @ G
+        return J
+
+    sols = multi_start(residual_map, jacobian, n_unknowns, cfg)
     out = []
     for x in sols:
         full = assemble(x)

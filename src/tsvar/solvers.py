@@ -7,22 +7,19 @@ against numpy's eigh but the library itself only relies on this one.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
+    DomainError,
     NoConvergence,
     NonFinite,
     QuadratureFailure,
     RootNotBracketed,
     SingularJacobian,
 )
-
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -36,20 +33,9 @@ class SolverConfig:
     max_halvings: int = 30
 
 
-def _forward_jacobian(fn, x, r0):
-    n = x.size
-    m = r0.size
-    J = np.empty((m, n))
-    for i in range(n):
-        h = _SQRT_EPS * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        J[:, i] = (fn(xp) - r0) / h
-    return J
-
-
 def newton_solve(
     fn: Callable[[np.ndarray], np.ndarray],
+    jac: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
     tol: float = 1e-9,
     max_iter: int = 200,
@@ -57,9 +43,11 @@ def newton_solve(
 ) -> np.ndarray:
     """Damped Newton iteration on a square (or rectangular) residual system.
 
-    Steps are backtracked (halving, up to ``max_halvings``) until the
-    2-norm of the residual decreases.  Raises NoConvergence if the iteration
-    stalls or exceeds ``max_iter``, SingularJacobian if a linear solve fails.
+    ``jac(x)`` returns the exact Jacobian of ``fn`` at ``x``.  Steps are
+    backtracked (halving, up to ``max_halvings``) until the 2-norm of the
+    residual decreases; a trial point outside the residual's domain halves
+    the step as well.  Raises NoConvergence if the iteration stalls or exceeds
+    ``max_iter``, SingularJacobian if a linear solve fails.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(fn(x), dtype=float)
@@ -69,7 +57,7 @@ def newton_solve(
     for _ in range(max_iter):
         if rnorm <= tol:
             return x
-        J = _forward_jacobian(fn, x, r)
+        J = np.asarray(jac(x), dtype=float)
         if not np.all(np.isfinite(J)):
             raise NonFinite("Jacobian is not finite")
         try:
@@ -95,7 +83,7 @@ def newton_solve(
             x_try = x + lam * step
             try:
                 r_try = np.asarray(fn(x_try), dtype=float)
-            except (ArithmeticError, ValueError):
+            except (ArithmeticError, ValueError, DomainError):
                 r_try = None
             if r_try is not None and np.all(np.isfinite(r_try)):
                 rnorm_try = np.linalg.norm(r_try)
@@ -111,26 +99,19 @@ def newton_solve(
     raise NoConvergence(f"no convergence after {max_iter} iterations (residual {rnorm:.3e})")
 
 
-def thread_count() -> int:
-    raw = os.environ.get("TSVAR_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def multi_start(
     fn: Callable[[np.ndarray], np.ndarray],
+    jac: Callable[[np.ndarray], np.ndarray],
     n_unknowns: int,
     config: Optional[SolverConfig] = None,
 ) -> list:
     """Run Newton from seeded random starts; return deduplicated solutions.
 
     Results keep start order (first found wins a dedup tie) so output is
-    deterministic for a fixed seed.  Raises SingularJacobian if every start
-    failed and at least one hit a singular Jacobian, NoConvergence if every
-    start simply failed to converge.
+    deterministic for a fixed seed.  A start fails on its own when Newton
+    does not converge or when ``fn`` or ``jac`` leaves its domain there.
+    Raises SingularJacobian if every start failed and at least one hit a
+    singular Jacobian, NoConvergence if every start simply failed.
     """
     cfg = config or SolverConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -139,22 +120,14 @@ def multi_start(
 
     def attempt(x0):
         try:
-            return newton_solve(fn, x0, tol=cfg.tol, max_iter=cfg.max_iter,
+            return newton_solve(fn, jac, x0, tol=cfg.tol, max_iter=cfg.max_iter,
                                 max_halvings=cfg.max_halvings)
         except SingularJacobian:
             return "singular"
-        except (NoConvergence, NonFinite):
-            return None
-        except (ArithmeticError, ValueError):
+        except (NoConvergence, NonFinite, DomainError, ArithmeticError, ValueError):
             return None
 
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(attempt, starts))
-    else:
-        outcomes = [attempt(x0) for x0 in starts]
-
+    outcomes = [attempt(x0) for x0 in starts]
     solutions = []
     saw_singular = False
     for out in outcomes:

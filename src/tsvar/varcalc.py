@@ -36,7 +36,6 @@ from .errors import (
 )
 from .solvers import (
     SolverConfig,
-    _forward_jacobian,
     adaptive_simpson,
     invert_increasing,
     jacobi_eigh,
@@ -202,6 +201,26 @@ def el_residual(p: VariationalProblem, y: GridFunction) -> GridFunction:
     return GridFunction(p.scale.drop_last(2), res)
 
 
+def _el_jacobian(L: Expr, ts: TimeScale, values: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of el_residual in the interior values: tridiagonal.
+
+    Row j, L_u(t_j) - (L_v(t_{j+1}) - L_v(t_j)) / mu_j, sees y_j, y_{j+1} and
+    y_{j+2} through u_i = y_{i+1} and v_i = (y_{i+1} - y_i) / mu_i.
+    """
+    t, u, v, mu = _first_order_args(ts, values)
+    hess = np.array([eval_jet2(L, t[j], u[j], v[j], 0.0).hess for j in range(t.size)])
+    huu, huv, hvv = hess[:, 0], hess[:, 1], hess[:, 3]
+    # d L_u(t_i) and d L_v(t_i) by y_i (suffix 0) and by y_{i+1} (suffix 1)
+    du0, du1 = -huv / mu, huu + huv / mu
+    dv0, dv1 = -hvv / mu, huv + hvv / mu
+    r = t.size - 1
+    J = np.zeros((r, r))
+    J.flat[::r + 1] = du1[:-1] + (dv1[:-1] - dv0[1:]) / mu[:-1]
+    J.flat[r::r + 1] = (du0 + dv0 / mu)[1:-1]
+    J.flat[1::r + 1] = -dv1[1:-1] / mu[:-2]
+    return J
+
+
 def functional_value(p: Union[VariationalProblem, IsoperimetricProblem],
                      y: GridFunction, expr: Optional[Expr] = None) -> float:
     """Delta-integral of the Lagrangian along y (expr overrides p.L)."""
@@ -344,7 +363,11 @@ def solve_el(p: Union[VariationalProblem, HigherOrderProblem],
             res = el_residual_higher(p, GridFunction(p.scale, x)).values
             return np.concatenate([res, _boundary_rows_higher(p, x)])
 
-        sols = multi_start(residual_map, n, cfg)
+        # a quadratic L makes the system affine, so its Jacobian is the constant
+        # linear part: column i is the image of the i-th unit vector minus that of 0
+        r0 = residual_map(np.zeros(n))
+        J = np.column_stack([residual_map(e) - r0 for e in np.eye(n)])
+        sols = multi_start(residual_map, lambda x: J, n, cfg)
         out = []
         for x in sols:
             res = el_residual_higher(p, GridFunction(p.scale, x)).values
@@ -362,7 +385,10 @@ def solve_el(p: Union[VariationalProblem, HigherOrderProblem],
         def residual_map(interior):
             return el_residual(p, GridFunction(p.scale, assemble(interior))).values
 
-        sols = multi_start(residual_map, n - 2, cfg)
+        def jacobian(interior):
+            return _el_jacobian(p.L, p.scale, assemble(interior))
+
+        sols = multi_start(residual_map, jacobian, n - 2, cfg)
         out = []
         for x in sols:
             full = assemble(x)
@@ -396,8 +422,25 @@ def solve_isoperimetric(p: IsoperimetricProblem,
         constraint = functional_value(p, y, expr=p.g) - p.l
         return np.concatenate([res_L - lam * res_g, [constraint]])
 
+    mu = np.diff(p.scale.points)[:-1]
+
+    def constraint_grad(x):
+        """Exact gradient of the constraint row in y: mu times g's residual."""
+        full, _ = assemble(x)
+        return mu * el_residual(gprob, GridFunction(p.scale, full)).values
+
+    def jacobian(x):
+        full, lam = assemble(x)
+        grad_g = constraint_grad(x)
+        J = np.zeros((n - 1, n - 1))
+        J[:-1, :-1] = (_el_jacobian(p.L, p.scale, full)
+                       - lam * _el_jacobian(p.g, p.scale, full))
+        J[:-1, -1] = -grad_g / mu
+        J[-1, :-1] = grad_g
+        return J
+
     try:
-        sols = multi_start(residual_map, n - 1, cfg)
+        sols = multi_start(residual_map, jacobian, n - 1, cfg)
     except NoConvergence as exc:
         raise ConstraintInfeasible(str(exc)) from exc
     candidates = []
@@ -416,11 +459,11 @@ def solve_isoperimetric(p: IsoperimetricProblem,
         )))
     candidates.sort(key=lambda pair: pair[1].functional_value)
     best_x, best = candidates[0]
-    _reject_abnormal(residual_map, best_x)
+    _reject_abnormal(constraint_grad, best_x)
     return best
 
 
-def _reject_abnormal(residual_map, x: np.ndarray) -> None:
+def _reject_abnormal(constraint_grad, x: np.ndarray) -> None:
     """Raise SingularJacobian when the multiplier is not identified.
 
     In the abnormal isoperimetric case (the candidate is an extremal of the
@@ -429,21 +472,10 @@ def _reject_abnormal(residual_map, x: np.ndarray) -> None:
     null constraint (its value fixed by the boundary data alone, so every
     admissible y satisfies it) shows the same rank signature but is harmless:
     lambda drops out of the stationarity system entirely.  Probing the
-    constraint row under finite y-perturbations separates the two.
+    constraint gradient under finite y-perturbations separates the two.
     """
     x = np.asarray(x, dtype=float)
     scale = max(1.0, float(np.max(np.abs(x))))
-
-    def constraint_grad(z):
-        c0 = residual_map(z)[-1]
-        g = np.empty(z.size - 1)
-        for i in range(z.size - 1):
-            h = 1e-7 * max(1.0, abs(z[i]))
-            zp = z.copy()
-            zp[i] += h
-            g[i] = (residual_map(zp)[-1] - c0) / h
-        return g
-
     g_sol = float(np.linalg.norm(constraint_grad(x)))
     rng = np.random.default_rng(0)
     g_probe = 0.0

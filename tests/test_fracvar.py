@@ -444,6 +444,18 @@ def test_solve_frac_el_candidates_sorted_and_deduped():
             assert np.max(np.abs(arr[i] - arr[j])) > 1e-6
 
 
+def test_solve_frac_el_domain_error_fails_single_starts():
+    # ln(u) is undefined at the starts with a negative interior value; those
+    # starts fail on their own instead of aborting the whole solve
+    grid = FracGrid(0.0, 1.0, 0.25)
+    p = FracProblem(grid, FracOrders(0.8, 0.5), "ln(u) + v^2", A=1.0, B=2.0)
+    cands = solve_frac_el(p, SolverConfig(starts=8, seed=0, box=(-1.0, 1.0)))
+    assert cands
+    for c in cands:
+        assert np.all(c.y.values > 0.0)
+        assert c.residual_norm <= 1e-9
+
+
 def test_grid_and_order_validation():
     with pytest.raises(ValueError):
         FracGrid(0.0, 1.0, 0.3)  # not an integer number of steps

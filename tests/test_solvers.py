@@ -1,13 +1,12 @@
 """Newton, multi-start, quadrature, inversion, and the Jacobi eigensolver."""
 
 import math
-import os
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tsvar.errors import NoConvergence, QuadratureFailure, RootNotBracketed
+from tsvar.errors import DomainError, NoConvergence, QuadratureFailure, RootNotBracketed
 from tsvar.solvers import (
     SolverConfig,
     adaptive_simpson,
@@ -15,12 +14,12 @@ from tsvar.solvers import (
     jacobi_eigh,
     multi_start,
     newton_solve,
-    thread_count,
 )
 
 
 def test_newton_scalar_sqrt():
-    x = newton_solve(lambda x: np.array([x[0] ** 2 - 2.0]), [1.0])
+    x = newton_solve(lambda x: np.array([x[0] ** 2 - 2.0]),
+                     lambda x: np.array([[2.0 * x[0]]]), [1.0])
     assert x[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)  # residual tol 1e-9
 
 
@@ -29,23 +28,47 @@ def test_newton_coupled_system():
     def res(z):
         return np.array([z[0] ** 2 + z[1] ** 2 - 5.0, z[0] + z[1] - 3.0])
 
-    x = newton_solve(res, [0.5, 2.5])
+    def jac(z):
+        return np.array([[2.0 * z[0], 2.0 * z[1]], [1.0, 1.0]])
+
+    x = newton_solve(res, jac, [0.5, 2.5])
     assert_allclose(sorted(x), [1.0, 2.0], rtol=1e-10)
 
 
 def test_newton_reports_stall():
     # residual bounded away from zero
     with pytest.raises(NoConvergence):
-        newton_solve(lambda x: np.array([x[0] ** 2 + 1.0]), [3.0], max_iter=60)
+        newton_solve(lambda x: np.array([x[0] ** 2 + 1.0]),
+                     lambda x: np.array([[2.0 * x[0]]]), [3.0], max_iter=60)
+
+
+def test_newton_halves_steps_that_leave_the_domain():
+    # sqrt(x) - 1/2 from x = 4: the full Newton step lands on x = -2, where
+    # the residual raises; the halved step to x = 1 goes on to the root 1/4
+    def res(x):
+        if x[0] < 0.0:
+            raise DomainError(f"sqrt of negative value {x[0]}")
+        return np.array([math.sqrt(x[0]) - 0.5])
+
+    def jac(x):
+        return np.array([[0.5 / math.sqrt(x[0])]])
+
+    x = newton_solve(res, jac, [4.0])
+    assert x[0] == pytest.approx(0.25, abs=1e-9)
+
+
+def cubic(x):
+    return np.array([x[0] * (x[0] + 1.0) * (x[0] - 2.0)])
+
+
+def cubic_jac(x):
+    return np.array([[3.0 * x[0] ** 2 - 2.0 * x[0] - 2.0]])
 
 
 def test_multi_start_finds_all_roots():
     # cubic with roots -1, 0, 2
-    def res(x):
-        return np.array([x[0] * (x[0] + 1.0) * (x[0] - 2.0)])
-
     cfg = SolverConfig(starts=40, seed=3, box=(-3.0, 3.0))
-    sols = multi_start(res, 1, cfg)
+    sols = multi_start(cubic, cubic_jac, 1, cfg)
     roots = sorted(s[0] for s in sols)
     assert_allclose(roots, [-1.0, 0.0, 2.0], atol=1e-7)
 
@@ -54,42 +77,45 @@ def test_multi_start_deterministic_and_deduplicated():
     def res(x):
         return np.array([x[0] ** 2 - 4.0])
 
+    def jac(x):
+        return np.array([[2.0 * x[0]]])
+
     cfg = SolverConfig(starts=32, seed=11)
-    a = multi_start(res, 1, cfg)
-    b = multi_start(res, 1, cfg)
+    a = multi_start(res, jac, 1, cfg)
+    b = multi_start(res, jac, 1, cfg)
     assert len(a) == len(b) == 2
     for xa, xb in zip(a, b):
         assert_allclose(xa, xb, rtol=0, atol=0)  # bit-identical across runs
 
 
-def test_multi_start_honors_thread_env(monkeypatch):
+@pytest.mark.parametrize("where", ["residual", "jacobian"])
+def test_multi_start_domain_error_fails_one_start(where):
+    # starts left of -1.5 leave the domain; the others still find the roots
+    def guard(x):
+        if x[0] < -1.5:
+            raise DomainError(f"{where} undefined at {x[0]}")
+
     def res(x):
-        return np.array([x[0] ** 3 - x[0]])
+        if where == "residual":
+            guard(x)
+        return cubic(x)
 
-    cfg = SolverConfig(starts=24, seed=5)
-    monkeypatch.delenv("TSVAR_THREADS", raising=False)
-    serial = multi_start(res, 1, cfg)
-    monkeypatch.setenv("TSVAR_THREADS", "4")
-    assert thread_count() == 4
-    threaded = multi_start(res, 1, cfg)
-    assert len(serial) == len(threaded) == 3
-    for xa, xb in zip(serial, threaded):
-        assert_allclose(xa, xb, rtol=0, atol=0)
+    def jac(x):
+        if where == "jacobian":
+            guard(x)
+        return cubic_jac(x)
+
+    cfg = SolverConfig(starts=40, seed=3, box=(-3.0, 3.0))
+    roots = sorted(s[0] for s in multi_start(res, jac, 1, cfg))
+    assert_allclose(roots, [-1.0, 0.0, 2.0], atol=1e-7)
 
 
-def test_thread_count_defaults():
-    old = os.environ.pop("TSVAR_THREADS", None)
-    try:
-        assert thread_count() == 1
-        os.environ["TSVAR_THREADS"] = "junk"
-        assert thread_count() == 1
-        os.environ["TSVAR_THREADS"] = "-3"
-        assert thread_count() == 1
-    finally:
-        if old is None:
-            os.environ.pop("TSVAR_THREADS", None)
-        else:
-            os.environ["TSVAR_THREADS"] = old
+def test_multi_start_all_domain_failures_raise_no_convergence():
+    def res(x):
+        raise DomainError("nowhere defined")
+
+    with pytest.raises(NoConvergence):
+        multi_start(res, cubic_jac, 1, SolverConfig(starts=4))
 
 
 def test_adaptive_simpson_known_integrals():
