@@ -63,6 +63,7 @@ Expr = Union[Num, Var, Bin, Neg, Call]
 _FUNCTIONS = ("ln", "exp", "sin", "cos", "sqrt", "abs")
 _VARIABLES = ("t", "u", "v", "w")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+_MAX_DEPTH = 100  # nesting levels the parser accepts
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +123,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -159,10 +161,19 @@ class _Parser:
         return e
 
     def unary(self) -> Expr:
-        if self.peek().kind == "-":
-            self.next()
-            return Neg(self.unary())
-        return self.power()
+        # every nesting (parentheses, calls, signs, exponents) passes through
+        # here; capping it keeps the recursive parser and evaluators in stack
+        tok = self.peek()
+        if self.depth >= _MAX_DEPTH:
+            raise ExprSyntaxError(tok.pos, f"expression nested more than {_MAX_DEPTH} levels deep")
+        self.depth += 1
+        try:
+            if tok.kind == "-":
+                self.next()
+                return Neg(self.unary())
+            return self.power()
+        finally:
+            self.depth -= 1
 
     def power(self) -> Expr:
         base = self.atom()
@@ -175,7 +186,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
-            return Num(float(tok.text))
+            try:
+                return Num(float(tok.text))
+            except ValueError:
+                raise ExprSyntaxError(tok.pos, f"malformed number {tok.text!r}") from None
         if tok.kind == "ident":
             self.next()
             name = tok.text

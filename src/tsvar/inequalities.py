@@ -76,16 +76,22 @@ def _values_on(ts: TimeScale, f) -> np.ndarray:
 # Gronwall / comparison bounds
 
 
-def _cumulative_exponential(mu: np.ndarray, p: np.ndarray, i0: int) -> np.ndarray:
-    """P[i] = product over [t_{i0}, t_i) of (1 + mu*p); raises if not in R+."""
-    n = mu.size + 1
-    P = np.ones(n)
-    for j in range(i0, n - 1):
-        factor = 1.0 + mu[j] * p[j]
+def _forward_solve(mu: np.ndarray, c: np.ndarray, d: np.ndarray, y0: float,
+                   i0: int) -> np.ndarray:
+    """Solution of y^Delta = c y + d from y(t_{i0}) = y0, on t_{i0}, ..., t_{n-1}.
+
+    One forward step per grid interval, y[i+1] = (1 + mu_i c_i) y[i] + mu_i d_i,
+    is the variation-of-constants formula on an isolated grid.  Raises
+    NonRegressive at the first i >= i0 where 1 + mu_i c_i is not positive.
+    """
+    mu, c, d = mu.tolist(), c.tolist(), d.tolist()
+    y = [float(y0)]
+    for j in range(i0, len(mu)):
+        factor = 1.0 + mu[j] * c[j]
         if factor <= 1e-14:
             raise NonRegressive(f"1 + mu*p = {factor} at t index {j} must stay positive")
-        P[j + 1] = P[j] * factor
-    return P
+        y.append(factor * y[-1] + mu[j] * d[j])
+    return np.array(y)
 
 
 def gronwall_bound(ts: TimeScale, a_fn, b_fn, t0: float) -> GridFunction:
@@ -93,16 +99,10 @@ def gronwall_bound(ts: TimeScale, a_fn, b_fn, t0: float) -> GridFunction:
     a = _values_on(ts, a_fn)
     b = _values_on(ts, b_fn)
     pts = ts.points
-    mu = np.diff(pts)
     i0 = ts.index(t0)
-    P = _cumulative_exponential(mu, b, i0)
-    out = np.empty(pts.size - i0)
-    for i in range(i0, pts.size):
-        acc = 0.0
-        for j in range(i0, i):
-            acc += mu[j] * a[j] * b[j] * (P[i] / P[j + 1])
-        out[i - i0] = a[i] + acc
-    return GridFunction(TimeScale(pts[i0:]), out)
+    # the integral term solves acc^Delta = b acc + a b with acc(t0) = 0
+    acc = _forward_solve(np.diff(pts), b, a * b, 0.0, i0)
+    return GridFunction(TimeScale(pts[i0:]), a[i0:] + acc)
 
 
 def comparison_bound(ts: TimeScale, y0: float, p, f, t0: float) -> GridFunction:
@@ -110,15 +110,9 @@ def comparison_bound(ts: TimeScale, y0: float, p, f, t0: float) -> GridFunction:
     pv = _values_on(ts, p)
     fv = _values_on(ts, f)
     pts = ts.points
-    mu = np.diff(pts)
     i0 = ts.index(t0)
-    P = _cumulative_exponential(mu, pv, i0)
-    out = np.empty(pts.size - i0)
-    for i in range(i0, pts.size):
-        acc = y0 * P[i]
-        for j in range(i0, i):
-            acc += mu[j] * fv[j] * (P[i] / P[j + 1])
-        out[i - i0] = acc
+    # the solution of y^Delta = p y + f with y(t0) = y0
+    out = _forward_solve(np.diff(pts), pv, fv, y0, i0)
     return GridFunction(TimeScale(pts[i0:]), out)
 
 
@@ -141,13 +135,8 @@ def nonlinear_gronwall_bound(ts: TimeScale, u_data, a_fn, f_fn,
     n = pts.size
     mu = np.diff(pts)
 
-    P = _cumulative_exponential(mu, f, 0)
-    p = np.empty(n)
-    for i in range(n):
-        acc = 1.0
-        for j in range(i):
-            acc += mu[j] * f[j] * (P[i] / P[j + 1])
-        p[i] = acc
+    # p = 1 + integral_a^t f e_f(t, sigma(s)) Delta s, which is e_f(t, a)
+    p = _forward_solve(mu, f, np.zeros(n), 1.0, 0)
 
     # zeta = integral over [a, rho(b)) of k(rho(b), s) Phi(p(s) a(s))
     zeta = 0.0
@@ -201,25 +190,23 @@ def nonlinear_gronwall_bound(ts: TimeScale, u_data, a_fn, f_fn,
                 break
         return 0.5 * (near_x + far_x)
 
-    # F[m] = integral of f over [a, t_m); inner[j] = int_a^{s_j} k(s_j,tau) Phi(p) Phi(F)
+    # F[m] = integral of f over [a, t_m); inner_j = int_a^{s_j} k(s_j,tau) Phi(p) Phi(F)
+    # and w[j] = W(Psi^-1(Psi(zeta) + inner_j)) depend on j alone
     F = np.concatenate([[0.0], np.cumsum(mu * f[:-1])])
+    phi_pF = [spec.Phi(p[m]) * spec.Phi(F[m]) for m in range(n - 2)]
     psi_zeta = None
-    out = np.empty(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(i):
-            inner = 0.0
-            for m in range(j):
-                inner += mu[m] * kernel(pts[j], pts[m]) * spec.Phi(p[m]) * spec.Phi(F[m])
-            if zeta == 0.0 and inner == 0.0:
-                w_term = 0.0  # zero-kernel collapse: no growth contribution
-            else:
-                if psi_zeta is None:
-                    psi_zeta = Psi(zeta)
-                w_term = spec.W(Psi_inv(psi_zeta + inner))
-            acc += mu[j] * f[j] * w_term
-        out[i] = p[i] * a[i] + p[i] * acc
-    return GridFunction(ts, out)
+    w = np.zeros(n - 1)
+    for j in range(n - 1):
+        inner = 0.0
+        for m in range(j):
+            inner += mu[m] * kernel(pts[j], pts[m]) * phi_pF[m]
+        if zeta == 0.0 and inner == 0.0:
+            continue  # zero-kernel collapse: no growth contribution
+        if psi_zeta is None:
+            psi_zeta = Psi(zeta)
+        w[j] = spec.W(Psi_inv(psi_zeta + inner))
+    acc = np.concatenate([[0.0], np.cumsum(mu * f[:-1] * w)])
+    return GridFunction(ts, p * a + p * acc)
 
 
 # ---------------------------------------------------------------------------

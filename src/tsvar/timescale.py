@@ -61,9 +61,13 @@ class TimeScale:
     __slots__ = ("points", "kind", "step", "ratio")
 
     def __init__(self, points: Iterable[float], kind: str = "auto"):
-        pts = np.asarray(list(points), dtype=float)
+        if not isinstance(points, np.ndarray):
+            points = list(points)
+        pts = np.array(points, dtype=float)  # always a copy the caller cannot alias
         if pts.ndim != 1 or len(pts) < 1:
             raise ValueError("a time scale needs at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("time scale points must be finite")
         if np.any(np.diff(pts) <= 0):
             raise ValueError("time scale points must be strictly increasing")
         pts.setflags(write=False)
@@ -188,7 +192,7 @@ def geometric(q: float, kmin: int, kmax: int) -> TimeScale:
 def explicit(*points: float) -> TimeScale:
     """Scale from explicitly listed points (kind auto-detected)."""
     if len(points) == 1 and isinstance(points[0], (list, tuple, np.ndarray)):
-        points = tuple(points[0])
+        points = points[0]
     if len(points) < 2:
         raise ValueError("need at least two points")
     return TimeScale(points, kind="auto")

@@ -47,6 +47,29 @@ def test_syntax_errors_carry_offsets():
         dsl.parse("")
 
 
+def test_malformed_number_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match="malformed number") as ei:
+        dsl.parse("u + 1.2.3")
+    assert ei.value.offset == 4
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("(" * 3000 + "u" + ")" * 3000, 100),
+    ("-" * 3000 + "u", 100),
+    ("^".join(["u"] * 3000), 200),
+    ("sin(" * 3000 + "u" + ")" * 3000, 400),
+], ids=["parentheses", "signs", "powers", "calls"])
+def test_deep_nesting_is_a_syntax_error(text, offset):
+    with pytest.raises(ExprSyntaxError, match="nested") as ei:
+        dsl.parse(text)
+    assert ei.value.offset == offset
+
+
+def test_nesting_up_to_the_cap_parses_and_evaluates():
+    assert ev("(" * 99 + "u" + ")" * 99, u=0.5) == 0.5
+    assert ev("-" * 99 + "u", u=2.0) == -2.0
+
+
 def test_domain_errors_at_evaluation():
     with pytest.raises(DomainError):
         ev("ln(u)", u=-1.0)

@@ -42,6 +42,36 @@ def test_constructor_rejects_bad_grids():
         ts.TimeScale([0.0, 0.3, 0.6, 1.0], kind="geometric")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructor_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ts.TimeScale([0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        ts.TimeScale(np.array([0.0, 1.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        ts.explicit(0.0, 1.0, bad)
+
+
+def test_constructor_copies_array_input_read_only():
+    raw = np.array([0.0, 0.5, 2.0])
+    g = ts.TimeScale(raw)
+    assert not np.shares_memory(g.points, raw)
+    raw[1] = 0.25
+    assert_allclose(g.points, [0.0, 0.5, 2.0])
+    assert not g.points.flags.writeable
+    with pytest.raises(ValueError):
+        g.points[0] = 1.0
+    # a read-only array handed back in is copied as well
+    again = ts.explicit(g.points)
+    assert again == g and not np.shares_memory(again.points, g.points)
+
+
+def test_constructor_accepts_any_iterable():
+    pts = [0.0, 1.0, 3.0]
+    assert ts.TimeScale(iter(pts)) == ts.TimeScale(pts) == ts.TimeScale(tuple(pts))
+    assert ts.TimeScale(np.array([0, 1, 3])).points.dtype == np.float64
+
+
 def test_jump_operators_on_irregular_grid():
     g = ts.explicit(0.0, 0.5, 0.75, 1.5)
     assert g.sigma(0.0) == 0.5

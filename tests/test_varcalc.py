@@ -1,6 +1,7 @@
 """Euler-Lagrange machinery, Legendre checks, direct methods, eigenvalue problem."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -287,6 +288,20 @@ def test_sturm_liouville_pair_satisfies_equation():
     assert np.max(np.abs(res)) <= 1e-8
     with pytest.raises(GridTooSmall):
         sturm_liouville_first(tsc.uniform(0, 2, 1.0), lambda t: 0.0)
+
+
+def test_sturm_liouville_first_pair_at_n202_matches_sine_mode():
+    g = tsc.uniform(0.0, 201.0, 1.0)
+    n = len(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warnings
+        lam1, y1 = sturm_liouville_first(g, tsc.GridFunction.constant(g, 0.0))
+    exact = 4.0 * math.sin(math.pi / (2.0 * (n - 1))) ** 2
+    assert abs(lam1 - exact) <= 1e-11 * exact
+    y = np.asarray(y1.values)
+    mode = np.sin(math.pi * np.arange(n) / (n - 1))
+    mode *= np.linalg.norm(y) / np.linalg.norm(mode)
+    assert np.max(np.abs(y - mode)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
