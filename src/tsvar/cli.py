@@ -31,6 +31,7 @@ from .errors import (
     ConstraintInfeasible,
     ExprSyntaxError,
     NoConvergence,
+    NonFinite,
     SingularJacobian,
     TsvarError,
 )
@@ -117,6 +118,8 @@ def _solver_config(cp, args) -> SolverConfig:
         return conv(raw) if raw is not None else fallback
 
     starts = int(pick(args.starts, "starts", 64, _num))
+    if starts < 1:
+        raise _ConfigError(f"solver starts = {starts} must be at least 1")
     seed = int(pick(args.seed, "seed", 0, _num))
     tol = pick(args.tol, "tol", 1e-9, _num)
     box = (-2.0, 3.0)
@@ -249,7 +252,10 @@ def cmd_direct(args) -> RunReport:
     phi_expr = _parse_lagrangian(args.phi)
 
     def phi(t: float) -> float:
-        return dsl.eval_value(phi_expr, t)
+        value = dsl.eval_value(phi_expr, t)
+        if not math.isfinite(value):
+            raise NonFinite(f"phi({float(t)!r}) = {value!r} is not finite")
+        return value
 
     if args.kind == "power":
         if args.alpha_exp is None:

@@ -1,10 +1,13 @@
 """Expression language for Lagrangians L(t, u, v, w).
 
-A small recursive-descent parser builds an immutable AST, and evaluation runs
-either as plain floats or as second-order forward-mode duals ("jets") carrying
-value, gradient, and Hessian with respect to the three active variables
-(u, v, w).  The time variable t is a passive parameter: no theorem used here
-ever needs L_t, so jets simply treat any t-subexpression as a constant.
+A small recursive-descent parser builds an immutable AST.  Evaluation compiles
+the AST, once per expression and derivative order, into a straight-line numpy
+program: order 0 gives the value, order 1 adds the gradient and order 2 the
+Hessian with respect to the three active variables (u, v, w), as second-order
+forward-mode jets.  Derivative entries that are structurally zero are dropped
+while compiling, and one call evaluates a whole grid of points at once.  The
+time variable t is a passive parameter: no theorem used here ever needs L_t,
+so jets simply treat any t-subexpression as a constant.
 
 Grammar (standard precedence, ^ right-associative and binding tighter than
 unary minus):
@@ -21,8 +24,12 @@ unary minus):
 from __future__ import annotations
 
 import math
+import operator
+import weakref
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError
 
@@ -187,9 +194,12 @@ class _Parser:
         if tok.kind == "num":
             self.next()
             try:
-                return Num(float(tok.text))
+                value = float(tok.text)
             except ValueError:
                 raise ExprSyntaxError(tok.pos, f"malformed number {tok.text!r}") from None
+            if math.isinf(value):
+                raise ExprSyntaxError(tok.pos, f"number {tok.text!r} is out of range")
+            return Num(value)
         if tok.kind == "ident":
             self.next()
             name = tok.text
@@ -216,19 +226,67 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
+def _children(node) -> tuple:
+    if isinstance(node, Bin):
+        return (node.left, node.right)
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, (Num, Var)):
+        return ()
+    raise TypeError(f"not an Expr: {node!r}")
+
+
+def _fold(e: Expr, visit):
+    """Bottom-up pass: visit(node, results of its children), once per node.
+
+    A long operator chain parses into a tree as deep as the chain is long, so
+    the walk keeps an explicit stack instead of recursing.
+    """
+    done, stack = {}, [e]
+    while stack:
+        kids = _children(stack[-1])
+        todo = [k for k in reversed(kids) if id(k) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        node = stack.pop()
+        if id(node) not in done:
+            done[id(node)] = visit(node, [done[id(k)] for k in kids])
+    return done[id(e)]
+
+
+# Binding strength of each printed form: sums 1, products 2, signs 3,
+# powers 4, atoms 5.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+
+
 def to_string(e: Expr) -> str:
-    """Render an AST back to parseable text (conservatively parenthesized)."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{to_string(e.arg)})"
-    if isinstance(e, Bin):
-        return f"({to_string(e.left)} {e.op} {to_string(e.right)})"
-    if isinstance(e, Call):
-        return f"{e.fn}({to_string(e.arg)})"
-    raise TypeError(f"not an Expr: {e!r}")
+    """Render an AST as text that parses back to the same AST.
+
+    Parentheses appear only where precedence or associativity needs them, so
+    a long flat sum prints flat and stays under the parser's nesting cap.
+    """
+
+    def wrap(kid, min_prec):
+        text, prec = kid
+        return text if prec >= min_prec else f"({text})"
+
+    def visit(node, kids):
+        if isinstance(node, Num):
+            text = repr(node.value)
+            return text, 3 if text.startswith("-") else 5
+        if isinstance(node, Var):
+            return node.name, 5
+        if isinstance(node, Call):
+            return f"{node.fn}({kids[0][0]})", 5
+        if isinstance(node, Neg):
+            return "-" + wrap(kids[0], 3), 3
+        prec = _PREC[node.op]
+        # + - * / group to the left and ^ to the right, over a signed exponent
+        left, right = (5, 3) if node.op == "^" else (prec, prec + 1)
+        return f"{wrap(kids[0], left)} {node.op} {wrap(kids[1], right)}", prec
+
+    return _fold(e, visit)[0]
 
 
 def ensure_expr(e) -> Expr:
@@ -239,330 +297,301 @@ def ensure_expr(e) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Plain evaluation
+# Compiled evaluation
+#
+# Each order compiles to a Python function of one numpy assignment per
+# operation, by the forward-mode rules for sums, products and f(a) (Griewank
+# & Walther, "Evaluating Derivatives", 2nd ed., 2008).  A derivative needs
+# more than the value does, so the domain rules depend on the order: sqrt and
+# abs fail at 0, x^c at x = 0 once c drops below the order, and a variable
+# exponent needs a positive base.
 
-
-def eval_value(e: Expr, t: float, u: float = 0.0, v: float = 0.0, w: float = 0.0) -> float:
-    env = {"t": t, "u": u, "v": v, "w": w}
-
-    def rec(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            return env[node.name]
-        if isinstance(node, Neg):
-            return -rec(node.arg)
-        if isinstance(node, Bin):
-            a, b = rec(node.left), rec(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if b == 0.0:
-                    raise DomainError("division by zero")
-                return a / b
-            return _safe_pow(a, b)
-        if isinstance(node, Call):
-            return _apply_scalar(node.fn, rec(node.arg))
-        raise TypeError(f"not an Expr: {node!r}")
-
-    return rec(e)
-
-
-def _safe_pow(x: float, c: float) -> float:
-    ci = round(c)
-    if abs(c - ci) <= 1e-12:
-        c = float(ci)
-    if x > 0.0:
-        return math.pow(x, c)
-    if x == 0.0:
-        if c > 0.0:
-            return 0.0
-        if c == 0.0:
-            return 1.0
-        raise DomainError("0 raised to a negative power")
-    if c == round(c):
-        return math.pow(x, c)
-    raise DomainError(f"negative base {x} with non-integer exponent {c}")
-
-
-def _apply_scalar(fn: str, x: float) -> float:
-    if fn == "ln":
-        if x <= 0.0:
-            raise DomainError(f"ln of non-positive value {x}")
-        return math.log(x)
-    if fn == "exp":
-        return math.exp(x)
-    if fn == "sin":
-        return math.sin(x)
-    if fn == "cos":
-        return math.cos(x)
-    if fn == "sqrt":
-        if x < 0.0:
-            raise DomainError(f"sqrt of negative value {x}")
-        return math.sqrt(x)
-    if fn == "abs":
-        return abs(x)
-    raise TypeError(f"unknown function {fn}")
-
-
-# ---------------------------------------------------------------------------
-# Second-order jets over (u, v, w)
-
-# Hessian entries stored as (uu, uv, uw, vv, vw, ww)
-_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+# Hessian rows (uu, uv, uw, vv, vw, ww) as pairs of gradient rows
+_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
 
 class Jet2:
-    """Value + gradient + symmetric Hessian with respect to (u, v, w)."""
+    """Value, gradient rows (u, v, w) and Hessian rows (uu, uv, uw, vv, vw, ww).
+
+    For scalar arguments ``value`` is a float, ``grad`` has shape (3,) and
+    ``hess`` shape (6,); array arguments add their broadcast shape to each.
+    """
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value, grad=(0.0, 0.0, 0.0), hess=(0.0,) * 6):
+    def __init__(self, value, grad, hess):
         self.value = value
-        self.grad = tuple(grad)
-        self.hess = tuple(hess)
+        self.grad = grad
+        self.hess = hess
 
-    def hess_matrix(self):
-        (huu, huv, huw, hvv, hvw, hww) = self.hess
-        return [[huu, huv, huw], [huv, hvv, hvw], [huw, hvw, hww]]
+    def hess_matrix(self) -> np.ndarray:
+        return self.hess[[0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape((3, 3) + self.hess.shape[1:])
 
     def __repr__(self):
         return f"Jet2(value={self.value}, grad={self.grad}, hess={self.hess})"
 
 
-def _j_const(c):
-    return (c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+def _fail(bad, x, message: str):
+    first = np.broadcast_to(x, np.shape(bad))[bad][0]
+    raise DomainError(f"{message}: {float(first)!r}")
 
 
-_VAR_JETS = {
-    "u": (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    "v": (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    "w": (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-}
-
-# jet tuple layout: (v, gu, gv, gw, huu, huv, huw, hvv, hvw, hww)
-
-
-def _j_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _j_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _j_neg(a):
-    return tuple(-x for x in a)
+def _power(x, c, order: int) -> tuple:
+    """x^c and its first ``order`` derivatives in x for an exponent that is
+    only known at run time, under the rules of a constant exponent point by
+    point (the constants 0 and 1 need nothing)."""
+    r = np.round(c)
+    c = np.where(np.abs(c - r) <= 1e-12, r, c)
+    trivial = (c == 0.0) | (c == 1.0)
+    rules = (((x < 0.0) & (c != np.round(c)), "negative base with non-integer exponent"),
+             ((x == 0.0) & (c < order) & ~trivial, "0 raised to a negative power"))
+    for bad, message in rules:
+        if np.count_nonzero(bad):
+            _fail(bad, x, message)
+    return (x ** c, np.where(c == 0.0, 0.0, c * x ** (c - 1.0)),
+            np.where(trivial, 0.0, c * (c - 1.0) * x ** (c - 2.0)))[:order + 1]
 
 
-def _j_mul(a, b):
-    av, au, avv_, aw = a[0], a[1], a[2], a[3]
-    bv, bu, bvv_, bw = b[0], b[1], b[2], b[3]
-    ag = (au, avv_, aw)
-    bg = (bu, bvv_, bw)
-    out = [av * bv, au * bv + bu * av, avv_ * bv + bvv_ * av, aw * bv + bw * av]
-    for k, (i, j) in enumerate(_PAIRS):
-        out.append(a[4 + k] * bv + b[4 + k] * av + ag[i] * bg[j] + ag[j] * bg[i])
-    return tuple(out)
+_TESTS = {"<": operator.lt, "<=": operator.le, "==": operator.eq}
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _j_chain(a, f0, d1, d2):
-    """Compose scalar f with jet a given f(a), f'(a), f''(a)."""
-    ag = (a[1], a[2], a[3])
-    out = [f0, d1 * a[1], d1 * a[2], d1 * a[3]]
-    for k, (i, j) in enumerate(_PAIRS):
-        out.append(d1 * a[4 + k] + d2 * ag[i] * ag[j])
-    return tuple(out)
+def _is(x, c: float) -> bool:
+    return isinstance(x, float) and x == c
 
 
-def _j_div(a, b):
-    if b[0] == 0.0:
-        raise DomainError("division by zero")
-    inv = _j_chain(b, 1.0 / b[0], -1.0 / b[0] ** 2, 2.0 / b[0] ** 3)
-    return _j_mul(a, inv)
+def _nonzero(jet: dict) -> dict:
+    return {k: x for k, x in jet.items() if not _is(x, 0.0)}
 
 
-def _is_const_jet(a):
-    return all(x == 0.0 for x in a[1:])
+class _Compiler:
+    """Emits the program of one expression at one order.
 
+    While compiling, a node's jet is a dict from output row (0 the value, 1-3
+    the gradient, 4-9 the Hessian) to an operand: a float known at compile
+    time, folded where it meets another, or the name of a variable of the
+    generated program.  A missing row is structurally zero and costs nothing
+    at run time.
+    """
 
-def _j_pow(a, b):
-    if _is_const_jet(b):
-        c = b[0]
-        ci = round(c)
-        if abs(c - ci) <= 1e-12:
-            c = float(ci)
-        if c == 0.0:
-            return _j_const(1.0)
-        if c == 1.0:
-            return a
-        x = a[0]
-        f0 = _safe_pow(x, c)
-        d1 = c * _safe_pow(x, c - 1.0)
-        d2 = c * (c - 1.0) * _safe_pow(x, c - 2.0) if c != 1.0 else 0.0
-        return _j_chain(a, f0, d1, d2)
-    # variable exponent: a^b = exp(b ln a), needs a > 0
-    if a[0] <= 0.0:
-        raise DomainError(f"power with variable exponent needs positive base, got {a[0]}")
-    ln_a = _j_chain(a, math.log(a[0]), 1.0 / a[0], -1.0 / a[0] ** 2)
-    prod = _j_mul(b, ln_a)
-    return _j_chain(prod, math.exp(prod[0]), math.exp(prod[0]), math.exp(prod[0]))
+    def __init__(self, order: int):
+        self.order = order
+        self.lines = []
+        self.consts = {}
+        self.checked = set()
 
+    # -- operands ------------------------------------------------------------
 
-def _j_call(fn, a):
-    x = a[0]
-    if fn == "ln":
-        if x <= 0.0:
-            raise DomainError(f"ln of non-positive value {x}")
-        return _j_chain(a, math.log(x), 1.0 / x, -1.0 / x**2)
-    if fn == "exp":
-        ex = math.exp(x)
-        return _j_chain(a, ex, ex, ex)
-    if fn == "sin":
-        return _j_chain(a, math.sin(x), math.cos(x), -math.sin(x))
-    if fn == "cos":
-        return _j_chain(a, math.cos(x), -math.sin(x), -math.cos(x))
-    if fn == "sqrt":
-        if x <= 0.0:
-            raise DomainError(f"sqrt needs a positive argument for differentiation, got {x}")
-        r = math.sqrt(x)
-        return _j_chain(a, r, 0.5 / r, -0.25 / (x * r))
-    if fn == "abs":
-        if x == 0.0:
-            raise DomainError("abs is not differentiable at 0")
-        s = 1.0 if x > 0.0 else -1.0
-        return _j_chain(a, abs(x), s, 0.0)
-    raise TypeError(f"unknown function {fn}")
+    def src(self, x) -> str:
+        if isinstance(x, str):
+            return x
+        name = f"k{len(self.consts)}"
+        self.consts[name] = np.float64(x)
+        return name
 
+    def emit(self, template: str, *args) -> str:
+        name = f"r{len(self.lines)}"
+        self.lines.append(f"{name} = " + template.format(*map(self.src, args)))
+        return name
 
-def _eval_jet(node, t, u, v, w):
-    if isinstance(node, Num):
-        return _j_const(node.value)
-    if isinstance(node, Var):
-        if node.name == "t":
-            return _j_const(t)
-        base = _VAR_JETS[node.name]
-        return (
-            {"u": u, "v": v, "w": w}[node.name],
-        ) + base[1:]
-    if isinstance(node, Neg):
-        return _j_neg(_eval_jet(node.arg, t, u, v, w))
-    if isinstance(node, Bin):
-        a = _eval_jet(node.left, t, u, v, w)
-        b = _eval_jet(node.right, t, u, v, w)
-        if node.op == "+":
-            return _j_add(a, b)
-        if node.op == "-":
-            return _j_sub(a, b)
+    def call(self, fn: str, x) -> str:
+        return self.emit(f"_np.{fn}({{}})", x)
+
+    def check(self, x, op: str, message: str) -> None:
+        """Raise DomainError at run time wherever ``x op 0`` holds."""
+        if isinstance(x, float) and not _TESTS[op](x, 0.0):
+            return
+        arg = self.src(x)
+        test = f"{arg} {op} 0.0"
+        if test not in self.checked:
+            self.checked.add(test)
+            self.lines.append(f"if _count({test}): _fail({test}, {arg}, {message!r})")
+
+    def binary(self, op: str, a, b):
+        if isinstance(a, float) and isinstance(b, float) and (op != "/" or b != 0.0):
+            return _FOLD[op](a, b)
+        return self.emit(f"{{}} {op} {{}}", a, b)
+
+    def add(self, a, b):
+        if _is(a, 0.0) or _is(b, 0.0):
+            return b if _is(a, 0.0) else a
+        return self.binary("+", a, b)
+
+    def sub(self, a, b):
+        if _is(a, 0.0):
+            return self.neg(b)
+        return a if _is(b, 0.0) else self.binary("-", a, b)
+
+    def mul(self, a, b):
+        if _is(a, 0.0) or _is(b, 0.0):
+            return 0.0
+        if _is(a, 1.0) or _is(b, 1.0):
+            return b if _is(a, 1.0) else a
+        return self.binary("*", a, b)
+
+    def div(self, a, b):
+        return a if _is(b, 1.0) else self.binary("/", a, b)
+
+    def neg(self, a):
+        return -a if isinstance(a, float) else self.emit("-{}", a)
+
+    def power(self, x, c: float):
+        if c == 0.0 or c == 1.0:
+            return 1.0 if c == 0.0 else x
+        return self.emit("{} ** {}", x, c)
+
+    # -- jets ----------------------------------------------------------------
+
+    def product(self, a: dict, b: dict, val=None) -> dict:
+        """a * b; ``val`` stands in for the product of the values."""
+        A, B = a.get, b.get
+        x, y = A(0, 0.0), B(0, 0.0)
+        out = {0: self.mul(x, y) if val is None else val}
+        for i in (1, 2, 3):
+            out[i] = self.add(self.mul(A(i, 0.0), y), self.mul(B(i, 0.0), x))
+        if self.order == 2:
+            for k, (i, j) in enumerate(_PAIRS, start=4):
+                h = self.add(self.mul(A(k, 0.0), y), self.mul(B(k, 0.0), x))
+                h = self.add(h, self.mul(A(i, 0.0), B(j, 0.0)))
+                out[k] = self.add(h, self.mul(A(j, 0.0), B(i, 0.0)))
+        return _nonzero(out)
+
+    def chain(self, a: dict, f0, d1, d2) -> dict:
+        """f(a) from f0 = f(a's value); d1 and d2 emit f' and f'' there."""
+        if not a.keys() - {0}:
+            return _nonzero({0: f0})
+        A = a.get
+        f1 = d1()
+        out = {0: f0, **{i: self.mul(f1, A(i, 0.0)) for i in (1, 2, 3)}}
+        if self.order == 2:
+            f2 = d2()
+            for k, (i, j) in enumerate(_PAIRS, start=4):
+                curvature = self.mul(self.mul(f2, A(i, 0.0)), A(j, 0.0))
+                out[k] = self.add(self.mul(f1, A(k, 0.0)), curvature)
+        return _nonzero(out)
+
+    def quotient(self, a: dict, b: dict) -> dict:
+        x, y = a.get(0, 0.0), b.get(0, 0.0)
+        self.check(y, "==", "division by zero")
+        q = self.div(x, y)
+        if not (a.keys() | b.keys()) - {0}:
+            return _nonzero({0: q})
+        inv = self.div(1.0, y)
+        recip = self.chain(b, inv, lambda: self.neg(self.mul(inv, inv)),
+                           lambda: self.mul(2.0, self.mul(inv, self.mul(inv, inv))))
+        return self.product(a, recip, val=q)
+
+    def pow(self, a: dict, b: dict) -> dict:
+        x, c = a.get(0, 0.0), b.get(0, 0.0)
+        if self.order and b.keys() - {0}:
+            # variable exponent: a^b = exp(b ln a)
+            self.check(x, "<=", "power with variable exponent needs positive base")
+            return self.function("exp", self.product(b, self.function("ln", a)))
+        if not isinstance(c, float):
+            parts = self.emit(f"_power({{}}, {{}}, {self.order})", x, c)
+            return self.chain(a, f"{parts}[0]", lambda: f"{parts}[1]", lambda: f"{parts}[2]")
+        if math.isfinite(c) and abs(c - round(c)) <= 1e-12:
+            c = float(round(c))
+        if c == 0.0 or c == 1.0:
+            return {0: 1.0} if c == 0.0 else a
+        # the rules of x^c and, at order k, of x^(c-1) ... x^(c-k)
+        if not c.is_integer():
+            self.check(x, "<", "negative base with non-integer exponent")
+        if c - self.order < 0.0:
+            self.check(x, "==", "0 raised to a negative power")
+        return self.chain(a, self.power(x, c), lambda: self.mul(c, self.power(x, c - 1.0)),
+                          lambda: self.mul(c * (c - 1.0), self.power(x, c - 2.0)))
+
+    def function(self, fn: str, a: dict) -> dict:
+        x = a.get(0, 0.0)
+        if fn == "ln":
+            self.check(x, "<=", "ln of non-positive value")
+            return self.chain(a, self.call("log", x), lambda: self.div(1.0, x),
+                              lambda: self.neg(self.div(1.0, self.mul(x, x))))
+        if fn == "exp":
+            e = self.call("exp", x)
+            return self.chain(a, e, lambda: e, lambda: e)
+        if fn == "sin":
+            s = self.call("sin", x)
+            return self.chain(a, s, lambda: self.call("cos", x), lambda: self.neg(s))
+        if fn == "cos":
+            c = self.call("cos", x)
+            return self.chain(a, c, lambda: self.neg(self.call("sin", x)), lambda: self.neg(c))
+        if fn == "sqrt":
+            if self.order:
+                self.check(x, "<=", "sqrt needs a positive argument for differentiation")
+            else:
+                self.check(x, "<", "sqrt of negative value")
+            r = self.call("sqrt", x)
+            return self.chain(a, r, lambda: self.div(0.5, r),
+                              lambda: self.div(-0.25, self.mul(x, r)))
+        if fn == "abs":
+            if self.order:
+                self.check(x, "==", "abs is not differentiable at 0")
+            return self.chain(a, self.call("abs", x), lambda: self.call("sign", x), lambda: 0.0)
+        raise TypeError(f"unknown function {fn}")
+
+    def visit(self, node, kids) -> dict:
+        if isinstance(node, Num):
+            return _nonzero({0: float(node.value)})
+        if isinstance(node, Var):
+            if node.name == "t" or not self.order:
+                return {0: node.name}
+            return {0: node.name, 1 + "uvw".index(node.name): 1.0}
+        if isinstance(node, Neg):
+            return {k: self.neg(x) for k, x in kids[0].items()}
+        if isinstance(node, Call):
+            return self.function(node.fn, kids[0])
+        a, b = kids
+        if node.op in "+-":
+            op = self.add if node.op == "+" else self.sub
+            return _nonzero({k: op(a.get(k, 0.0), b.get(k, 0.0)) for k in a.keys() | b.keys()})
         if node.op == "*":
-            return _j_mul(a, b)
-        if node.op == "/":
-            return _j_div(a, b)
-        return _j_pow(a, b)
-    if isinstance(node, Call):
-        return _j_call(node.fn, _eval_jet(node.arg, t, u, v, w))
-    raise TypeError(f"not an Expr: {node!r}")
+            return self.product(a, b)
+        return self.quotient(a, b) if node.op == "/" else self.pow(a, b)
+
+    def compile(self, e: Expr):
+        root = _fold(e, self.visit)
+        body = self.lines + [f"out = _zeros(({(1, 4, 10)[self.order]},) + shape)"]
+        body += [f"out[{k}] = {self.src(x)}" for k, x in sorted(root.items())]
+        source = "def program(t, u, v, w, shape):\n" + "".join(
+            f"    {line}\n" for line in body) + "    return out\n"
+        namespace = {"_np": np, "_zeros": np.zeros, "_count": np.count_nonzero,
+                     "_fail": _fail, "_power": _power, **self.consts}
+        exec(compile(source, "<tsvar.dsl>", "exec"), namespace)
+        return namespace["program"]
 
 
-def eval_jet2(e: Expr, t: float, u: float, v: float, w: float) -> Jet2:
-    """Evaluate value, (u,v,w)-gradient, and Hessian at the given point."""
-    j = _eval_jet(e, t, u, v, w)
-    return Jet2(j[0], j[1:4], j[4:])
+# id(expression) -> its programs by order; an entry leaves with its expression.
+# Keying by the tree itself would hash it recursively on every lookup.
+_PROGRAMS = {}
 
 
-# First-order-only jets: (value, du, dv, dw).  Solver hot loops only need
-# gradients, and skipping the Hessian entries roughly halves the work.
+def _run(e: Expr, order: int, t, u, v, w) -> np.ndarray:
+    programs = _PROGRAMS.get(id(e))
+    if programs is None:
+        programs = _PROGRAMS[id(e)] = [None, None, None]
+        weakref.finalize(e, _PROGRAMS.pop, id(e), None)
+    if programs[order] is None:
+        programs[order] = _Compiler(order).compile(e)
+    t, u, v, w = [np.asarray(x, dtype=float) for x in (t, u, v, w)]
+    with np.errstate(all="ignore"):  # overflow gives inf, as float arithmetic does
+        return programs[order](t, u, v, w, np.broadcast(t, u, v, w).shape)
 
 
-def _g_chain(a, f0, d1):
-    return (f0, d1 * a[1], d1 * a[2], d1 * a[3])
+def eval_value(e: Expr, t, u=0.0, v=0.0, w=0.0):
+    """L at (t, u, v, w): a float for scalar arguments, otherwise an array of
+    the arguments' broadcast shape."""
+    value = _run(e, 0, t, u, v, w)[0]
+    return float(value) if value.ndim == 0 else value
 
 
-def _g_call(fn, a):
-    x = a[0]
-    if fn == "ln":
-        if x <= 0.0:
-            raise DomainError(f"ln of non-positive value {x}")
-        return _g_chain(a, math.log(x), 1.0 / x)
-    if fn == "exp":
-        ex = math.exp(x)
-        return _g_chain(a, ex, ex)
-    if fn == "sin":
-        return _g_chain(a, math.sin(x), math.cos(x))
-    if fn == "cos":
-        return _g_chain(a, math.cos(x), -math.sin(x))
-    if fn == "sqrt":
-        if x <= 0.0:
-            raise DomainError(f"sqrt needs a positive argument for differentiation, got {x}")
-        r = math.sqrt(x)
-        return _g_chain(a, r, 0.5 / r)
-    if fn == "abs":
-        if x == 0.0:
-            raise DomainError("abs is not differentiable at 0")
-        return _g_chain(a, abs(x), 1.0 if x > 0.0 else -1.0)
-    raise TypeError(f"unknown function {fn}")
+def eval_grad(e: Expr, t, u, v, w) -> np.ndarray:
+    """Rows (L, L_u, L_v, L_w), each of the arguments' broadcast shape."""
+    return _run(e, 1, t, u, v, w)
 
 
-def _eval_grad(node, t, u, v, w):
-    if isinstance(node, Num):
-        return (node.value, 0.0, 0.0, 0.0)
-    if isinstance(node, Var):
-        if node.name == "t":
-            return (t, 0.0, 0.0, 0.0)
-        if node.name == "u":
-            return (u, 1.0, 0.0, 0.0)
-        if node.name == "v":
-            return (v, 0.0, 1.0, 0.0)
-        return (w, 0.0, 0.0, 1.0)
-    if isinstance(node, Neg):
-        a = _eval_grad(node.arg, t, u, v, w)
-        return (-a[0], -a[1], -a[2], -a[3])
-    if isinstance(node, Bin):
-        a = _eval_grad(node.left, t, u, v, w)
-        b = _eval_grad(node.right, t, u, v, w)
-        op = node.op
-        if op == "+":
-            return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-        if op == "-":
-            return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
-        if op == "*":
-            av, bv = a[0], b[0]
-            return (av * bv, a[1] * bv + b[1] * av, a[2] * bv + b[2] * av,
-                    a[3] * bv + b[3] * av)
-        if op == "/":
-            if b[0] == 0.0:
-                raise DomainError("division by zero")
-            q = a[0] / b[0]
-            inv = 1.0 / b[0]
-            return (q, (a[1] - q * b[1]) * inv, (a[2] - q * b[2]) * inv,
-                    (a[3] - q * b[3]) * inv)
-        # power
-        if b[1] == 0.0 and b[2] == 0.0 and b[3] == 0.0:
-            c = b[0]
-            ci = round(c)
-            if abs(c - ci) <= 1e-12:
-                c = float(ci)
-            if c == 0.0:
-                return (1.0, 0.0, 0.0, 0.0)
-            if c == 1.0:
-                return a
-            d1 = c * _safe_pow(a[0], c - 1.0)
-            return _g_chain(a, _safe_pow(a[0], c), d1)
-        if a[0] <= 0.0:
-            raise DomainError(f"power with variable exponent needs positive base, got {a[0]}")
-        ln_a = _g_chain(a, math.log(a[0]), 1.0 / a[0])
-        prod = (b[0] * ln_a[0], b[1] * ln_a[0] + ln_a[1] * b[0],
-                b[2] * ln_a[0] + ln_a[2] * b[0], b[3] * ln_a[0] + ln_a[3] * b[0])
-        return _g_chain(prod, math.exp(prod[0]), math.exp(prod[0]))
-    if isinstance(node, Call):
-        return _g_call(node.fn, _eval_grad(node.arg, t, u, v, w))
-    raise TypeError(f"not an Expr: {node!r}")
-
-
-def eval_grad(e: Expr, t: float, u: float, v: float, w: float):
-    """Value and (u,v,w)-gradient only (cheaper than eval_jet2)."""
-    return _eval_grad(e, t, u, v, w)
+def eval_jet2(e: Expr, t, u, v, w) -> Jet2:
+    """Value, (u, v, w)-gradient and Hessian at the given point(s)."""
+    out = _run(e, 2, t, u, v, w)
+    return Jet2(float(out[0]) if out.ndim == 1 else out[0], out[1:4], out[4:])

@@ -287,19 +287,9 @@ def _arg_arrays(pts: np.ndarray, h: float, alpha: float, beta: float,
     return pts[:-1], u, v, w
 
 
-def _partials(L: Expr, t, u, v, w) -> np.ndarray:
-    """Rows (L_u, L_v, L_w) of the per-point gradients of L."""
-    return np.array([eval_grad(L, *args)[1:] for args in zip(t, u, v, w)]).T
-
-
-def _hessians(L: Expr, t, u, v, w) -> np.ndarray:
-    """Rows (uu, uv, uw, vv, vw, ww) of the per-point Hessians of L."""
-    return np.array([eval_jet2(L, *args).hess for args in zip(t, u, v, w)]).T
-
-
 def _el_core(L: Expr, pts: np.ndarray, h: float, alpha: float, beta: float,
              yvals: np.ndarray) -> np.ndarray:
-    Lu, Lv, Lw = _partials(L, *_arg_arrays(pts, h, alpha, beta, yvals))
+    Lu, Lv, Lw = eval_grad(L, *_arg_arrays(pts, h, alpha, beta, yvals))[1:]
     return Lu[:-1] + _right_diff_values(Lv, alpha, h) + _left_diff_values(Lw, beta, h)
 
 
@@ -315,12 +305,8 @@ def functional_value(p: FracProblem, y: GridFunction) -> float:
     """Sum of h * L([y](t)) over [a, b)."""
     pts = p.grid.points()
     h = p.grid.h
-    t, u, v, w = _arg_arrays(pts, h, p.orders.alpha, p.orders.beta,
-                             np.asarray(y.values, dtype=float))
-    total = 0.0
-    for j in range(t.size):
-        total += eval_grad(p.L, t[j], u[j], v[j], w[j])[0]
-    return h * total
+    args = _arg_arrays(pts, h, p.orders.alpha, p.orders.beta, np.asarray(y.values, dtype=float))
+    return h * float(np.sum(eval_grad(p.L, *args)[0]))
 
 
 def _natural_bc_rows(p: FracProblem):
@@ -365,8 +351,8 @@ def natural_bc_residuals(p: FracProblem, y: GridFunction):
     """(left, right) residuals of the natural boundary conditions; None when fixed."""
     if p.A is not None and p.B is not None:
         return (None, None)
-    partials = _partials(p.L, *_arg_arrays(p.grid.points(), p.grid.h, p.orders.alpha,
-                                           p.orders.beta, np.asarray(y.values, dtype=float)))
+    partials = eval_grad(p.L, *_arg_arrays(p.grid.points(), p.grid.h, p.orders.alpha,
+                                           p.orders.beta, np.asarray(y.values, dtype=float)))[1:]
     return tuple(None if row is None else float(sum(c @ d for c, d in zip(row, partials)))
                  for row in _natural_bc_rows(p))
 
@@ -380,7 +366,7 @@ def legendre_frac_check(p: FracProblem, y: GridFunction) -> LegendreReport:
     t, u, v, w = _arg_arrays(pts, h, p.orders.alpha, p.orders.beta,
                              np.asarray(y.values, dtype=float))
     m = t.size
-    Huu, Huv, Huw, Hvv, Hvw, Hww = _hessians(p.L, t, u, v, w)
+    Huu, Huv, Huw, Hvv, Hvw, Hww = eval_jet2(p.L, t, u, v, w).hess
 
     if nu != 0.0:
         cw = nu * (1.0 - nu) / gamma_fn(nu + 1.0)
@@ -391,28 +377,22 @@ def legendre_frac_check(p: FracProblem, y: GridFunction) -> LegendreReport:
         kern_v = np.array([h_factorial((d + gamma) * h, gamma - 2.0, h)
                            for d in range(m)])  # d = (t_i - sigma(sigma(t_j)))/h
 
-    margins = np.empty(m - 1)
-    for j in range(m - 1):
-        val = (h * h * Huu[j]
-               + 2.0 * math.pow(h, gamma + 1.0) * Huv[j]
-               + 2.0 * math.pow(h, nu + 1.0) * (nu - 1.0) * Huw[j]
-               + math.pow(h, 2.0 * gamma) * (gamma - 1.0) ** 2 * Hvv[j + 1]
-               + 2.0 * math.pow(h, nu + gamma) * (gamma - 1.0) * Hvw[j + 1]
-               + 2.0 * math.pow(h, nu + gamma) * (nu - 1.0) * Hvw[j]
-               + math.pow(h, 2.0 * nu) * (nu - 1.0) ** 2 * Hww[j]
-               + math.pow(h, 2.0 * nu) * Hww[j + 1]
-               + math.pow(h, gamma) * Hvv[j])
-        if nu != 0.0:
-            acc = 0.0
-            for i in range(j):
-                acc += Hww[i] * (cw * kern_w[j - i - 1]) ** 2
-            val += h**4 * acc  # integral carries one extra h
-        if gamma != 0.0:
-            acc = 0.0
-            for i in range(j + 2, m):
-                acc += Hvv[i] * (cv * kern_v[i - j - 2]) ** 2
-            val += h**4 * acc
-        margins[j] = val
+    margins = (h * h * Huu[:-1]
+               + 2.0 * math.pow(h, gamma + 1.0) * Huv[:-1]
+               + 2.0 * math.pow(h, nu + 1.0) * (nu - 1.0) * Huw[:-1]
+               + math.pow(h, 2.0 * gamma) * (gamma - 1.0) ** 2 * Hvv[1:]
+               + 2.0 * math.pow(h, nu + gamma) * (gamma - 1.0) * Hvw[1:]
+               + 2.0 * math.pow(h, nu + gamma) * (nu - 1.0) * Hvw[:-1]
+               + math.pow(h, 2.0 * nu) * (nu - 1.0) ** 2 * Hww[:-1]
+               + math.pow(h, 2.0 * nu) * Hww[1:]
+               + math.pow(h, gamma) * Hvv[:-1])
+    # the integrals carry one extra h
+    if nu != 0.0:
+        # sum over i < j of Hww[i] (cw kern_w[j - i - 1])^2
+        margins[1:] += h**4 * np.convolve(Hww, (cw * kern_w) ** 2)[:m - 2]
+    if gamma != 0.0 and m > 2:
+        # sum over i > j + 1 of Hvv[i] (cv kern_v[i - j - 2])^2
+        margins[:-1] += h**4 * np.convolve(Hvv[:1:-1], (cv * kern_v) ** 2)[m - 3::-1]
     ok = bool(np.all(margins >= -1e-8))
     return LegendreReport(GridFunction(y.scale.drop_last(2), margins), ok)
 
@@ -433,64 +413,53 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     pts = scale.points
     h = p.grid.h
     N = pts.size
+    m = N - 1
     alpha, beta = p.orders.alpha, p.orders.beta
     free_left = p.A is None
     free_right = p.B is None
     n_unknowns = (N - 2) + int(free_left) + int(free_right)
+    lo = 0 if free_left else 1  # the unknowns are y_lo .. y_{lo + n_unknowns - 1}
+    fixed = np.zeros(N)
+    fixed[0] = 0.0 if free_left else p.A
+    fixed[-1] = 0.0 if free_right else p.B
 
     def assemble(x):
-        full = np.empty(N)
-        k = 0
-        if free_left:
-            full[0] = x[0]
-            k = 1
-        else:
-            full[0] = p.A
-        full[1:N - 1] = x[k:k + N - 2]
-        full[N - 1] = x[-1] if free_right else p.B
+        full = fixed.copy()
+        full[lo:lo + n_unknowns] = x
         return full
 
+    # A stacks the maps y -> (u, v, w) on T^kappa, point by point: row 3j + a
+    # gives argument a at t_j, with u_j = y_{j+1} and (v, w) from _diff_maps.
+    # Row k of the system is C_k . (L_u, L_v, L_w) in the same layout.  The
+    # interior rows of C are the columns of A, because h * residual is the
+    # gradient of the functional; free ends add their natural-BC coefficient
+    # rows.  So the Jacobian is C . blockdiag(per-point Hessians) . A.
+    A = np.zeros((m, 3, N))
+    A[np.arange(m), 0, np.arange(1, N)] = 1.0
+    A[:, 1], A[:, 2] = _diff_maps(alpha, beta, h, N)
+    A_unknown = A[:, :, lo:lo + n_unknowns]
+    A = A.reshape(3 * m, N)
+    ends = [np.stack(row, axis=1).ravel() for row in _natural_bc_rows(p) if row is not None]
+    C = np.vstack([A[:, 1:N - 1].T, *ends]) if ends else A[:, 1:N - 1].T
+    C_interior = C[:N - 2]
+    t = pts[:-1]
+
+    def arguments(x):
+        return (t, *(A @ assemble(x)).reshape(m, 3).T)
+
     def residual_map(x):
-        full = assemble(x)
-        rows = [_el_core(p.L, pts, h, alpha, beta, full)]
+        rows = [C_interior @ eval_grad(p.L, *arguments(x))[1:].T.ravel()]
         if free_left or free_right:
-            yf = GridFunction(scale, full)
-            left, right = natural_bc_residuals(p, yf)
+            left, right = natural_bc_residuals(p, GridFunction(scale, assemble(x)))
             if free_left:
                 rows.append([left])
             if free_right:
                 rows.append([right])
         return np.concatenate(rows)
 
-    # Row k of the system is c_k . (L_u, L_v, L_w) over T^kappa and
-    # (u, v, w) = (U, V, W) y with u_j = y_{j+1}, so its Jacobian is
-    # sum_a C_a G_a with G_a = H_au U + H_av V + H_aw W.  The interior rows of
-    # C are rows of (U, V, W)^T, because h * residual is the gradient of the
-    # functional; free ends add their natural-BC coefficient rows.
-    m = N - 1
-    lo = 0 if free_left else 1
-    V, W = (M[:, lo:lo + n_unknowns] for M in _diff_maps(alpha, beta, h, N))
-    inner = slice(1 - lo, N - 1 - lo)
-    interior_maps = (None, V[:, inner].T, W[:, inner].T)
-    u_rows = np.arange(lo + n_unknowns - 1)  # the j with y_{j+1} unknown
-    u_cols = u_rows + 1 - lo
-    bc_rows = [row for row in _natural_bc_rows(p) if row is not None]
-    bc = [np.array([row[a] for row in bc_rows]).reshape(-1, m) for a in range(3)]
-
     def jacobian(x):
-        full = assemble(x)
-        hess = _hessians(p.L, *_arg_arrays(pts, h, alpha, beta, full))
-        J = np.zeros((n_unknowns, n_unknowns))
-        interior, ends = J[:N - 2], J[N - 2:]
-        # (H_au, H_av, H_aw) as indices into the rows (uu, uv, uw, vv, vw, ww)
-        for a, (hu, hv, hw) in enumerate(((0, 1, 2), (1, 3, 4), (2, 4, 5))):
-            G = hess[hv][:, None] * V
-            G += hess[hw][:, None] * W
-            G[u_rows, u_cols] += hess[hu][u_rows]
-            ends += bc[a] @ G
-            # U^T G is G moved down one row
-            interior += G[:N - 2] if a == 0 else interior_maps[a] @ G
-        return J
+        H = eval_jet2(p.L, *arguments(x)).hess_matrix().transpose(2, 0, 1)
+        return C @ (H @ A_unknown).reshape(3 * m, n_unknowns)
 
     sols = multi_start(residual_map, jacobian, n_unknowns, cfg)
     out = []

@@ -30,6 +30,7 @@ from .errors import (
     HypothesisHViolated,
     InvalidExponent,
     NoConvergence,
+    NonFinite,
     NonPositivePhi,
     PreconditionViolated,
     SingularJacobian,
@@ -183,13 +184,7 @@ def _first_order_args(ts: TimeScale, values: np.ndarray):
 
 def _partials_first_order(L: Expr, ts: TimeScale, values: np.ndarray):
     t, u, v, mu = _first_order_args(ts, values)
-    m = t.size
-    Lu = np.empty(m)
-    Lv = np.empty(m)
-    for j in range(m):
-        jet = eval_jet2(L, t[j], u[j], v[j], 0.0)
-        Lu[j] = jet.grad[0]
-        Lv[j] = jet.grad[1]
+    Lu, Lv, _ = eval_jet2(L, t, u, v, 0.0).grad
     return Lu, Lv, mu
 
 
@@ -208,8 +203,7 @@ def _el_jacobian(L: Expr, ts: TimeScale, values: np.ndarray) -> np.ndarray:
     y_{j+2} through u_i = y_{i+1} and v_i = (y_{i+1} - y_i) / mu_i.
     """
     t, u, v, mu = _first_order_args(ts, values)
-    hess = np.array([eval_jet2(L, t[j], u[j], v[j], 0.0).hess for j in range(t.size)])
-    huu, huv, hvv = hess[:, 0], hess[:, 1], hess[:, 3]
+    huu, huv, _, hvv, _, _ = eval_jet2(L, t, u, v, 0.0).hess
     # d L_u(t_i) and d L_v(t_i) by y_i (suffix 0) and by y_{i+1} (suffix 1)
     du0, du1 = -huv / mu, huu + huv / mu
     dv0, dv1 = -hvv / mu, huv + hvv / mu
@@ -227,10 +221,7 @@ def functional_value(p: Union[VariationalProblem, IsoperimetricProblem],
     L = expr if expr is not None else p.L
     values = np.asarray(y.values, dtype=float)
     t, u, v, mu = _first_order_args(p.scale, values)
-    total = 0.0
-    for j in range(t.size):
-        total += mu[j] * eval_jet2(L, t[j], u[j], v[j], 0.0).value
-    return total
+    return float(mu @ eval_jet2(L, t, u, v, 0.0).value)
 
 
 def legendre_check(p: VariationalProblem, y: GridFunction) -> LegendreReport:
@@ -241,17 +232,10 @@ def legendre_check(p: VariationalProblem, y: GridFunction) -> LegendreReport:
     """
     values = np.asarray(y.values, dtype=float)
     t, u, v, mu = _first_order_args(p.scale, values)
-    m = t.size
-    jets = [eval_jet2(p.L, t[j], u[j], v[j], 0.0) for j in range(m)]
-    margins = np.empty(m)
-    for j in range(m):
-        huu, huv, _, hvv, _, _ = jets[j].hess
-        if j + 1 < m:
-            mu_sigma = mu[j + 1]
-            sigma_term = (1.0 / mu_sigma) * jets[j + 1].hess[3]
-        else:
-            sigma_term = 0.0  # mu(sigma(t)) = 0 at the right edge: 0* = 0
-        margins[j] = hvv + mu[j] * (2.0 * huv + mu[j] * huu + sigma_term)
+    huu, huv, _, hvv, _, _ = eval_jet2(p.L, t, u, v, 0.0).hess
+    # (1 / mu(sigma(t))) L_vv(sigma(t)); mu(sigma(t)) = 0 at the right edge: 0* = 0
+    sigma_term = np.append((1.0 / mu[1:]) * hvv[1:], 0.0)
+    margins = hvv + mu * (2.0 * huv + mu * huu + sigma_term)
     ok = bool(np.all(margins >= -1e-10))
     return LegendreReport(GridFunction(p.scale.drop_last(1), margins), ok)
 
@@ -513,6 +497,8 @@ def sturm_liouville_first(ts: TimeScale, q_fn) -> tuple:
         q = np.array([q_fn(t) for t in pts], dtype=float)
     else:
         q = np.asarray(q_fn, dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise NonFinite("q is not finite on the grid")
     m = n - 2  # unknowns y_1 .. y_{n-2}
     K = np.zeros((m, m))
     for j in range(n - 1):
@@ -555,10 +541,14 @@ def sturm_liouville_first(ts: TimeScale, q_fn) -> tuple:
 
 def _phi_values(ts: TimeScale, phi) -> np.ndarray:
     if isinstance(phi, GridFunction):
-        return np.asarray(phi.values, dtype=float)
-    if callable(phi):
-        return np.array([phi(t) for t in ts.points], dtype=float)
-    return np.asarray(phi, dtype=float)
+        values = np.asarray(phi.values, dtype=float)
+    elif callable(phi):
+        values = np.array([phi(t) for t in ts.points], dtype=float)
+    else:
+        values = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NonFinite("phi is not finite on the grid")
+    return values
 
 
 def direct_solve_power(ts: TimeScale, phi: Callable[[float], float],

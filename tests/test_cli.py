@@ -255,9 +255,30 @@ def test_repro_ex3a_reports_objective_mismatch(capsys):
 
 
 def test_solver_flag_overrides_config(tmp_path, capsys):
-    # an unsolvable start budget of zero comes from the flag, not the config
+    # an invalid start budget of zero comes from the flag, not the config
     config = write_config(tmp_path, CLASSIC_INI)
     code = run_cli(["frac-solve", "--config", config, "--no-csv",
                     "--starts", "0"])
-    assert code == 3
-    assert "solver failed" in capsys.readouterr().err
+    assert code == 2
+    assert "starts = 0" in capsys.readouterr().err
+
+
+def test_zero_starts_in_config_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, CLASSIC_INI.replace("starts = 6", "starts = 0"))
+    assert run_cli(["frac-solve", "--config", config, "--no-csv"]) == 2
+    assert "config error: solver starts = 0 must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["exp", "entropy", "power"])
+def test_direct_with_overflowing_phi_is_a_config_error(kind, capsys):
+    argv = ["direct", "--kind", kind, "--scale", "uniform(0,1,0.25)",
+            "--phi", "exp(1000*t)", "--B", "1", "--no-csv"]
+    assert run_cli(argv + (["--alpha-exp", "2"] if kind == "power" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not finite" in err
+
+
+def test_sturm_with_overflowing_potential_is_a_config_error(capsys):
+    argv = ["sturm", "--scale", "uniform(0,1,0.1)", "--q", "exp(1000*t)", "--no-csv"]
+    assert run_cli(argv) == 2
+    assert "config error: q is not finite" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 """Expression parsing and derivative evaluation."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,9 +83,26 @@ def test_domain_errors_at_evaluation():
 
 def test_round_trip_through_to_string():
     for text in ("v^3 + 1*w^2", "0.5*v^2 - u", "exp(t) * sin(u - v)",
-                 "-(u + v) / (1 + t^2)", "2^3^2", "abs(w) - sqrt(u)"):
+                 "-(u + v) / (1 + t^2)", "2^3^2", "abs(w) - sqrt(u)",
+                 "(2^3)^2", "(-u)^2", "-u^2", "u^-v^2", "u - (v - w)", "2 * -u / -(v * w)"):
         e = dsl.parse(text)
         assert dsl.parse(dsl.to_string(e)) == e  # ASTs compare structurally
+
+
+def test_overflowing_number_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match="out of range") as ei:
+        dsl.parse("2*u + 1e400*u")
+    assert ei.value.offset == 6
+
+
+def test_flat_sum_evaluates_and_round_trips():
+    # 3000 operators in a row parse into a left-deep tree 3000 levels deep
+    e = dsl.parse("u" + "+u" * 3000)
+    assert ev("u" + "+u" * 3000, u=0.25) == 3001 * 0.25
+    assert list(dsl.eval_grad(e, 0.0, 0.25, 0.0, 0.0)) == [3001 * 0.25, 3001.0, 0.0, 0.0]
+    text = dsl.to_string(e)
+    assert text == " + ".join(["u"] * 3001)
+    assert dsl.to_string(dsl.parse(text)) == text
 
 
 def test_named_constants():
@@ -170,3 +189,77 @@ def test_integer_power_of_negative_base_is_fine():
     assert ev("v^2", v=-2.0) == 4.0
     g = dsl.eval_grad(dsl.parse("v^3"), 0, 0, -2.0, 0)
     assert g[2] == pytest.approx(12.0)
+
+
+# ---------------------------------------------------------------------------
+# one call over an array of points
+
+
+PARITY_CASES = [
+    "u + v - w * t / (1 + u^2)",
+    "-u * v + -(w - t)",
+    "ln(1 + u^2) + exp(v) * sin(w) - cos(t * u)",
+    "sqrt(1 + v^2) + abs(w - 0.3)",
+    "u^(1 + t^2)",          # exponent depends on t only
+    "(1 + u^2)^(v + w)",    # exponent depends on the active variables
+]
+
+
+def _per_point(f, e, points):
+    """Scalar calls of f, one per point, stacked along the last axis."""
+    return np.stack([np.hstack([f(e, *p)]) for p in points.T], axis=-1)
+
+
+@pytest.mark.parametrize("text", PARITY_CASES)
+def test_array_call_matches_per_point_calls(text):
+    e = dsl.parse(text)
+    points = np.random.default_rng(11).uniform(0.2, 1.5, (4, 25))
+    np.testing.assert_allclose(dsl.eval_value(e, *points),
+                               _per_point(dsl.eval_value, e, points)[0], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(dsl.eval_grad(e, *points),
+                               _per_point(dsl.eval_grad, e, points), rtol=1e-15, atol=0)
+    jet = dsl.eval_jet2(e, *points)
+
+    def rows(e, *p):
+        j = dsl.eval_jet2(e, *p)
+        return np.hstack([j.value, j.grad, j.hess])
+
+    np.testing.assert_allclose(np.vstack([jet.value, jet.grad, jet.hess]),
+                               _per_point(rows, e, points), rtol=1e-15, atol=0)
+
+
+# (expression, value of u, lowest order that raises)
+DOMAIN_RULES = [
+    ("sqrt(u)", 0.0, 1),
+    ("u^1.5", 0.0, 2),
+    ("u^-1", 0.0, 0),
+    ("u^0.5", -1.0, 0),
+    ("ln(u)", 0.0, 0),
+    ("abs(u)", 0.0, 1),
+    ("1/u", 0.0, 0),
+]
+
+
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+@pytest.mark.parametrize("text, u, raises_from", DOMAIN_RULES)
+def test_domain_rules_by_order(text, u, raises_from, shape):
+    e = dsl.parse(text)
+    # one bad point among good ones fails the whole call
+    arg = u if shape == "scalar" else np.array([0.5, u, 2.0])
+    for order, f in enumerate((dsl.eval_value, dsl.eval_grad, dsl.eval_jet2)):
+        if order < raises_from:
+            f(e, 0.0, arg, 0.0, 0.0)
+        else:
+            with pytest.raises(DomainError):
+                f(e, 0.0, arg, 0.0, 0.0)
+
+
+def test_overflow_gives_inf_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ev("exp(u)", u=1000.0) == math.inf
+        assert ev("10^u", u=400.0) == math.inf
+        g = dsl.eval_grad(dsl.parse("u^3"), 0.0, np.array([1.0, 1e200]), 0.0, 0.0)
+        assert g[:2].tolist() == [[1.0, math.inf], [3.0, math.inf]]
+        jet = dsl.eval_jet2(dsl.parse("exp(u) - exp(u)"), 0.0, 1000.0, 0.0, 0.0)
+        assert math.isnan(jet.value)

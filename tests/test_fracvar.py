@@ -345,6 +345,51 @@ def test_legendre_frac_classical_reduction():
     assert not legendre_frac_check(flipped, y).ok
 
 
+def legendre_margins_oracle(p, y):
+    """The Legendre margins summed point by point, one double loop per integral."""
+    h, gamma, nu = p.grid.h, p.orders.gamma, p.orders.nu_order
+    vals = np.asarray(y.values, dtype=float)
+    t = p.grid.points()[:-1]
+    v = left_frac_diff(y, p.orders.alpha).values
+    w = right_frac_diff(y, p.orders.beta).values
+    m = t.size
+    H = np.array([dsl.eval_jet2(p.L, t[j], vals[j + 1], v[j], w[j]).hess for j in range(m)]).T
+    Huu, Huv, Huw, Hvv, Hvw, Hww = H
+    cw = nu * (1.0 - nu) / gamma_fn(nu + 1.0)
+    cv = gamma * (gamma - 1.0) / gamma_fn(gamma + 1.0)
+    margins = []
+    for j in range(m - 1):
+        val = (h * h * Huu[j] + 2.0 * h ** (gamma + 1.0) * Huv[j]
+               + 2.0 * h ** (nu + 1.0) * (nu - 1.0) * Huw[j]
+               + h ** (2.0 * gamma) * (gamma - 1.0) ** 2 * Hvv[j + 1]
+               + 2.0 * h ** (nu + gamma) * (gamma - 1.0) * Hvw[j + 1]
+               + 2.0 * h ** (nu + gamma) * (nu - 1.0) * Hvw[j]
+               + h ** (2.0 * nu) * (nu - 1.0) ** 2 * Hww[j]
+               + h ** (2.0 * nu) * Hww[j + 1] + h ** gamma * Hvv[j])
+        if nu != 0.0:
+            val += h ** 4 * sum(Hww[i] * (cw * h_factorial((j - i - 1 + nu) * h, nu - 2.0, h)) ** 2
+                                for i in range(j))
+        if gamma != 0.0:
+            val += h ** 4 * sum(
+                Hvv[i] * (cv * h_factorial((i - j - 2 + gamma) * h, gamma - 2.0, h)) ** 2
+                for i in range(j + 2, m))
+        margins.append(val)
+    return np.array(margins)
+
+
+@pytest.mark.parametrize("orders", [(0.8, 0.5), (0.3, 0.7), (1.0, 0.6), (0.75, 1.0), (1.0, 1.0)])
+@pytest.mark.parametrize("h", [0.5, 0.1, 0.04])
+def test_legendre_frac_margins_match_double_loop(orders, h):
+    grid = FracGrid(0.0, 1.0, h)
+    p = FracProblem(grid, FracOrders(*orders), "v^3 + 0.5*w^2*u - cos(u*v) + exp(w)", A=0.0, B=1.0)
+    ts = grid.scale()
+    y = tsc.GridFunction(ts, np.random.default_rng(3).uniform(-1.0, 1.0, len(ts)))
+    ref = legendre_margins_oracle(p, y)
+    got = legendre_frac_check(p, y).margins.values
+    assert got.shape == ref.shape
+    assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
 EX3A_ROWS = [
     (-0.5511786, 0.0515282, 0.5133134, False),
     (0.2669091, 0.4878808, 0.7151924, True),
