@@ -303,138 +303,124 @@ def cmd_sturm(args) -> RunReport:
 def _random_scale(rng, n_min=3, n_max=9, step_lo=0.1, step_hi=1.0) -> TimeScale:
     n = int(rng.integers(n_min, n_max + 1))
     start = float(rng.uniform(-2.0, 2.0))
-    steps = rng.uniform(step_lo, step_hi, n - 1)
-    return TimeScale(start + np.concatenate([[0.0], np.cumsum(steps)]))
+    offsets = np.zeros(n)
+    rng.uniform(step_lo, step_hi, n - 1).cumsum(out=offsets[1:])
+    return TimeScale(start + offsets)
 
 
 def _holds_pointwise(values: np.ndarray, bound: np.ndarray) -> bool:
     tol = 1e-10 * np.maximum(1.0, np.abs(bound))
-    return bool(np.all(values <= bound + tol))
+    return bool((values <= bound + tol).all())
 
 
-def _suite_jensen(trials: int, seed: int) -> int:
-    rng = np.random.default_rng(seed)
-    catalog = [math.exp, lambda x: x * x, abs, lambda x: x ** 4]
-    held = 0
-    for _ in range(trials):
-        ts = _random_scale(rng)
-        g = GridFunction(ts, rng.uniform(-2.0, 2.0, len(ts)))
-        F = catalog[int(rng.integers(len(catalog)))]
-        weights = None
-        if rng.random() < 0.5:
-            weights = GridFunction(ts, rng.uniform(0.05, 3.0, len(ts)))
-        alpha = float(rng.random())
-        if inequalities.jensen_certify(ts, F, g, weights, alpha).holds:
-            held += 1
-    return held
+def _suite(trial):
+    """A suite from one trial: ``run(trials, seed)`` draws every trial from one
+    seeded stream, in order, and counts the trials whose inequality held."""
+    def run(trials: int, seed: int) -> int:
+        rng = np.random.default_rng(seed)
+        return sum(trial(rng) for _ in range(trials))
+
+    return run
 
 
-def _suite_holder(trials: int, seed: int) -> int:
-    rng = np.random.default_rng(seed)
-    held = 0
-    for _ in range(trials):
-        ts = _random_scale(rng)
-        f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-        g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-        h = GridFunction(ts, rng.uniform(0.0, 2.0, len(ts)))
-        p = 1.0 + float(rng.uniform(0.1, 3.0))
-        alpha = float(rng.random())
-        if inequalities.holder_certify(ts, f, g, h, p, alpha).holds:
-            held += 1
-    return held
+_JENSEN_CATALOG = (math.exp, lambda x: x * x, abs, lambda x: x ** 4)
 
 
-def _suite_cauchy_schwarz(trials: int, seed: int) -> int:
-    rng = np.random.default_rng(seed)
-    held = 0
-    for _ in range(trials):
-        ts = _random_scale(rng)
-        f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-        g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-        alpha = float(rng.random())
-        if inequalities.cauchy_schwarz_certify(ts, f, g, alpha).holds:
-            held += 1
-    return held
+@_suite
+def _suite_jensen(rng) -> bool:
+    ts = _random_scale(rng)
+    g = GridFunction(ts, rng.uniform(-2.0, 2.0, len(ts)))
+    F = _JENSEN_CATALOG[int(rng.integers(len(_JENSEN_CATALOG)))]
+    weights = None
+    if rng.random() < 0.5:
+        weights = GridFunction(ts, rng.uniform(0.05, 3.0, len(ts)))
+    alpha = float(rng.random())
+    return inequalities.jensen_certify(ts, F, g, weights, alpha).holds
 
 
-def _suite_minkowski(trials: int, seed: int) -> int:
-    rng = np.random.default_rng(seed)
-    held = 0
-    for _ in range(trials):
-        ts = _random_scale(rng)
-        f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-        g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-        p = 1.0 + float(rng.uniform(0.1, 3.0))
-        alpha = float(rng.random())
-        if inequalities.minkowski_certify(ts, f, g, p, alpha).holds:
-            held += 1
-    return held
+@_suite
+def _suite_holder(rng) -> bool:
+    ts = _random_scale(rng)
+    f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
+    g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
+    h = GridFunction(ts, rng.uniform(0.0, 2.0, len(ts)))
+    p = 1.0 + float(rng.uniform(0.1, 3.0))
+    alpha = float(rng.random())
+    return inequalities.holder_certify(ts, f, g, h, p, alpha).holds
 
 
-def _suite_gronwall(trials: int, seed: int) -> int:
-    rng = np.random.default_rng(seed)
-    held = 0
-    for _ in range(trials):
-        ts = _random_scale(rng)
-        n = len(ts)
-        mu = np.diff(ts.points)
-        a = rng.uniform(-1.0, 2.0, n)
-        b = rng.uniform(0.0, 1.5, n)
-        u = np.empty(n)
-        u[0] = a[0] - rng.uniform(0.0, 0.5)
-        for i in range(1, n):
-            acc = a[i] + float(mu[:i] @ (b[:i] * u[:i]))
-            u[i] = acc - rng.uniform(0.0, 0.5)
-        bound = inequalities.gronwall_bound(ts, a, b, ts.points[0])
-        if _holds_pointwise(u, bound.values):
-            held += 1
-    return held
+@_suite
+def _suite_cauchy_schwarz(rng) -> bool:
+    ts = _random_scale(rng)
+    f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
+    g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
+    alpha = float(rng.random())
+    return inequalities.cauchy_schwarz_certify(ts, f, g, alpha).holds
 
 
-def _suite_comparison(trials: int, seed: int) -> int:
-    rng = np.random.default_rng(seed)
-    held = 0
-    for _ in range(trials):
-        ts = _random_scale(rng)
-        n = len(ts)
-        mu = np.diff(ts.points)
-        p = rng.uniform(-0.9, 1.5, n)
-        f = rng.uniform(-1.0, 1.0, n)
-        y = np.empty(n)
-        y[0] = float(rng.uniform(-1.0, 1.0))
-        for i in range(n - 1):
-            y[i + 1] = y[i] + mu[i] * (p[i] * y[i] + f[i] - rng.uniform(0.0, 0.5))
-        bound = inequalities.comparison_bound(ts, y[0], p, f, ts.points[0])
-        if _holds_pointwise(y, bound.values):
-            held += 1
-    return held
+@_suite
+def _suite_minkowski(rng) -> bool:
+    ts = _random_scale(rng)
+    f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
+    g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
+    p = 1.0 + float(rng.uniform(0.1, 3.0))
+    alpha = float(rng.random())
+    return inequalities.minkowski_certify(ts, f, g, p, alpha).holds
 
 
-def _suite_gronwall_2d(trials: int, seed: int) -> int:
-    rng = np.random.default_rng(seed)
-    held = 0
-    for _ in range(trials):
-        ts1 = _random_scale(rng, n_min=3, n_max=6, step_lo=0.2)
-        ts2 = _random_scale(rng, n_min=3, n_max=6, step_lo=0.2)
-        n1, n2 = len(ts1), len(ts2)
-        mu1 = np.diff(ts1.points)
-        mu2 = np.diff(ts2.points)
-        a_const = float(rng.uniform(0.5, 2.0))
-        f = rng.uniform(0.0, 1.0, (n1, n2))
-        u = np.empty((n1, n2))
-        for i1 in range(n1):
-            for i2 in range(n2):
-                acc = a_const
-                for j1 in range(i1):
-                    for j2 in range(i2):
-                        acc += mu1[j1] * mu2[j2] * f[j1, j2] * u[j1, j2]
-                u[i1, i2] = acc - rng.uniform(0.0, 0.3)
-        b1, b2 = inequalities.gronwall_2d_bound(
-            ts1, ts2, lambda t1, t2: a_const, f)
-        if _holds_pointwise(u.ravel(), b1.ravel()) and \
-                _holds_pointwise(u.ravel(), b2.ravel()):
-            held += 1
-    return held
+@_suite
+def _suite_gronwall(rng) -> bool:
+    ts = _random_scale(rng)
+    n = len(ts)
+    mu = np.diff(ts.points)
+    a = rng.uniform(-1.0, 2.0, n)
+    b = rng.uniform(0.0, 1.5, n)
+    # one vector draw gives the same numbers as n scalar draws
+    slack = rng.uniform(0.0, 0.5, n)
+    u = a - slack  # u[0]; the later entries are set in order below
+    for i in range(1, n):
+        u[i] = a[i] + float(mu[:i] @ (b[:i] * u[:i])) - slack[i]
+    bound = inequalities.gronwall_bound(ts, a, b, ts.points[0])
+    return _holds_pointwise(u, bound.values)
+
+
+@_suite
+def _suite_comparison(rng) -> bool:
+    ts = _random_scale(rng)
+    n = len(ts)
+    mu = np.diff(ts.points)
+    p = rng.uniform(-0.9, 1.5, n)
+    f = rng.uniform(-1.0, 1.0, n)
+    y = [float(rng.uniform(-1.0, 1.0))]
+    for mu_i, p_i, f_i, s_i in zip(mu.tolist(), p.tolist(), f.tolist(),
+                                   rng.uniform(0.0, 0.5, n - 1).tolist()):
+        y.append(y[-1] + mu_i * (p_i * y[-1] + f_i - s_i))
+    bound = inequalities.comparison_bound(ts, y[0], p, f, ts.points[0])
+    return _holds_pointwise(np.array(y), bound.values)
+
+
+@_suite
+def _suite_gronwall_2d(rng) -> bool:
+    ts1 = _random_scale(rng, n_min=3, n_max=6, step_lo=0.2)
+    ts2 = _random_scale(rng, n_min=3, n_max=6, step_lo=0.2)
+    n1, n2 = len(ts1), len(ts2)
+    mu1 = np.diff(ts1.points).tolist()
+    mu2 = np.diff(ts2.points).tolist()
+    a_const = float(rng.uniform(0.5, 2.0))
+    f = rng.uniform(0.0, 1.0, (n1, n2))
+    fl = f.tolist()
+    slack = rng.uniform(0.0, 0.3, (n1, n2)).tolist()  # row-major, as the loop drew it
+    u = [[0.0] * n2 for _ in range(n1)]
+    for i1 in range(n1):
+        for i2 in range(n2):
+            acc = a_const
+            for j1 in range(i1):
+                for j2 in range(i2):
+                    acc += mu1[j1] * mu2[j2] * fl[j1][j2] * u[j1][j2]
+            u[i1][i2] = acc - slack[i1][i2]
+    b1, b2 = inequalities.gronwall_2d_bound(ts1, ts2, lambda t1, t2: a_const, f)
+    u = np.array(u).ravel()
+    return _holds_pointwise(u, b1.ravel()) and _holds_pointwise(u, b2.ravel())
 
 
 _SUITES = {

@@ -28,7 +28,7 @@ from .dsl import Expr, ensure_expr, eval_grad, eval_jet2
 from .errors import InvalidAlpha, OffDomain, OrderNotPositive
 from .solvers import SolverConfig, multi_start
 from .special import gamma_fn, h_factorial
-from .timescale import GridFunction, TimeScale, uniform
+from .timescale import MAX_POINTS, GridFunction, TimeScale, uniform
 from .varcalc import ExtremalCandidate, LegendreReport
 
 # ---------------------------------------------------------------------------
@@ -47,6 +47,8 @@ class FracGrid:
         if self.h <= 0:
             raise ValueError("step h must be positive")
         steps = (self.b - self.a) / self.h
+        if not abs(steps) < MAX_POINTS - 1:  # before round(), which fails on inf and nan
+            raise ValueError(f"(b-a)/h = {steps} would exceed {MAX_POINTS} grid points")
         k = round(steps)
         if k < 2 or abs(steps - k) > 1e-9 * max(1.0, abs(steps)):
             raise ValueError(f"(b-a)/h = {steps} must be an integer >= 2")
@@ -87,7 +89,8 @@ class FracProblem:
     """Minimize sum of h*L(t, y^sigma, left-diff y, right-diff y) over [a, b).
 
     A or B set to None leaves that endpoint free; the corresponding natural
-    boundary condition then joins the stationarity system.
+    boundary condition, dF/dy = 0 at that end, then joins the stationarity
+    system: its row is dF/dy(a) or dF/dy(b) of the summed functional F.
     """
 
     grid: FracGrid
@@ -310,8 +313,9 @@ def functional_value(p: FracProblem, y: GridFunction) -> float:
 
 
 def _natural_bc_rows(p: FracProblem):
-    """(left, right) natural-boundary rows as coefficients (c_u, c_v, c_w) of the
-    per-point partials (L_u, L_v, L_w) on T^kappa; None at a fixed end."""
+    """(left, right) natural-boundary rows, each dF/dy of the summed functional
+    at its end (y(a), y(b)), as coefficients (c_u, c_v, c_w) of the per-point
+    partials (L_u, L_v, L_w) on T^kappa; None at a fixed end."""
     h = p.grid.h
     m = p.grid.n_steps
     gamma = p.orders.gamma
@@ -321,7 +325,7 @@ def _natural_bc_rows(p: FracProblem):
     if p.A is None:
         cu, cv, cw = np.zeros(m), np.zeros(m), np.zeros(m)
         cv[0] = -math.pow(h, gamma)
-        cw[0] = 1.0
+        cw[0] = math.pow(h, nu)
         if gamma != 0.0:
             c = (gamma / gamma_fn(gamma + 1.0)) * h
             cv += c * np.array([h_factorial((j + gamma) * h, gamma - 1.0, h)

@@ -102,7 +102,7 @@ def gronwall_bound(ts: TimeScale, a_fn, b_fn, t0: float) -> GridFunction:
     i0 = ts.index(t0)
     # the integral term solves acc^Delta = b acc + a b with acc(t0) = 0
     acc = _forward_solve(np.diff(pts), b, a * b, 0.0, i0)
-    return GridFunction(TimeScale(pts[i0:]), a[i0:] + acc)
+    return GridFunction(ts if i0 == 0 else TimeScale(pts[i0:]), a[i0:] + acc)
 
 
 def comparison_bound(ts: TimeScale, y0: float, p, f, t0: float) -> GridFunction:
@@ -113,7 +113,7 @@ def comparison_bound(ts: TimeScale, y0: float, p, f, t0: float) -> GridFunction:
     i0 = ts.index(t0)
     # the solution of y^Delta = p y + f with y(t0) = y0
     out = _forward_solve(np.diff(pts), pv, fv, y0, i0)
-    return GridFunction(TimeScale(pts[i0:]), out)
+    return GridFunction(ts if i0 == 0 else TimeScale(pts[i0:]), out)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +213,17 @@ def nonlinear_gronwall_bound(ts: TimeScale, u_data, a_fn, f_fn,
 # Diamond-alpha integrals and certifiers
 
 
-def _diamond(ts: TimeScale, vals: np.ndarray, alpha: float) -> float:
+def _diamond_gaps(ts: TimeScale, alpha: float) -> np.ndarray:
+    """The gaps mu of ts for diamond-alpha integrals; alpha must lie in [0, 1]."""
     if not (0.0 <= alpha <= 1.0):
         raise InvalidAlpha(f"alpha = {alpha} must lie in [0, 1]")
     pts = ts.points
-    mu = np.diff(pts)
-    delta_part = float(mu @ vals[:-1])
-    nabla_part = float(mu @ vals[1:])
-    return alpha * delta_part + (1.0 - alpha) * nabla_part
+    return pts[1:] - pts[:-1]
+
+
+def _diamond(mu: np.ndarray, vals: np.ndarray, alpha: float) -> float:
+    """Diamond-alpha integral of vals over the grid whose gaps are mu."""
+    return alpha * float(mu @ vals[:-1]) + (1.0 - alpha) * float(mu @ vals[1:])
 
 
 def jensen_certify(ts: TimeScale, F: Callable[[float], float], g,
@@ -231,12 +234,13 @@ def jensen_certify(ts: TimeScale, F: Callable[[float], float], g,
         hv = np.ones(len(ts))
     else:
         hv = np.abs(_values_on(ts, weights))
-    mass = _diamond(ts, hv, alpha)
+    mu = _diamond_gaps(ts, alpha)
+    mass = _diamond(mu, hv, alpha)
     if mass <= 0.0:
         raise ZeroWeightMass("the diamond-alpha integral of |weights| must be positive")
-    mean = _diamond(ts, hv * gv, alpha) / mass
+    mean = _diamond(mu, hv * gv, alpha) / mass
     lhs = F(mean)
-    rhs = _diamond(ts, hv * np.array([F(x) for x in gv]), alpha) / mass
+    rhs = _diamond(mu, hv * np.array([F(x) for x in gv]), alpha) / mass
     return _report(lhs, rhs)
 
 
@@ -249,9 +253,10 @@ def holder_certify(ts: TimeScale, f, g, h_weights=None, p: float = 2.0,
     fv = np.abs(_values_on(ts, f))
     gv = np.abs(_values_on(ts, g))
     hv = np.ones(len(ts)) if h_weights is None else np.abs(_values_on(ts, h_weights))
-    lhs = _diamond(ts, hv * fv * gv, alpha)
-    rhs = (_diamond(ts, hv * fv**p, alpha) ** (1.0 / p)
-           * _diamond(ts, hv * gv**q, alpha) ** (1.0 / q))
+    mu = _diamond_gaps(ts, alpha)
+    lhs = _diamond(mu, hv * fv * gv, alpha)
+    rhs = (_diamond(mu, hv * fv**p, alpha) ** (1.0 / p)
+           * _diamond(mu, hv * gv**q, alpha) ** (1.0 / q))
     return _report(lhs, rhs)
 
 
@@ -266,9 +271,10 @@ def minkowski_certify(ts: TimeScale, f, g, p: float = 2.0,
         raise InvalidExponent(f"p = {p} must exceed 1")
     fv = _values_on(ts, f)
     gv = _values_on(ts, g)
-    lhs = _diamond(ts, np.abs(fv + gv) ** p, alpha) ** (1.0 / p)
-    rhs = (_diamond(ts, np.abs(fv) ** p, alpha) ** (1.0 / p)
-           + _diamond(ts, np.abs(gv) ** p, alpha) ** (1.0 / p))
+    mu = _diamond_gaps(ts, alpha)
+    lhs = _diamond(mu, np.abs(fv + gv) ** p, alpha) ** (1.0 / p)
+    rhs = (_diamond(mu, np.abs(fv) ** p, alpha) ** (1.0 / p)
+           + _diamond(mu, np.abs(gv) ** p, alpha) ** (1.0 / p))
     return _report(lhs, rhs)
 
 
@@ -286,6 +292,14 @@ def _surface_values(ts1: TimeScale, ts2: TimeScale, fn) -> np.ndarray:
     return out
 
 
+def _step_products(mu: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """P[i] = product over j < i of (1 + mu[j] S[j]) along the first axis;
+    cumprod multiplies in loop order, so P is bit-identical to a running product."""
+    P = np.ones_like(S)
+    P[1:] = np.cumprod(1.0 + mu[:, None] * S[:-1], axis=0)
+    return P
+
+
 def gronwall_2d_bound(ts1: TimeScale, ts2: TimeScale, a_fn, f_fn):
     """Both explicit bounds for u <= a + double integral of f*u.
 
@@ -297,28 +311,15 @@ def gronwall_2d_bound(ts1: TimeScale, ts2: TimeScale, a_fn, f_fn):
     f = _surface_values(ts1, ts2, f_fn)
     mu1 = np.diff(ts1.points)
     mu2 = np.diff(ts2.points)
-    n1, n2 = a.shape
 
     # S2[i1, i2] = integral of f(t1_{i1}, .) over [a2, t2_{i2})
-    S2 = np.zeros((n1, n2))
+    S2 = np.zeros_like(a)
     S2[:, 1:] = np.cumsum(f[:, :-1] * mu2, axis=1)
-    bound1 = np.empty_like(a)
-    for i2 in range(n2):
-        prod = 1.0
-        for i1 in range(n1):
-            bound1[i1, i2] = a[i1, i2] * prod
-            if i1 < n1 - 1:
-                prod *= 1.0 + mu1[i1] * S2[i1, i2]
+    bound1 = a * _step_products(mu1, S2)
 
-    S1 = np.zeros((n1, n2))
+    S1 = np.zeros_like(a)
     S1[1:, :] = np.cumsum(f[:-1, :] * mu1[:, None], axis=0)
-    bound2 = np.empty_like(a)
-    for i1 in range(n1):
-        prod = 1.0
-        for i2 in range(n2):
-            bound2[i1, i2] = a[i1, i2] * prod
-            if i2 < n2 - 1:
-                prod *= 1.0 + mu2[i2] * S1[i1, i2]
+    bound2 = a * _step_products(mu2, S1.T).T
 
     return bound1, bound2
 
@@ -334,18 +335,14 @@ def gronwall_2d_power_bound(ts1: TimeScale, ts2: TimeScale, a_fn, f_fn,
         raise ValueError("a must be positive for the power bound")
     mu1 = np.diff(ts1.points)
     mu2 = np.diff(ts2.points)
-    n1, n2 = a.shape
     kernel = f * a ** (q / p - 1.0)
-    S2 = np.zeros((n1, n2))
+    S2 = np.zeros_like(a)
     S2[:, 1:] = np.cumsum(kernel[:, :-1] * mu2, axis=1)
-    bound = np.empty_like(a)
-    for i2 in range(n2):
-        prod = 1.0
-        for i1 in range(n1):
-            bound[i1, i2] = a[i1, i2] ** (1.0 / p) * prod ** (1.0 / p)
-            if i1 < n1 - 1:
-                prod *= 1.0 + mu1[i1] * S2[i1, i2]
-    return bound
+    prod = _step_products(mu1, S2)
+    # pow on Python floats: numpy's vectorised power may round the last bit differently
+    e = 1.0 / p
+    bound = [x ** e * y ** e for x, y in zip(a.ravel().tolist(), prod.ravel().tolist())]
+    return np.array(bound).reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------

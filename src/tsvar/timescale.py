@@ -25,20 +25,20 @@ KIND_EXPLICIT = "explicit"
 
 _REL_KIND_TOL = 1e-12  # spacing uniformity check
 _REL_GRID_TOL = 1e-9   # membership snap tolerance
+MAX_POINTS = 10_000_000  # grid builders refuse more points before allocating any
 
 
-def _detect_kind(points: np.ndarray):
-    """Return (kind, step, ratio) detected from raw points."""
+def _detect_kind(points: np.ndarray, gaps: np.ndarray):
+    """Return (kind, step, ratio) detected from raw points and their gaps."""
     if len(points) < 2:
         return KIND_EXPLICIT, None, None
-    diffs = np.diff(points)
-    h = diffs[0]
-    if np.all(np.abs(diffs - h) <= _REL_KIND_TOL * max(abs(h), 1e-300)):
+    h = gaps[0]
+    if np.abs(gaps - h).max() <= _REL_KIND_TOL * max(abs(h), 1e-300):
         return KIND_UNIFORM, float(h), None
     if points[0] > 0:
         ratios = points[1:] / points[:-1]
         q = ratios[0]
-        if q > 1 and np.all(np.abs(ratios - q) <= _REL_KIND_TOL * q):
+        if q > 1 and np.abs(ratios - q).max() <= _REL_KIND_TOL * q:
             return KIND_GEOMETRIC, None, float(q)
     return KIND_EXPLICIT, None, None
 
@@ -66,13 +66,14 @@ class TimeScale:
         pts = np.array(points, dtype=float)  # always a copy the caller cannot alias
         if pts.ndim != 1 or len(pts) < 1:
             raise ValueError("a time scale needs at least one point")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("time scale points must be finite")
-        if np.any(np.diff(pts) <= 0):
+        gaps = pts[1:] - pts[:-1]
+        if (gaps <= 0).any():
             raise ValueError("time scale points must be strictly increasing")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        detected, h, q = _detect_kind(pts)
+        detected, h, q = _detect_kind(pts, gaps)
         if kind == "auto":
             kind = detected
         elif kind == KIND_UNIFORM and detected != KIND_UNIFORM:
@@ -171,6 +172,8 @@ def uniform(a: float, b: float, h: float) -> TimeScale:
     if h <= 0:
         raise ValueError("step h must be positive")
     n = (b - a) / h
+    if not abs(n) < MAX_POINTS - 1:  # before round(), which fails on inf and nan
+        raise ValueError(f"(b-a)/h = {n} would exceed {MAX_POINTS} grid points")
     n_int = round(n)
     if n_int < 1 or abs(n - n_int) > 1e-9 * max(1.0, abs(n)):
         raise ValueError(f"(b-a)/h = {n} is not a positive integer")
@@ -185,6 +188,8 @@ def geometric(q: float, kmin: int, kmax: int) -> TimeScale:
         raise ValueError("ratio q must exceed 1")
     if kmax - kmin < 1:
         raise ValueError("need at least two exponents")
+    if kmax - kmin >= MAX_POINTS:
+        raise ValueError(f"{kmax - kmin + 1} exponents would exceed {MAX_POINTS} grid points")
     pts = [float(q) ** k for k in range(kmin, kmax + 1)]
     return TimeScale(pts, kind=KIND_GEOMETRIC)
 

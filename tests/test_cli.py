@@ -108,6 +108,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
                          "badh.ini")
     assert run_cli(["frac-solve", "--config", bad_h]) == 2
 
+    # a billion grid points is refused before anything is allocated
+    huge = write_config(tmp_path, CLASSIC_INI.replace("h = 0.25", "h = 1e-9"),
+                        "huge.ini")
+    assert run_cli(["frac-solve", "--config", huge]) == 2
+    assert "config error:" in capsys.readouterr().err
+
     bad_alpha = write_config(tmp_path, CLASSIC_INI.replace(
         "alpha = 1", "alpha = 1.5"), "bada.ini")
     assert run_cli(["frac-solve", "--config", bad_alpha]) == 2

@@ -263,3 +263,21 @@ def test_overflow_gives_inf_without_warnings():
         assert g[:2].tolist() == [[1.0, math.inf], [3.0, math.inf]]
         jet = dsl.eval_jet2(dsl.parse("exp(u) - exp(u)"), 0.0, 1000.0, 0.0, 0.0)
         assert math.isnan(jet.value)
+
+
+# fragments of the grammar, with near misses, so the fuzzer reaches the parser
+# and not only the tokenizer's first error
+_FRAGMENTS = ["u", "v", "w", "t", "pi", "e", "x", "sin", "exp", "ln", "sqrt", "abs",
+              "0", "1", "2.5", ".5", "1e3", "1e", "1.2.3", "9e999", "1e-400", "٣", "²",
+              "+", "-", "*", "/", "^", "(", ")", "((", "))", " ", ",", "_", "ü", "\t"]
+
+
+@given(st.one_of(st.text(max_size=40),
+                 st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join)))
+@settings(max_examples=500)
+def test_any_text_parses_or_raises_syntax_error(text):
+    try:
+        e = dsl.parse(text)
+    except ExprSyntaxError:
+        return
+    assert dsl.parse(dsl.to_string(e)) == e

@@ -508,6 +508,8 @@ def test_grid_and_order_validation():
         FracGrid(0.0, 1.0, 1.0)  # single step: T^{kappa kappa} empty
     with pytest.raises(ValueError):
         FracGrid(0.0, 1.0, -0.25)
+    with pytest.raises(ValueError, match="exceed 10000000 grid points"):
+        FracGrid(0.0, 1.0, 1e-9)  # refused before any point is allocated
     with pytest.raises(InvalidAlpha):
         FracOrders(0.0, 0.5)
     with pytest.raises(InvalidAlpha):

@@ -122,14 +122,7 @@ def test_interior_and_right_rows_are_gradient_of_functional(monkeypatch, orders)
     assert_close(res[-1:], grad[-1:])
 
 
-LEFT_ROW_BUG = ("left natural-boundary row is not dF/dy(a) when beta < 1: the L_w[0] term "
-                "lacks the h^nu factor (ROADMAP item 5; -440.828 against -440.940 "
-                "from finite differences at (alpha, beta, h) = (1, 0.6, 0.1))")
-
-
-@pytest.mark.parametrize("orders", [
-    pytest.param(o, marks=pytest.mark.xfail(strict=True, reason=LEFT_ROW_BUG))
-    if o[1] < 1.0 else o for o in ORDERS])
+@pytest.mark.parametrize("orders", ORDERS)
 def test_left_row_is_gradient_of_functional(monkeypatch, orders):
     _, res, grad = _both_free_system(monkeypatch, orders)
     assert_close(res[-2:-1], grad[:1])

@@ -72,6 +72,48 @@ def test_constructor_accepts_any_iterable():
     assert ts.TimeScale(np.array([0, 1, 3])).points.dtype == np.float64
 
 
+@pytest.mark.parametrize("points, kind, step, ratio", [
+    pytest.param([1.5], "explicit", None, None, id="one-point"),
+    pytest.param([-0.5, 0.25], "uniform", 0.75, None, id="two-points"),
+    pytest.param([0.0, 0.1, 0.2, 0.30000000000000004, 0.4], "uniform", 0.1, None,
+                 id="uniform-with-rounding"),
+    pytest.param([1.0, 2.0, 4.0, 8.0], "geometric", None, 2.0, id="geometric"),
+    pytest.param([1.5 ** k for k in range(-3, 4)], "geometric", None, 1.5,
+                 id="geometric-with-rounding"),
+    pytest.param([0.0, 0.5, 0.75, 1.5], "explicit", None, None, id="explicit"),
+    pytest.param([1.0, 2.0, 3.5], "explicit", None, None, id="explicit-positive"),
+])
+def test_constructor_detects_kind_step_and_ratio(points, kind, step, ratio):
+    g = ts.TimeScale(points)
+    assert (g.kind, g.step, g.ratio) == (kind, step, ratio)
+    assert g.points.tolist() == points
+
+
+@pytest.mark.parametrize("points, message", [
+    pytest.param([], "at least one point", id="empty"),
+    pytest.param([[0.0, 1.0]], "at least one point", id="two-dimensional"),
+    pytest.param([0.0, 1.0, 1.0], "strictly increasing", id="repeated"),
+    pytest.param([0.0, 2.0, 1.0], "strictly increasing", id="decreasing"),
+    pytest.param([0.0, math.nan, 1.0], "finite", id="nan"),
+    pytest.param([math.nan], "finite", id="one-nan"),
+])
+def test_constructor_error_messages(points, message):
+    with pytest.raises(ValueError, match=message):
+        ts.TimeScale(points)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ts.uniform(0.0, 1.0, 1e-9), id="uniform-1e9"),
+    pytest.param(lambda: ts.uniform(0.0, 1.0, 1e-320), id="uniform-inf-steps"),
+    pytest.param(lambda: ts.uniform(0.0, math.nan, 0.5), id="uniform-nan-steps"),
+    pytest.param(lambda: ts.geometric(2.0, 0, 10 ** 9), id="geometric-1e9"),
+])
+def test_grid_builders_refuse_more_than_the_point_cap(build):
+    # each call fails before allocating: the uncapped path is never run
+    with pytest.raises(ValueError, match=f"exceed {ts.MAX_POINTS} grid points"):
+        build()
+
+
 def test_jump_operators_on_irregular_grid():
     g = ts.explicit(0.0, 0.5, 0.75, 1.5)
     assert g.sigma(0.0) == 0.5
