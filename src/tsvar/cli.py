@@ -88,7 +88,7 @@ def _parse_scale(text: str) -> TimeScale:
                 raise _ConfigError("geometric(q,kmin,kmax) takes three numbers")
             return timescale.geometric(args[0], int(args[1]), int(args[2]))
         return timescale.explicit(*args)
-    except (TsvarError, ValueError) as exc:
+    except (TsvarError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise _ConfigError(str(exc)) from exc
 
 

@@ -180,6 +180,16 @@ b = 1
     assert "bad scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", ["uniform(0,1,1e-9)", "geometric(2,0,1e9)",
+                                   "geometric(2,0,1e400)"])
+def test_var_solve_scale_beyond_the_point_cap_exits_2(tmp_path, capsys, scale):
+    # each is refused before a single point is allocated
+    config = write_config(tmp_path, f"[scale]\nscale = {scale}\n\n"
+                          "[problem]\nlagrangian = v^2\na = 0\nb = 1\n")
+    assert run_cli(["var-solve", "--config", config]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_direct_entropy_and_power(tmp_path, capsys):
     out = tmp_path / "d"
     assert run_cli(["direct", "--kind", "entropy", "--scale", "uniform(0,5,1)",

@@ -146,6 +146,13 @@ def old_holds_pointwise(values, bound):
 # reference: the suites with one scalar draw per element
 
 
+def _old_random_scale(rng, n_min=3, n_max=9, step_lo=0.1, step_hi=1.0):
+    n = int(rng.integers(n_min, n_max + 1))
+    start = float(rng.uniform(-2.0, 2.0))
+    steps = rng.uniform(step_lo, step_hi, n - 1)
+    return TimeScale(start + np.concatenate([[0.0], np.cumsum(steps)]))
+
+
 def _old_suites(ref):
     """The seven suites as they drew their data before, calling ``ref.<name>``."""
 
@@ -153,7 +160,7 @@ def _old_suites(ref):
         rng = np.random.default_rng(seed)
         catalog = [math.exp, lambda x: x * x, abs, lambda x: x ** 4]
         for _ in range(trials):
-            ts = cli._random_scale(rng)
+            ts = _old_random_scale(rng)
             g = GridFunction(ts, rng.uniform(-2.0, 2.0, len(ts)))
             F = catalog[int(rng.integers(len(catalog)))]
             weights = None
@@ -164,7 +171,7 @@ def _old_suites(ref):
     def holder(trials, seed):
         rng = np.random.default_rng(seed)
         for _ in range(trials):
-            ts = cli._random_scale(rng)
+            ts = _old_random_scale(rng)
             f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
             g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
             h = GridFunction(ts, rng.uniform(0.0, 2.0, len(ts)))
@@ -174,7 +181,7 @@ def _old_suites(ref):
     def cauchy_schwarz(trials, seed):
         rng = np.random.default_rng(seed)
         for _ in range(trials):
-            ts = cli._random_scale(rng)
+            ts = _old_random_scale(rng)
             f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
             g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
             ref.cauchy_schwarz_certify(ts, f, g, float(rng.random()))
@@ -182,7 +189,7 @@ def _old_suites(ref):
     def minkowski(trials, seed):
         rng = np.random.default_rng(seed)
         for _ in range(trials):
-            ts = cli._random_scale(rng)
+            ts = _old_random_scale(rng)
             f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
             g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
             p = 1.0 + float(rng.uniform(0.1, 3.0))
@@ -191,7 +198,7 @@ def _old_suites(ref):
     def gronwall(trials, seed):
         rng = np.random.default_rng(seed)
         for _ in range(trials):
-            ts = cli._random_scale(rng)
+            ts = _old_random_scale(rng)
             n = len(ts)
             mu = np.diff(ts.points)
             a = rng.uniform(-1.0, 2.0, n)
@@ -207,7 +214,7 @@ def _old_suites(ref):
     def comparison(trials, seed):
         rng = np.random.default_rng(seed)
         for _ in range(trials):
-            ts = cli._random_scale(rng)
+            ts = _old_random_scale(rng)
             n = len(ts)
             mu = np.diff(ts.points)
             p = rng.uniform(-0.9, 1.5, n)
@@ -222,8 +229,8 @@ def _old_suites(ref):
     def gronwall_2d(trials, seed):
         rng = np.random.default_rng(seed)
         for _ in range(trials):
-            ts1 = cli._random_scale(rng, n_min=3, n_max=6, step_lo=0.2)
-            ts2 = cli._random_scale(rng, n_min=3, n_max=6, step_lo=0.2)
+            ts1 = _old_random_scale(rng, n_min=3, n_max=6, step_lo=0.2)
+            ts2 = _old_random_scale(rng, n_min=3, n_max=6, step_lo=0.2)
             n1, n2 = len(ts1), len(ts2)
             mu1 = np.diff(ts1.points)
             mu2 = np.diff(ts2.points)
