@@ -118,15 +118,13 @@ def _solver_config(cp, args) -> SolverConfig:
         return conv(raw) if raw is not None else fallback
 
     starts = int(pick(args.starts, "starts", 64, _num))
-    if starts < 1:
-        raise _ConfigError(f"solver starts = {starts} must be at least 1")
     seed = int(pick(args.seed, "seed", 0, _num))
     tol = pick(args.tol, "tol", 1e-9, _num)
     box = (-2.0, 3.0)
     raw_box = _get(cp, "solver", "box") if cp is not None else None
     if raw_box is not None:
         parts = [_num(p) for p in raw_box.split(",")]
-        if len(parts) != 2 or parts[0] >= parts[1]:
+        if len(parts) != 2:
             raise _ConfigError(f"bad solver box {raw_box!r}")
         box = (parts[0], parts[1])
     return SolverConfig(starts=starts, seed=seed, box=box, tol=tol)

@@ -25,11 +25,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .dsl import Expr, ensure_expr, eval_grad, eval_jet2
-from .errors import InvalidAlpha, OffDomain, OrderNotPositive
+from .errors import DomainError, InvalidAlpha, OffDomain, OrderNotPositive
 from .solvers import SolverConfig, multi_start
 from .special import gamma_fn, h_factorial
 from .timescale import MAX_POINTS, GridFunction, TimeScale, uniform
 from .varcalc import ExtremalCandidate, LegendreReport
+
+# solve_frac_el builds dense operators of about 56 N^2 bytes: 0.22 GB at the cap
+MAX_FRAC_POINTS = 2001
 
 # ---------------------------------------------------------------------------
 # Types
@@ -412,6 +415,9 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     contribute their natural-boundary-condition rows.  Candidates come back
     deduplicated, annotated with Legendre verdicts, sorted by functional value.
     """
+    if p.grid.n_steps + 1 > MAX_FRAC_POINTS:
+        raise ValueError(f"the fractional solver takes at most {MAX_FRAC_POINTS} grid "
+                         f"points, not {p.grid.n_steps + 1}")
     cfg = config or SolverConfig()
     scale = p.grid.scale()
     pts = scale.points
@@ -451,8 +457,18 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     def arguments(x):
         return (t, *(A @ assemble(x)).reshape(m, 3).T)
 
+    # Newton calls the Jacobian only at its latest successful residual point, so
+    # the residual keeps its jet there (gradient rows bit-equal to eval_grad's).
+    kept = [None, None]  # [x, jet of L at x]
+
     def residual_map(x):
-        rows = [C_interior @ eval_grad(p.L, *arguments(x))[1:].T.ravel()]
+        try:
+            kept[:] = x, eval_jet2(p.L, *arguments(x))
+            grad = kept[1].grad
+        except DomainError:  # L may have a gradient but no Hessian here
+            kept[:] = None, None
+            grad = eval_grad(p.L, *arguments(x))[1:]
+        rows = [C_interior @ grad.T.ravel()]
         if free_left or free_right:
             left, right = natural_bc_residuals(p, GridFunction(scale, assemble(x)))
             if free_left:
@@ -462,7 +478,8 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
         return np.concatenate(rows)
 
     def jacobian(x):
-        H = eval_jet2(p.L, *arguments(x)).hess_matrix().transpose(2, 0, 1)
+        jet = kept[1] if kept[0] is x else eval_jet2(p.L, *arguments(x))
+        H = jet.hess_matrix().transpose(2, 0, 1)
         return C @ (H @ A_unknown).reshape(3 * m, n_unknowns)
 
     sols = multi_start(residual_map, jacobian, n_unknowns, cfg)

@@ -5,6 +5,7 @@ The symmetric eigenproblem goes to LAPACK through ``np.linalg.eigh``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +31,17 @@ class SolverConfig:
     max_iter: int = 200
     max_halvings: int = 30
 
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"solver starts = {self.starts} must be at least 1")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"solver tol = {self.tol} must be finite and positive")
+        lo, hi = self.box
+        # rng.uniform needs a finite width as well as finite ends
+        if not (math.isfinite(lo) and lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"solver box = {self.box} needs finite ends lo < hi "
+                             "and a finite width")
+
 
 def newton_solve(
     fn: Callable[[np.ndarray], np.ndarray],
@@ -41,22 +53,25 @@ def newton_solve(
 ) -> np.ndarray:
     """Damped Newton iteration on a square (or rectangular) residual system.
 
-    ``jac(x)`` returns the exact Jacobian of ``fn`` at ``x``.  Steps are
-    backtracked (halving, up to ``max_halvings``) until the 2-norm of the
-    residual decreases; a trial point outside the residual's domain halves
-    the step as well.  Raises NoConvergence if the iteration stalls or exceeds
-    ``max_iter``, SingularJacobian if a linear solve fails.
+    ``jac(x)`` returns the exact Jacobian of ``fn`` at ``x``.  Newton calls
+    it only with the very object ``x`` of its latest ``fn`` call, and only
+    when that call returned a finite residual, so ``fn`` may keep work for
+    ``jac`` to reuse.  Steps are backtracked (halving, up to ``max_halvings``)
+    until the 2-norm of the residual decreases; a trial point outside the
+    residual's domain halves the step as well.  Raises NoConvergence if the
+    iteration stalls or exceeds ``max_iter``, SingularJacobian if a linear
+    solve fails.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(fn(x), dtype=float)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise NonFinite("residual is not finite at the initial point")
-    rnorm = np.linalg.norm(r)
+    rnorm = math.sqrt(r @ r)  # np.linalg.norm's formula for a 1-D vector
     for _ in range(max_iter):
         if rnorm <= tol:
             return x
         J = np.asarray(jac(x), dtype=float)
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             raise NonFinite("Jacobian is not finite")
         try:
             if J.shape[0] == J.shape[1]:
@@ -65,7 +80,7 @@ def newton_solve(
                 step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         except np.linalg.LinAlgError:
             step = None
-        if step is None or not np.all(np.isfinite(step)):
+        if step is None or not np.isfinite(step).all():
             # exactly singular (e.g. a variable the residual ignores): take the
             # minimum-norm Gauss-Newton step with a whisper of Tikhonov damping
             tau = 1e-12 * max(1.0, float(np.sum(J * J)))
@@ -73,7 +88,7 @@ def newton_solve(
                 step = np.linalg.solve(J.T @ J + tau * np.eye(J.shape[1]), -J.T @ r)
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobian(str(exc)) from exc
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 raise SingularJacobian("linear solve produced non-finite step")
         lam = 1.0
         accepted = False
@@ -83,8 +98,8 @@ def newton_solve(
                 r_try = np.asarray(fn(x_try), dtype=float)
             except (ArithmeticError, ValueError, DomainError):
                 r_try = None
-            if r_try is not None and np.all(np.isfinite(r_try)):
-                rnorm_try = np.linalg.norm(r_try)
+            if r_try is not None and np.isfinite(r_try).all():
+                rnorm_try = math.sqrt(r_try @ r_try)
                 if rnorm_try < rnorm or rnorm_try <= tol:
                     x, r, rnorm = x_try, r_try, rnorm_try
                     accepted = True

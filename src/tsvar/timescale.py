@@ -36,9 +36,13 @@ def _detect_kind(points: np.ndarray, gaps: np.ndarray):
     if np.abs(gaps - h).max() <= _REL_KIND_TOL * max(abs(h), 1e-300):
         return KIND_UNIFORM, float(h), None
     if points[0] > 0:
-        ratios = points[1:] / points[:-1]
+        if float(points[-1]) / float(points[0]) < math.inf:  # no ratio can overflow
+            ratios = points[1:] / points[:-1]
+        else:  # spans over 308 decades: rare, so only here pay for np.errstate
+            with np.errstate(over="ignore"):
+                ratios = points[1:] / points[:-1]
         q = ratios[0]
-        if q > 1 and np.abs(ratios - q).max() <= _REL_KIND_TOL * q:
+        if 1 < q < np.inf and np.abs(ratios - q).max() <= _REL_KIND_TOL * q:
             return KIND_GEOMETRIC, None, float(q)
     return KIND_EXPLICIT, None, None
 

@@ -279,6 +279,27 @@ def test_solver_flag_overrides_config(tmp_path, capsys):
     assert "starts = 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    "--tol inf", "tol = inf", "tol = nan", "tol = -1",
+    "box = -inf,1", "box = nan,1", "box = -1e308,1e308",
+])
+def test_unusable_solver_settings_are_config_errors(tmp_path, capsys, setting):
+    # tol = inf would accept every random start as a root, and boxes like
+    # these overflow the start generator
+    flags = setting.split() if setting.startswith("--") else []
+    config = write_config(tmp_path, CLASSIC_INI + ("" if flags else setting + "\n"))
+    assert run_cli(["frac-solve", "--config", config, "--no-csv", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solver ") and "Traceback" not in err
+
+
+def test_frac_solve_refuses_a_grid_beyond_its_point_cap(tmp_path, capsys):
+    # a million points would need dense operators of terabytes
+    config = write_config(tmp_path, CLASSIC_INI.replace("h = 0.25", "h = 1e-6"))
+    assert run_cli(["frac-solve", "--config", config, "--no-csv"]) == 2
+    assert "at most 2001 grid points" in capsys.readouterr().err
+
+
 def test_zero_starts_in_config_is_a_config_error(tmp_path, capsys):
     config = write_config(tmp_path, CLASSIC_INI.replace("starts = 6", "starts = 0"))
     assert run_cli(["frac-solve", "--config", config, "--no-csv"]) == 2

@@ -228,6 +228,18 @@ def test_array_call_matches_per_point_calls(text):
                                _per_point(rows, e, points), rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("text", PARITY_CASES + ["v^3 + 1*w^2",
+                                                  "0.5*v^2 + 0.5*w^2 - u + 0.1*u^4"])
+def test_jet2_value_and_gradient_rows_equal_eval_grad(text):
+    # fracvar's Newton residual reads its gradient rows from the jet it keeps
+    # for the Jacobian, so both orders must compute them the same way
+    e = dsl.parse(text)
+    points = np.random.default_rng(5).uniform(0.2, 1.5, (4, 25))
+    jet, grad = dsl.eval_jet2(e, *points), dsl.eval_grad(e, *points)
+    assert np.array_equal(jet.value, grad[0])
+    assert np.array_equal(jet.grad, grad[1:])
+
+
 # (expression, value of u, lowest order that raises)
 DOMAIN_RULES = [
     ("sqrt(u)", 0.0, 1),

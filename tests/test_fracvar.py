@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from tsvar import dsl
+from tsvar import dsl, fracvar, solvers
 from tsvar import timescale as tsc
-from tsvar.errors import InvalidAlpha, OffDomain, OrderNotPositive
+from tsvar.errors import DomainError, InvalidAlpha, OffDomain, OrderNotPositive
 from tsvar.fracvar import (
+    MAX_FRAC_POINTS,
     FracGrid,
     FracOrders,
     FracProblem,
@@ -30,7 +31,7 @@ from tsvar.fracvar import (
     right_frac_sum,
     solve_frac_el,
 )
-from tsvar.solvers import SolverConfig
+from tsvar.solvers import SolverConfig, multi_start
 from tsvar.special import gamma_fn, h_factorial
 from tsvar.varcalc import VariationalProblem, el_residual
 from tsvar.timescale import GridFunction, delta_derivative, delta_integral, uniform
@@ -499,6 +500,131 @@ def test_solve_frac_el_domain_error_fails_single_starts():
     for c in cands:
         assert np.all(c.y.values > 0.0)
         assert c.residual_norm <= 1e-9
+
+
+def _reference_pair(p):
+    """solve_frac_el's Newton pair without the jet hand-off: the residual
+    evaluates the gradient, the Jacobian evaluates the jet anew."""
+    pts, h = p.grid.points(), p.grid.h
+    N = pts.size
+    m = N - 1
+    lo = 0 if p.A is None else 1
+    n = (N - 2) + int(p.A is None) + int(p.B is None)
+    fixed = np.zeros(N)
+    fixed[0] = 0.0 if p.A is None else p.A
+    fixed[-1] = 0.0 if p.B is None else p.B
+
+    def assemble(x):
+        full = fixed.copy()
+        full[lo:lo + n] = x
+        return full
+
+    A = np.zeros((m, 3, N))
+    A[np.arange(m), 0, np.arange(1, N)] = 1.0
+    A[:, 1], A[:, 2] = fracvar._diff_maps(p.orders.alpha, p.orders.beta, h, N)
+    A_unknown = A[:, :, lo:lo + n]
+    A = A.reshape(3 * m, N)
+    ends = [np.stack(row, axis=1).ravel()
+            for row in fracvar._natural_bc_rows(p) if row is not None]
+    C = np.vstack([A[:, 1:N - 1].T, *ends]) if ends else A[:, 1:N - 1].T
+
+    def arguments(x):
+        return (pts[:-1], *(A @ assemble(x)).reshape(m, 3).T)
+
+    def residual(x):
+        rows = [C[:N - 2] @ dsl.eval_grad(p.L, *arguments(x))[1:].T.ravel()]
+        left, right = natural_bc_residuals(p, GridFunction(p.grid.scale(), assemble(x)))
+        rows += [[r] for r in (left, right) if r is not None]
+        return np.concatenate(rows)
+
+    def jacobian(x):
+        H = dsl.eval_jet2(p.L, *arguments(x)).hess_matrix().transpose(2, 0, 1)
+        return C @ (H @ A_unknown).reshape(3 * m, n)
+
+    return residual, jacobian, n
+
+
+def _capture_pair(monkeypatch, p):
+    """The (residual, Jacobian) pair that solve_frac_el hands to multi_start."""
+    pair = []
+    monkeypatch.setattr(fracvar, "multi_start",
+                        lambda fn, jac, n, cfg: pair.extend((fn, jac)) or [])
+    assert solve_frac_el(p) == []
+    monkeypatch.undo()
+    return pair
+
+
+def test_residual_keeps_no_jet_where_only_the_hessian_is_undefined(monkeypatch):
+    # u^1.5 has a gradient but no Hessian at u = 0
+    p = FracProblem(FracGrid(0.0, 1.0, 0.25), FracOrders(0.8, 0.5),
+                    "0.5*v^2 + 0.5*w^2 + u^1.5", A=0.0, B=1.0)
+    residual, jacobian = _capture_pair(monkeypatch, p)
+    ref_residual, ref_jacobian, _ = _reference_pair(p)
+    x = np.array([0.0, 0.3, 0.6])
+    assert np.array_equal(residual(x), ref_residual(x))
+    for jac in (jacobian, ref_jacobian):
+        with pytest.raises(DomainError):
+            jac(x)
+    # where the jet exists, the kept one and a fresh one give the same Jacobian
+    x = np.array([0.2, 0.3, 0.6])
+    assert np.array_equal(residual(x), ref_residual(x))
+    assert np.array_equal(jacobian(x), ref_jacobian(x))
+    assert np.array_equal(jacobian(x.copy()), ref_jacobian(x))
+    y = np.array([0.4, 0.5, 0.7])  # not the residual's point: evaluated anew
+    assert np.array_equal(jacobian(y), ref_jacobian(y))
+
+
+QUARTIC = "0.5*v^2 + 0.5*w^2 - u + 0.1*u^4"
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("p, starts, box", [
+    pytest.param(FracProblem(FracGrid(0.0, 1.0, 0.25), FracOrders(0.8, 0.5), "v^3 + 1*w^2",
+                             A=0.0, B=1.0), 64, (-6.0, 6.0), id="criterion01"),
+    pytest.param(FracProblem(FracGrid(0.0, 0.5, 0.1), FracOrders(0.3, 0.3), "v^3",
+                             A=0.0, B=1.0), 64, (-6.0, 6.0), id="criterion02"),
+    pytest.param(FracProblem(FracGrid(0.0, 1.0, 0.01), FracOrders(0.75, 0.6), QUARTIC,
+                             A=0.0, B=None), 4, (0.0, 1.0), id="frac_free_right_n101"),
+])
+def test_newton_runs_match_the_fresh_jacobian_pair(monkeypatch, p, starts, box, seed):
+    """Every start makes the same residual calls and ends the same way, bit
+    for bit, whether the Jacobian reuses the residual's jet or not."""
+    cfg = SolverConfig(starts=starts, seed=seed, box=box)
+    records = []
+    newton = solvers.newton_solve
+
+    def recording(fn, jac, x0, **kwargs):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return fn(x)
+
+        try:
+            root = newton(counted, jac, x0, **kwargs)
+        except Exception as exc:
+            records[-1].append((len(calls), type(exc).__name__, None))
+            raise
+        records[-1].append((len(calls), "ok", root.tobytes()))
+        return root
+
+    monkeypatch.setattr(solvers, "newton_solve", recording)
+    records.append([])
+    solve_frac_el(p, cfg)
+    records.append([])
+    residual, jacobian, n = _reference_pair(p)
+    multi_start(residual, jacobian, n, cfg)
+    assert len(records[0]) == starts
+    assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("grid", [FracGrid(0.0, 1.0, 1e-6), FracGrid(0.0, 2001.0, 1.0)],
+                         ids=["h=1e-6", "2002-points"])
+def test_solve_frac_el_refuses_grids_beyond_its_point_cap(grid):
+    # dense operators of about 56 N^2 bytes: N = 10^6 would need terabytes
+    p = FracProblem(grid, FracOrders(0.8, 0.5), "v^2", A=0.0, B=1.0)
+    with pytest.raises(ValueError, match=f"at most {MAX_FRAC_POINTS} grid points"):
+        solve_frac_el(p)
 
 
 def test_grid_and_order_validation():

@@ -57,6 +57,35 @@ def test_newton_halves_steps_that_leave_the_domain():
     assert x[0] == pytest.approx(0.25, abs=1e-9)
 
 
+def test_newton_calls_jac_only_at_the_point_of_the_latest_finite_residual():
+    # atan(x) from x = 3, undefined left of -5: the full step to -9.49 raises,
+    # the half step to -3.25 is finite but no better, the quarter step is taken
+    fn_calls, jac_calls = [], []
+
+    def res(x):
+        if x[0] < -5.0:
+            fn_calls.append((x, "domain"))
+            raise DomainError(f"undefined at {x[0]}")
+        r = np.array([math.atan(x[0])])
+        fn_calls.append((x, r))
+        return r
+
+    def jac(x):
+        last, r = fn_calls[-1]
+        assert x is last and not isinstance(r, str)
+        jac_calls.append(x)
+        return np.array([[1.0 / (1.0 + x[0] ** 2)]])
+
+    x = newton_solve(res, jac, [3.0])
+    assert abs(x[0]) <= 1e-9 and x is fn_calls[-1][0]
+    assert len(jac_calls) >= 3
+    trials = [(float(p[0]), r if isinstance(r, str) else abs(float(r[0])))
+              for p, r in fn_calls[1:4]]
+    assert trials[0][0] < -5.0 and trials[0][1] == "domain"            # raises
+    assert -5.0 < trials[1][0] and trials[1][1] > math.atan(3.0)       # halved
+    assert trials[2][1] < math.atan(3.0) and jac_calls[1] is fn_calls[3][0]  # taken
+
+
 def cubic(x):
     return np.array([x[0] * (x[0] + 1.0) * (x[0] - 2.0)])
 
@@ -108,6 +137,17 @@ def test_multi_start_domain_error_fails_one_start(where):
     cfg = SolverConfig(starts=40, seed=3, box=(-3.0, 3.0))
     roots = sorted(s[0] for s in multi_start(res, jac, 1, cfg))
     assert_allclose(roots, [-1.0, 0.0, 2.0], atol=1e-7)
+
+
+@pytest.mark.parametrize("setting", [
+    {"tol": math.inf}, {"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0},
+    {"box": (-math.inf, 1.0)}, {"box": (math.nan, 1.0)}, {"box": (0.0, math.nan)},
+    {"box": (-1e308, 1e308)}, {"box": (1.0, 1.0)}, {"box": (3.0, 1.0)},
+    {"starts": 0},
+], ids=repr)
+def test_solver_config_rejects_unusable_settings(setting):
+    with pytest.raises(ValueError, match=f"solver {next(iter(setting))}"):
+        SolverConfig(**setting)
 
 
 def test_multi_start_all_domain_failures_raise_no_convergence():

@@ -1,6 +1,7 @@
 """Grid mechanics: jumps, graininess, derivatives, integrals."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,19 @@ def test_constructor_detects_kind_step_and_ratio(points, kind, step, ratio):
     g = ts.TimeScale(points)
     assert (g.kind, g.step, g.ratio) == (kind, step, ratio)
     assert g.points.tolist() == points
+
+
+@pytest.mark.parametrize("points, kind, ratio", [
+    pytest.param([5e-324, 1e-10, 1.0], "explicit", None, id="first-ratio"),
+    pytest.param([1e-300, 1e-299, 1e10], "explicit", None, id="second-ratio"),
+    pytest.param([2.0 ** k for k in range(-1074, 1024)], "geometric", 2.0, id="geometric"),
+])
+def test_kind_of_grids_spanning_more_than_the_float_range(points, kind, ratio):
+    # neighbour ratios, or the ratio of the ends, overflow; no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = ts.TimeScale(points)
+    assert (g.kind, g.step, g.ratio) == (kind, None, ratio)
 
 
 @pytest.mark.parametrize("points, message", [
