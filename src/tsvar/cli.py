@@ -117,8 +117,12 @@ def _solver_config(cp, args) -> SolverConfig:
         raw = _get(cp, "solver", key) if cp is not None else None
         return conv(raw) if raw is not None else fallback
 
-    starts = int(pick(args.starts, "starts", 64, _num))
-    seed = int(pick(args.seed, "seed", 0, _num))
+    def whole(value):
+        # "64" reads as 64.0; SolverConfig refuses any other float
+        return int(value) if isinstance(value, float) and value.is_integer() else value
+
+    starts = whole(pick(args.starts, "starts", 64, _num))
+    seed = whole(pick(args.seed, "seed", 0, _num))
     tol = pick(args.tol, "tol", 1e-9, _num)
     box = (-2.0, 3.0)
     raw_box = _get(cp, "solver", "box") if cp is not None else None

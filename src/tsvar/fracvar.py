@@ -10,9 +10,11 @@ tables
 
     w_nu(m) = Gamma(m + nu) / (Gamma(m + 1) Gamma(nu)),  w_nu(0) = 1,
 
-so functions here are assembled from cached weight vectors; the public sum
-operators evaluate the textbook kernel (t - sigma(s))_h^(nu-1) through
-h_factorial, and the two routes are cross-checked in the tests.
+so the differences, the solver's operators and its natural-boundary rows are
+all assembled from cached weight vectors (w_{-alpha} holds the coefficients of
+(1 - z)^alpha).  The public sum operators and the Legendre check evaluate the
+textbook kernel (t - sigma(s))_h^(nu-1) through h_factorial, and the two
+routes are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -318,39 +320,24 @@ def functional_value(p: FracProblem, y: GridFunction) -> float:
 def _natural_bc_rows(p: FracProblem):
     """(left, right) natural-boundary rows, each dF/dy of the summed functional
     at its end (y(a), y(b)), as coefficients (c_u, c_v, c_w) of the per-point
-    partials (L_u, L_v, L_w) on T^kappa; None at a fixed end."""
+    partials (L_u, L_v, L_w) on T^kappa; None at a fixed end.
+
+    Since h * residual is the gradient of F, these are h times the first and
+    last columns of the maps y -> (u, v, w) of _diff_maps, read off the
+    weights of (1 - z)^alpha and (1 - z)^beta.
+    """
     h = p.grid.h
     m = p.grid.n_steps
-    gamma = p.orders.gamma
-    nu = p.orders.nu_order
-
-    left = None
+    alpha, beta = p.orders.alpha, p.orders.beta
+    first, last = np.zeros(m), np.zeros(m)
+    first[0] = last[-1] = 1.0
+    left = right = None
     if p.A is None:
-        cu, cv, cw = np.zeros(m), np.zeros(m), np.zeros(m)
-        cv[0] = -math.pow(h, gamma)
-        cw[0] = math.pow(h, nu)
-        if gamma != 0.0:
-            c = (gamma / gamma_fn(gamma + 1.0)) * h
-            cv += c * np.array([h_factorial((j + gamma) * h, gamma - 1.0, h)
-                                for j in range(m)])
-            cv[1:] -= c * np.array([h_factorial((j - 1 + gamma) * h, gamma - 1.0, h)
-                                    for j in range(1, m)])
-        left = (cu, cv, cw)
-
-    right = None
+        left = (np.zeros(m), math.pow(h, 1.0 - alpha) * _weights(-alpha, m + 1)[1:],
+                math.pow(h, 1.0 - beta) * first)
     if p.B is None:
-        cu, cv, cw = np.zeros(m), np.zeros(m), np.zeros(m)
-        cu[m - 1] = h
-        cv[m - 1] = math.pow(h, gamma)
-        cw[m - 1] = -math.pow(h, nu)
-        if nu != 0.0:
-            # kernels (b + nu h - sigma(t_j)) and (rho(b) + nu h - sigma(t_j))
-            c = (nu / gamma_fn(nu + 1.0)) * h
-            cw += c * np.array([h_factorial((m - 1 - j + nu) * h, nu - 1.0, h)
-                                for j in range(m)])
-            cw[:-1] -= c * np.array([h_factorial((m - 2 - j + nu) * h, nu - 1.0, h)
-                                     for j in range(m - 1)])
-        right = (cu, cv, cw)
+        right = (h * last, math.pow(h, 1.0 - alpha) * last,
+                 math.pow(h, 1.0 - beta) * _weights(-beta, m + 1)[:0:-1])
     return (left, right)
 
 

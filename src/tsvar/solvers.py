@@ -6,6 +6,7 @@ The symmetric eigenproblem goes to LAPACK through ``np.linalg.eigh``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -20,6 +21,9 @@ from .errors import (
     SingularJacobian,
 )
 
+# multi_start draws a starts x unknowns table up front: 80 MB at the cap
+MAX_START_NUMBERS = 10**7
+
 
 @dataclass
 class SolverConfig:
@@ -32,8 +36,12 @@ class SolverConfig:
     max_halvings: int = 30
 
     def __post_init__(self):
+        if not isinstance(self.starts, numbers.Integral):
+            raise ValueError(f"solver starts = {self.starts} must be an integer")
         if self.starts < 1:
             raise ValueError(f"solver starts = {self.starts} must be at least 1")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"solver seed = {self.seed} must be a non-negative integer")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"solver tol = {self.tol} must be finite and positive")
         lo, hi = self.box
@@ -124,9 +132,14 @@ def multi_start(
     deterministic for a fixed seed.  A start fails on its own when Newton
     does not converge or when ``fn`` or ``jac`` leaves its domain there.
     Raises SingularJacobian if every start failed and at least one hit a
-    singular Jacobian, NoConvergence if every start simply failed.
+    singular Jacobian, NoConvergence if every start simply failed, and
+    ValueError, before drawing any start, for more than MAX_START_NUMBERS
+    start numbers (starts x n_unknowns).
     """
     cfg = config or SolverConfig()
+    if cfg.starts * n_unknowns > MAX_START_NUMBERS:
+        raise ValueError(f"solver starts = {cfg.starts} on {n_unknowns} unknowns needs more "
+                         f"than {MAX_START_NUMBERS} start numbers")
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.box
     starts = rng.uniform(lo, hi, size=(cfg.starts, n_unknowns))
@@ -140,7 +153,10 @@ def multi_start(
         except (NoConvergence, NonFinite, DomainError, ArithmeticError, ValueError):
             return None
 
-    outcomes = [attempt(x0) for x0 in starts]
+    # Newton rejects non-finite residuals and steps, so an overflowing trial
+    # is just a failed one, not worth a warning
+    with np.errstate(all="ignore"):
+        outcomes = [attempt(x0) for x0 in starts]
     solutions = []
     saw_singular = False
     for out in outcomes:

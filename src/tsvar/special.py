@@ -1,7 +1,9 @@
 """Gamma function, h-factorial, time-scale polynomials, and the exponential e_p.
 
-The gamma implementation is the classic Lanczos approximation (g = 7, nine
-coefficients) with the reflection formula below 0.5.  The h-factorial
+Gamma and log|Gamma| come from the standard library (``math.gamma``,
+``math.lgamma``); this module adds a pole guard that treats any argument
+within 1e-9 of a non-positive integer as a pole, and the sign of Gamma for
+the log form.  The h-factorial
 
     x_h^(y) = h^y * Gamma(x/h + 1) / Gamma(x/h + 1 - y)
 
@@ -20,20 +22,6 @@ import numpy as np
 from .errors import DomainError, NonRegressive, Pole
 from .timescale import GridFunction, TimeScale, delta_integral
 
-# Lanczos g=7 coefficients ("numerical recipes" flavour, ~15 digits).
-_LANCZOS_G = 7.0
-_LANCZOS_C0 = 0.99999999999980993
-_LANCZOS_P = (
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _POLE_TOL = 1e-9
 
 
@@ -41,46 +29,20 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.5 and abs(x - round(x)) <= _POLE_TOL and round(x) <= 0
 
 
-def _sinpi(x: float) -> float:
-    """sin(pi*x) computed from the reduced argument (accurate for large |x|)."""
-    n = math.floor(x)
-    r = x - n
-    s = math.sin(math.pi * r)
-    return -s if n % 2 else s
-
-
-def _lanczos_series(z: float) -> float:
-    # z >= 0.5 shifted by one: series evaluated at x = z - 1
-    x = z - 1.0
-    a = _LANCZOS_C0
-    for i, p in enumerate(_LANCZOS_P):
-        a += p / (x + i + 1.0)
-    return a
-
-
 def gamma_fn(x: float) -> float:
-    """Euler gamma via Lanczos; raises Pole at non-positive integers."""
+    """Euler gamma; raises Pole at non-positive integers, OverflowError past 171.6."""
     if _is_nonpositive_integer(x):
         raise Pole(f"gamma pole at {x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (_sinpi(x) * gamma_fn(1.0 - x))
-    a = _lanczos_series(x)
-    t = x - 1.0 + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * math.exp(-t) * a
+    return math.gamma(x)
 
 
 def log_abs_gamma(x: float):
     """Return (log|Gamma(x)|, sign) without overflow; raises Pole at poles."""
     if _is_nonpositive_integer(x):
         raise Pole(f"gamma pole at {x}")
-    if x < 0.5:
-        s = _sinpi(x)
-        lg, sign = log_abs_gamma(1.0 - x)
-        return math.log(math.pi) - math.log(abs(s)) - lg, (1 if s > 0 else -1) * sign
-    a = _lanczos_series(x)
-    t = x - 1.0 + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(t) - t + math.log(a), 1
+    # Gamma is negative on (-1, 0), (-3, -2), ...: where floor(x) is odd
+    sign = -1 if x < 0 and math.floor(x) % 2 else 1
+    return math.lgamma(x), sign
 
 
 def h_factorial(x: float, y: float, h: float) -> float:

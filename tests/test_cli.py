@@ -1,9 +1,14 @@
 """End-to-end runs of the command-line front end via main(argv)."""
 
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tsvar import cli
 
@@ -293,6 +298,24 @@ def test_unusable_solver_settings_are_config_errors(tmp_path, capsys, setting):
     assert err.startswith("config error: solver ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("setting, shown", [
+    ("starts = inf", "starts = inf"), ("starts = nan", "starts = nan"),
+    ("starts = 2.5", "starts = 2.5"), ("starts = 1e400", "starts = inf"),
+    ("starts = 1e8", "starts = 100000000"),
+    ("seed = -1", "seed = -1"), ("seed = 2.5", "seed = 2.5"), ("--seed -1", "seed = -1"),
+])
+def test_starts_and_seed_that_are_not_usable_counts_are_config_errors(
+        tmp_path, capsys, setting, shown):
+    # int() used to truncate 2.5 and fail on inf with a traceback; 1e8 starts
+    # would ask for a table of 3e8 start numbers
+    flags = setting.split() if setting.startswith("--") else []
+    text = CLASSIC_INI.replace("starts = 6\nseed = 0\n", "" if flags else setting + "\n")
+    config = write_config(tmp_path, text)
+    assert run_cli(["frac-solve", "--config", config, "--no-csv", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: solver {shown} ") and "Traceback" not in err
+
+
 def test_frac_solve_refuses_a_grid_beyond_its_point_cap(tmp_path, capsys):
     # a million points would need dense operators of terabytes
     config = write_config(tmp_path, CLASSIC_INI.replace("h = 0.25", "h = 1e-6"))
@@ -319,3 +342,85 @@ def test_sturm_with_overflowing_potential_is_a_config_error(capsys):
     argv = ["sturm", "--scale", "uniform(0,1,0.1)", "--q", "exp(1000*t)", "--no-csv"]
     assert run_cli(argv) == 2
     assert "config error: q is not finite" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzing: a working config with up to three fields swapped for other
+# tokens, pathological ones among them.  Every valid grid stays below twenty
+# points and every accepted start count at three or less, so an example takes
+# milliseconds.
+
+_TRAPS = ("inf", "-inf", "nan", "1e400", "1/0", "abc", "", None)  # None: key left out
+
+
+def _field(base, *others):
+    return base, st.sampled_from(others) | st.sampled_from(_TRAPS)
+
+
+_SOLVER_FIELDS = {
+    ("solver", "starts"): _field("3", "1", "0", "-1", "2.5", "1e8", "1e30"),
+    ("solver", "seed"): _field("0", "7", "-1", "2.5", "1e30"),
+    ("solver", "tol"): _field("1e-9", "0", "-1", "1e-300"),
+    ("solver", "box"): _field("-2,3", "3,1", "-inf,1", "nan,1", "-1e308,1e308",
+                              "-1e300,1e300", "0,0", "1", "1,2,3", "a,b"),
+}
+_LAGRANGIANS = ("v^3 + 1*w^2", "0.5*v^2 + 0.5*w^2 - u + 0.1*u^4", "u^1.5 + v^2",
+                "ln(u) + v^2", "exp(1000*u) + v^2", "1/u + w^2", "sqrt(v)", "t*v^2",
+                "u^1e400", "0*u", "v^2 +", "(((", "q")
+_FRAC_FIELDS = {
+    ("scale", "a"): _field("0", "-1", "1e308", "-1e308"),
+    ("scale", "b"): _field("1", "0", "2", "1e308"),
+    ("scale", "h"): _field("0.25", "1/3", "0.5", "0", "-0.25", "1e-300", "1e-6"),
+    ("problem", "alpha"): _field("0.8", "1", "0.3", "0", "-0.5", "1.5", "1e-300"),
+    ("problem", "beta"): _field("0.5", "1", "0", "2"),
+    ("problem", "lagrangian"): _field("0.5*v^2 - u", *_LAGRANGIANS),
+    ("problem", "a"): _field("0", "1", "1e308"),
+    ("problem", "b"): _field("0", "1", "-1e308"),
+    **_SOLVER_FIELDS,
+}
+_VAR_FIELDS = {
+    ("scale", "scale"): _field(
+        "uniform(0, 5, 1)", "uniform(0, 1, 0.25)", "uniform(0, 1, 0)", "uniform(0, inf, 1)",
+        "uniform(0, 1, 1e-300)", "uniform(1, 2)", "geometric(2, 0, 4)", "geometric(0.5, 0, 3)",
+        "geometric(inf, 0, 3)", "geometric(2, 0, 1e400)", "geometric(2, 0, 2000)",
+        "points(0, 1, 3, 4)", "points(0, nan, 1)", "points(1, 0)", "points()", "nonsense"),
+    ("problem", "lagrangian"): _field("v^2", *_LAGRANGIANS),
+    ("problem", "a"): _field("0", "1", "1e308"),
+    ("problem", "b"): _field("1", "0", "-1e308"),
+    ("problem", "g"): _field(None, "u", "v^2", "ln(u)", "0*u", "u +"),
+    ("problem", "l"): _field(None, "1", "6", "0", "1e308"),
+    **_SOLVER_FIELDS,
+}
+
+
+@st.composite
+def _configs(draw, fields):
+    swapped = draw(st.lists(st.sampled_from(list(fields)), max_size=3, unique=True))
+    sections = {}
+    for key, (base, others) in fields.items():
+        token = draw(others) if key in swapped else base
+        lines = sections.setdefault(key[0], [])
+        if token is not None:
+            lines.append(f"{key[1]} = {token}\n")
+    return "".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
+
+
+def _run_fuzzed(command, text):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "fuzz.ini"
+        config.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli([command, "--config", str(config), "--no-csv"])
+    assert code in (0, 1, 2, 3), text
+    assert "Traceback" not in err.getvalue(), text
+
+
+@given(_configs(_FRAC_FIELDS))
+def test_fuzzed_frac_solve_configs_exit_with_a_documented_code(text):
+    _run_fuzzed("frac-solve", text)
+
+
+@given(_configs(_VAR_FIELDS))
+def test_fuzzed_var_solve_configs_exit_with_a_documented_code(text):
+    _run_fuzzed("var-solve", text)

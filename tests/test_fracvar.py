@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from tsvar import dsl, fracvar, solvers
+from tsvar import dsl, fracvar, solvers, special
 from tsvar import timescale as tsc
 from tsvar.errors import DomainError, InvalidAlpha, OffDomain, OrderNotPositive
 from tsvar.fracvar import (
@@ -322,6 +322,33 @@ def test_natural_bc_superposition_for_quadratic_L():
     l2, r2 = natural_bc_residuals(p, tsc.GridFunction(ts, 2.0 * vals))
     assert l2 == pytest.approx(2.0 * l1, rel=1e-10, abs=1e-12)
     assert r2 == pytest.approx(2.0 * r1, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta, h", [
+    (1.0, 0.6, 0.1), (0.7, 0.6, 0.1), (0.8, 0.5, 0.25), (1.0, 1.0, 0.1),
+    (0.5, 1.0, 0.2), (0.3, 0.3, 0.1), (0.75, 0.6, 0.01),
+])
+def test_natural_bc_rows_are_h_times_the_end_columns_of_the_diff_maps(
+        monkeypatch, alpha, beta, h):
+    # h * residual is the gradient of F, so dF/dy(a) and dF/dy(b) are h times
+    # the first and last columns of y -> (u, v, w); no gamma value is needed
+    calls = []
+    for module in (fracvar, special):
+        for name in ("h_factorial", "gamma_fn"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _real=real, _name=name: calls.append(_name)
+                                or _real(*a))
+    p = FracProblem(FracGrid(0.0, 1.0, h), FracOrders(alpha, beta), "v^2", A=None, B=None)
+    left, right = fracvar._natural_bc_rows(p)
+    assert calls == []
+
+    N = p.grid.n_steps + 1
+    A = np.zeros((N - 1, 3, N))
+    A[np.arange(N - 1), 0, np.arange(1, N)] = 1.0
+    A[:, 1], A[:, 2] = fracvar._diff_maps(alpha, beta, h, N)
+    for row, column in ((left, 0), (right, N - 1)):
+        assert_allclose(np.stack(row, axis=1), h * A[:, :, column], rtol=1e-13, atol=0.0)
 
 
 def test_solve_with_free_right_end_zeroes_natural_residual():

@@ -150,6 +150,26 @@ def test_solver_config_rejects_unusable_settings(setting):
         SolverConfig(**setting)
 
 
+@pytest.mark.parametrize("setting", [
+    {"starts": math.inf}, {"starts": math.nan}, {"starts": 2.5}, {"starts": 4.0},
+    {"seed": -1}, {"seed": 2.5}, {"seed": math.inf},
+], ids=repr)
+def test_solver_config_refuses_starts_and_seeds_that_are_not_integers(setting):
+    # int() would truncate 2.5 and overflow on inf; SolverConfig takes neither
+    with pytest.raises(ValueError, match=f"solver {next(iter(setting))} = "):
+        SolverConfig(**setting)
+
+
+@pytest.mark.parametrize("starts, n_unknowns", [(10**7 + 1, 1), (10**6, 11), (10**30, 3)])
+def test_multi_start_refuses_a_start_table_beyond_its_cap(monkeypatch, starts, n_unknowns):
+    def never(*args):
+        raise AssertionError("called before the start table was refused")
+
+    monkeypatch.setattr(np.random, "default_rng", never)
+    with pytest.raises(ValueError, match="start numbers"):
+        multi_start(never, never, n_unknowns, SolverConfig(starts=starts))
+
+
 def test_multi_start_all_domain_failures_raise_no_convergence():
     def res(x):
         raise DomainError("nowhere defined")

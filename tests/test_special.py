@@ -55,6 +55,47 @@ def test_log_abs_gamma_tracks_sign():
     assert math.exp(ln2) == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-10)
 
 
+def test_gamma_is_the_factorial_to_twenty_and_root_pi_at_a_half():
+    for n in range(1, 21):
+        assert gamma_fn(float(n)) == math.factorial(n - 1)
+    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+
+
+@pytest.mark.parametrize("x", [-0.01, -0.99, -3.5, -10.1, -20.5, -100.25])
+def test_gamma_reflection_on_negative_non_integers(x):
+    # Gamma(x) Gamma(1 - x) = pi / sin(pi x)
+    assert gamma_fn(x) * gamma_fn(1.0 - x) == pytest.approx(
+        math.pi / math.sin(math.pi * x), rel=1e-12)
+
+
+@pytest.mark.parametrize("x, sign", [
+    (-0.01, -1), (-0.5, -1), (-0.99, -1),
+    (-1.01, 1), (-1.5, 1), (-1.99, 1),
+    (-2.01, -1), (-2.5, -1), (-2.99, -1),
+])
+def test_log_abs_gamma_sign_between_the_first_poles(x, sign):
+    ln, got = log_abs_gamma(x)
+    assert got == sign
+    assert got * math.exp(ln) == pytest.approx(gamma_fn(x), rel=1e-13)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, -4.0, 1e-10, -1.0 + 5e-10, -3.0 - 5e-10])
+def test_gamma_poles_raise_within_the_guard(x):
+    with pytest.raises(Pole):
+        gamma_fn(x)
+    with pytest.raises(Pole):
+        log_abs_gamma(x)
+
+
+def test_gamma_is_finite_up_to_the_float_range():
+    for x in np.arange(150.0, 171.75, 0.5):
+        value = gamma_fn(float(x))
+        assert math.isfinite(value)
+        assert value == pytest.approx(math.exp(log_abs_gamma(float(x))[0]), rel=1e-12)
+    with pytest.raises(OverflowError):
+        gamma_fn(172.0)
+
+
 def test_h_factorial_integer_cases_match_falling_product():
     # x^(k) with integer k is the plain falling product x(x-h)...(x-(k-1)h)
     h = 0.25
