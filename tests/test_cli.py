@@ -306,8 +306,8 @@ def test_unusable_solver_settings_are_config_errors(tmp_path, capsys, setting):
 ])
 def test_starts_and_seed_that_are_not_usable_counts_are_config_errors(
         tmp_path, capsys, setting, shown):
-    # int() used to truncate 2.5 and fail on inf with a traceback; 1e8 starts
-    # would ask for a table of 3e8 start numbers
+    # int() would truncate 2.5 and overflow on inf; 1e8 starts would ask for
+    # a table of 3e8 start numbers
     flags = setting.split() if setting.startswith("--") else []
     text = CLASSIC_INI.replace("starts = 6\nseed = 0\n", "" if flags else setting + "\n")
     config = write_config(tmp_path, text)
