@@ -28,13 +28,10 @@ import numpy as np
 
 from .dsl import Expr, ensure_expr, eval_grad, eval_jet2
 from .errors import DomainError, InvalidAlpha, OffDomain, OrderNotPositive
-from .solvers import SolverConfig, multi_start
+from .solvers import SolverConfig, multi_start, refuse_dense_beyond_cap
 from .special import gamma_fn, h_factorial
 from .timescale import MAX_POINTS, GridFunction, TimeScale, uniform
 from .varcalc import ExtremalCandidate, LegendreReport
-
-# solve_frac_el builds dense operators of about 56 N^2 bytes: 0.22 GB at the cap
-MAX_FRAC_POINTS = 2001
 
 # ---------------------------------------------------------------------------
 # Types
@@ -402,9 +399,7 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     contribute their natural-boundary-condition rows.  Candidates come back
     deduplicated, annotated with Legendre verdicts, sorted by functional value.
     """
-    if p.grid.n_steps + 1 > MAX_FRAC_POINTS:
-        raise ValueError(f"the fractional solver takes at most {MAX_FRAC_POINTS} grid "
-                         f"points, not {p.grid.n_steps + 1}")
+    refuse_dense_beyond_cap(p.grid.n_steps + 1, "fractional solver")
     cfg = config or SolverConfig()
     scale = p.grid.scale()
     pts = scale.points

@@ -1,5 +1,9 @@
 """Shared numerical routines: damped Newton, multi-start roots, quadrature.
 
+Newton solves a dense Jacobian with LAPACK and a ``Tridiagonal`` one with a
+pivoted O(n) sweep on Python floats, so the classical Euler-Lagrange system
+costs linear time and memory in the grid size.  Solvers that stay dense
+refuse grids of more than ``MAX_DENSE_POINTS`` points before they allocate.
 The symmetric eigenproblem goes to LAPACK through ``np.linalg.eigh``.
 """
 
@@ -23,6 +27,16 @@ from .errors import (
 
 # multi_start draws a starts x unknowns table up front: 80 MB at the cap
 MAX_START_NUMBERS = 10**7
+# grid points a dense solver takes; the fractional operators, the largest,
+# take about 56 N^2 bytes: 0.22 GB at the cap
+MAX_DENSE_POINTS = 2001
+
+
+def refuse_dense_beyond_cap(n_points: int, solver: str) -> None:
+    """Raise ValueError when a dense solver would get more than MAX_DENSE_POINTS points."""
+    if n_points > MAX_DENSE_POINTS:
+        raise ValueError(f"the {solver} takes at most {MAX_DENSE_POINTS} grid points, "
+                         f"not {n_points}")
 
 
 @dataclass
@@ -51,6 +65,141 @@ class SolverConfig:
                              "and a finite width")
 
 
+class Tridiagonal:
+    """Square tridiagonal matrix held as its three diagonals.
+
+    ``lower[i]`` is entry (i+1, i), ``diag[i]`` entry (i, i) and ``upper[i]``
+    entry (i, i+1).  ``np.asarray`` gives the dense matrix.
+    """
+
+    __slots__ = ("lower", "diag", "upper")
+
+    def __init__(self, lower, diag, upper):
+        self.lower = np.asarray(lower, dtype=float)
+        self.diag = np.asarray(diag, dtype=float)
+        self.upper = np.asarray(upper, dtype=float)
+        n = self.diag.size
+        if (self.diag.shape != (n,) or n < 1 or self.lower.shape != (n - 1,)
+                or self.upper.shape != (n - 1,)):
+            raise ValueError("a tridiagonal matrix needs n >= 1 diagonal entries "
+                             "and n - 1 on each off-diagonal")
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a tridiagonal matrix has no dense buffer to share")
+        n = self.diag.size
+        dense = np.zeros((n, n))
+        dense.flat[::n + 1] = self.diag
+        dense.flat[n::n + 1] = self.lower
+        dense.flat[1::n + 1] = self.upper
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+def solve_tridiagonal(T: Tridiagonal, b) -> np.ndarray:
+    """x with T x = b by Gaussian elimination with partial pivoting.
+
+    LAPACK ``dgtsv``'s algorithm on Python floats (Golub & Van Loan, Matrix
+    Computations, 4th ed., 4.3): a row swap moves a fill-in entry onto the
+    second superdiagonal.  A zero pivot raises ZeroDivisionError, so an
+    exactly singular T raises it.
+    """
+    lower, diag, upper = T.lower.tolist(), T.diag.tolist(), T.upper.tolist()
+    rhs = np.asarray(b, dtype=float).tolist()
+    rows = []  # (pivot, T[i, i+1], T[i, i+2], rhs) of each eliminated row i
+    # row i, updated by the elimination so far, and row i+1 as given
+    d, u, y = diag[0], upper[0] if upper else 0.0, rhs[0]
+    for l, d1, u1, y1 in zip(lower, diag[1:], upper[1:] + [0.0], rhs[1:]):
+        if abs(d) >= abs(l):
+            f = l / d
+            rows.append((d, u, 0.0, y))
+            d, u, y = d1 - f * u, u1, y1 - f * y
+        else:  # swap rows i and i+1
+            f = d / l
+            rows.append((l, d1, u1, y1))
+            d, u, y = u - f * d1, -f * u1, y - f * y1
+    x1, x2 = y / d, 0.0  # x[i+1], x[i+2] of the row being solved
+    x = [x1]
+    for pivot, u, u2, y in reversed(rows):
+        x1, x2 = (y - u * x1 - u2 * x2) / pivot, x1
+        x.append(x1)
+    return np.array(x[::-1])
+
+
+def tikhonov_tridiagonal(T: Tridiagonal, r: np.ndarray, tau: float) -> np.ndarray:
+    """s with (T^T T + tau I) s = -T^T r, by an LDL^T sweep in O(n).
+
+    T^T T + tau I is pentadiagonal, and symmetric positive definite for
+    tau > 0.  A zero pivot, which rounding can still produce, raises
+    ZeroDivisionError.
+    """
+    lo, d, up = T.lower, T.diag, T.upper
+    r = np.asarray(r, dtype=float)
+    n = d.size
+    # column k of T holds upper[k-1], diag[k], lower[k] in rows k-1, k, k+1
+    a = d * d + tau
+    a[1:] += up * up
+    a[:-1] += lo * lo
+    e = np.zeros(n)  # (T^T T)[k, k+1]
+    e[:-1] = d[:-1] * up + lo * d[1:]
+    f = np.zeros(n)  # (T^T T)[k, k+2]
+    f[:-2] = lo[:-1] * up[1:]
+    rhs = -(d * r)
+    rhs[1:] -= up * r[:-1]
+    rhs[:-1] -= lo * r[1:]
+    a, e, f, rhs = a.tolist(), e.tolist(), f.tolist(), rhs.tolist()
+    # unit lower L with L[k+1, k] = p[k+2], L[k+2, k] = q[k+2], D = diag(dd[k+2]);
+    # two leading pad entries stand for the rows before the first
+    p, q, dd, z = [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]
+    for k in range(n):
+        dk = a[k] - p[-1] * p[-1] * dd[-1] - q[-2] * q[-2] * dd[-2]
+        z.append(rhs[k] - p[-1] * z[-1] - q[-2] * z[-2])
+        p.append((e[k] - q[-1] * p[-1] * dd[-1]) / dk)
+        q.append(f[k] / dk)
+        dd.append(dk)
+    s = [0.0] * (n + 2)
+    for k in range(n - 1, -1, -1):
+        s[k] = z[k + 2] / dd[k + 2] - p[k + 2] * s[k + 1] - q[k + 2] * s[k + 2]
+    return np.array(s[:n])
+
+
+def _newton_step(J, r: np.ndarray) -> np.ndarray:
+    """The Newton step s with J s = -r, or a damped least-squares step.
+
+    ``J`` is a ``Tridiagonal`` (an O(n) sweep) or anything ``np.asarray``
+    turns into a matrix (LAPACK).  Where J is exactly singular (e.g. a
+    variable the residual ignores) or the step is not finite, the step is the
+    minimum-norm Gauss-Newton step with a whisper of Tikhonov damping.
+    """
+    banded = isinstance(J, Tridiagonal)
+    if not banded:
+        J = np.asarray(J, dtype=float)
+    entries = (J.lower, J.diag, J.upper) if banded else (J,)
+    if not all(np.isfinite(e).all() for e in entries):
+        raise NonFinite("Jacobian is not finite")
+    try:
+        if banded:
+            step = solve_tridiagonal(J, -r)
+        elif J.shape[0] == J.shape[1]:
+            step = np.linalg.solve(J, -r)
+        else:
+            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+    except (ZeroDivisionError, np.linalg.LinAlgError):
+        step = None
+    if step is not None and np.isfinite(step).all():
+        return step
+    tau = 1e-12 * max(1.0, sum(float(np.sum(e * e)) for e in entries))
+    try:
+        if banded:
+            step = tikhonov_tridiagonal(J, r, tau)
+        else:
+            step = np.linalg.solve(J.T @ J + tau * np.eye(J.shape[1]), -J.T @ r)
+    except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
+        raise SingularJacobian(str(exc)) from exc
+    if not np.isfinite(step).all():
+        raise SingularJacobian("linear solve produced non-finite step")
+    return step
+
+
 def newton_solve(
     fn: Callable[[np.ndarray], np.ndarray],
     jac: Callable[[np.ndarray], np.ndarray],
@@ -61,7 +210,9 @@ def newton_solve(
 ) -> np.ndarray:
     """Damped Newton iteration on a square (or rectangular) residual system.
 
-    ``jac(x)`` returns the exact Jacobian of ``fn`` at ``x``.  Newton calls
+    ``jac(x)`` returns the exact Jacobian of ``fn`` at ``x``: a
+    ``Tridiagonal``, whose step is an O(n) sweep, or anything ``np.asarray``
+    turns into a dense matrix, whose step goes to LAPACK.  Newton calls
     it only with the very object ``x`` of its latest ``fn`` call, and only
     when that call returned a finite residual, so ``fn`` may keep work for
     ``jac`` to reuse.  Steps are backtracked (halving, up to ``max_halvings``)
@@ -78,26 +229,7 @@ def newton_solve(
     for _ in range(max_iter):
         if rnorm <= tol:
             return x
-        J = np.asarray(jac(x), dtype=float)
-        if not np.isfinite(J).all():
-            raise NonFinite("Jacobian is not finite")
-        try:
-            if J.shape[0] == J.shape[1]:
-                step = np.linalg.solve(J, -r)
-            else:
-                step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or not np.isfinite(step).all():
-            # exactly singular (e.g. a variable the residual ignores): take the
-            # minimum-norm Gauss-Newton step with a whisper of Tikhonov damping
-            tau = 1e-12 * max(1.0, float(np.sum(J * J)))
-            try:
-                step = np.linalg.solve(J.T @ J + tau * np.eye(J.shape[1]), -J.T @ r)
-            except np.linalg.LinAlgError as exc:
-                raise SingularJacobian(str(exc)) from exc
-            if not np.isfinite(step).all():
-                raise SingularJacobian("linear solve produced non-finite step")
+        step = _newton_step(jac(x), r)
         lam = 1.0
         accepted = False
         for _ in range(max_halvings):

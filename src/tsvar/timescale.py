@@ -25,6 +25,7 @@ KIND_EXPLICIT = "explicit"
 
 _REL_KIND_TOL = 1e-12  # spacing uniformity check
 _REL_GRID_TOL = 1e-9   # membership snap tolerance
+_EPS = float(np.finfo(float).eps)
 MAX_POINTS = 10_000_000  # grid builders refuse more points before allocating any
 
 
@@ -33,7 +34,10 @@ def _detect_kind(points: np.ndarray, gaps: np.ndarray):
     if len(points) < 2:
         return KIND_EXPLICIT, None, None
     h = gaps[0]
-    if np.abs(gaps - h).max() <= _REL_KIND_TOL * max(abs(h), 1e-300):
+    # a gap between points of size |t| carries about eps*|t| of rounding, which
+    # outweighs the relative tolerance on a fine grid far from the origin
+    slack = 4.0 * _EPS * max(abs(points[0]), abs(points[-1]))
+    if np.abs(gaps - h).max() <= _REL_KIND_TOL * max(abs(h), 1e-300) + slack:
         return KIND_UNIFORM, float(h), None
     if points[0] > 0:
         if float(points[-1]) / float(points[0]) < math.inf:  # no ratio can overflow

@@ -37,10 +37,12 @@ from .errors import (
 )
 from .solvers import (
     SolverConfig,
+    Tridiagonal,
     adaptive_simpson,
     invert_increasing,
     jacobi_eigh,
     multi_start,
+    refuse_dense_beyond_cap,
 )
 from .timescale import (
     GridFunction,
@@ -196,23 +198,22 @@ def el_residual(p: VariationalProblem, y: GridFunction) -> GridFunction:
     return GridFunction(p.scale.drop_last(2), res)
 
 
-def _el_jacobian(L: Expr, ts: TimeScale, values: np.ndarray) -> np.ndarray:
-    """Exact Jacobian of el_residual in the interior values: tridiagonal.
+def _el_jacobian(L: Expr, ts: TimeScale, values: np.ndarray) -> Tridiagonal:
+    """Exact Jacobian of el_residual in the interior values, as its three diagonals.
 
     Row j, L_u(t_j) - (L_v(t_{j+1}) - L_v(t_j)) / mu_j, sees y_j, y_{j+1} and
-    y_{j+2} through u_i = y_{i+1} and v_i = (y_{i+1} - y_i) / mu_i.
+    y_{j+2} through u_i = y_{i+1} and v_i = (y_{i+1} - y_i) / mu_i, so the
+    matrix is tridiagonal: O(N) memory, and newton_solve steps with an O(N)
+    sweep.  ``np.asarray`` gives the dense matrix.
     """
     t, u, v, mu = _first_order_args(ts, values)
     huu, huv, _, hvv, _, _ = eval_jet2(L, t, u, v, 0.0).hess
     # d L_u(t_i) and d L_v(t_i) by y_i (suffix 0) and by y_{i+1} (suffix 1)
     du0, du1 = -huv / mu, huu + huv / mu
     dv0, dv1 = -hvv / mu, huv + hvv / mu
-    r = t.size - 1
-    J = np.zeros((r, r))
-    J.flat[::r + 1] = du1[:-1] + (dv1[:-1] - dv0[1:]) / mu[:-1]
-    J.flat[r::r + 1] = (du0 + dv0 / mu)[1:-1]
-    J.flat[1::r + 1] = -dv1[1:-1] / mu[:-2]
-    return J
+    return Tridiagonal(lower=(du0 + dv0 / mu)[1:-1],
+                       diag=du1[:-1] + (dv1[:-1] - dv0[1:]) / mu[:-1],
+                       upper=-dv1[1:-1] / mu[:-2])
 
 
 def functional_value(p: Union[VariationalProblem, IsoperimetricProblem],
@@ -337,11 +338,15 @@ def solve_el(p: Union[VariationalProblem, HigherOrderProblem],
              config: Optional[SolverConfig] = None) -> list:
     """Multi-start Newton on the discrete stationarity system.
 
-    Returns deduplicated ExtremalCandidates sorted by functional value.
+    Returns deduplicated ExtremalCandidates sorted by functional value.  The
+    first-order system is tridiagonal and costs O(N) per Newton step; the
+    higher-order one is solved dense and refuses more than
+    ``solvers.MAX_DENSE_POINTS`` points with a ValueError.
     """
     cfg = config or SolverConfig()
     if isinstance(p, HigherOrderProblem):
         n = len(p.scale)
+        refuse_dense_beyond_cap(n, "higher-order solver")
 
         def residual_map(x):
             res = el_residual_higher(p, GridFunction(p.scale, x)).values
@@ -384,9 +389,14 @@ def solve_el(p: Union[VariationalProblem, HigherOrderProblem],
 
 def solve_isoperimetric(p: IsoperimetricProblem,
                         config: Optional[SolverConfig] = None) -> ExtremalCandidate:
-    """Stationarity of F = L - lambda*g plus the constraint row; lambda unknown."""
+    """Stationarity of F = L - lambda*g plus the constraint row; lambda unknown.
+
+    The bordered Jacobian is dense, so more than ``solvers.MAX_DENSE_POINTS``
+    points are refused with a ValueError.
+    """
     cfg = config or SolverConfig()
     n = len(p.scale)
+    refuse_dense_beyond_cap(n, "isoperimetric solver")
 
     def assemble(x):
         full = np.empty(n)
@@ -417,8 +427,8 @@ def solve_isoperimetric(p: IsoperimetricProblem,
         full, lam = assemble(x)
         grad_g = constraint_grad(x)
         J = np.zeros((n - 1, n - 1))
-        J[:-1, :-1] = (_el_jacobian(p.L, p.scale, full)
-                       - lam * _el_jacobian(p.g, p.scale, full))
+        J[:-1, :-1] = (np.asarray(_el_jacobian(p.L, p.scale, full))
+                       - lam * np.asarray(_el_jacobian(p.g, p.scale, full)))
         J[:-1, -1] = -grad_g / mu
         J[-1, :-1] = grad_g
         return J
@@ -484,11 +494,13 @@ def sturm_liouville_first(ts: TimeScale, q_fn) -> tuple:
 
     The pair minimizes J[y] = integral((y^Delta)^2 - q (y^sigma)^2) subject to
     integral((y^sigma)^2) = 1 and y(a) = y(b) = 0; the minimum value is
-    lambda_1 itself.
+    lambda_1 itself.  The eigenproblem is dense, so more than
+    ``solvers.MAX_DENSE_POINTS`` points are refused with a ValueError.
     """
     n = len(ts)
     if n < 4:
         raise GridTooSmall("need at least 4 points for the eigenvalue problem")
+    refuse_dense_beyond_cap(n, "Sturm-Liouville solver")
     pts = ts.points
     mu = np.diff(pts)
     if isinstance(q_fn, GridFunction):

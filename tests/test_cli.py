@@ -195,6 +195,18 @@ def test_var_solve_scale_beyond_the_point_cap_exits_2(tmp_path, capsys, scale):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_dense_solvers_beyond_their_point_cap_exit_2(tmp_path, capsys):
+    # the isoperimetric and eigenvalue solvers stay dense; 2002 points are one
+    # too many, and each refuses before it builds a matrix
+    scale = "uniform(0,2001,1)"
+    config = write_config(tmp_path, f"[scale]\nscale = {scale}\n\n[problem]\n"
+                          "lagrangian = v^2\ng = u\nl = 1\na = 0\nb = 0\n")
+    assert run_cli(["var-solve", "--config", config, "--no-csv"]) == 2
+    assert "at most 2001 grid points" in capsys.readouterr().err
+    assert run_cli(["sturm", "--scale", scale, "--q", "0", "--no-csv"]) == 2
+    assert "at most 2001 grid points" in capsys.readouterr().err
+
+
 def test_direct_entropy_and_power(tmp_path, capsys):
     out = tmp_path / "d"
     assert run_cli(["direct", "--kind", "entropy", "--scale", "uniform(0,5,1)",

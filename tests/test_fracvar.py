@@ -16,7 +16,6 @@ from tsvar import dsl, fracvar, solvers, special
 from tsvar import timescale as tsc
 from tsvar.errors import DomainError, InvalidAlpha, OffDomain, OrderNotPositive
 from tsvar.fracvar import (
-    MAX_FRAC_POINTS,
     FracGrid,
     FracOrders,
     FracProblem,
@@ -650,7 +649,7 @@ def test_newton_runs_match_the_fresh_jacobian_pair(monkeypatch, p, starts, box, 
 def test_solve_frac_el_refuses_grids_beyond_its_point_cap(grid):
     # dense operators of about 56 N^2 bytes: N = 10^6 would need terabytes
     p = FracProblem(grid, FracOrders(0.8, 0.5), "v^2", A=0.0, B=1.0)
-    with pytest.raises(ValueError, match=f"at most {MAX_FRAC_POINTS} grid points"):
+    with pytest.raises(ValueError, match=f"at most {solvers.MAX_DENSE_POINTS} grid points"):
         solve_frac_el(p)
 
 

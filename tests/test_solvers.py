@@ -7,13 +7,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tsvar.errors import DomainError, NoConvergence, QuadratureFailure, RootNotBracketed
+from tsvar import solvers
 from tsvar.solvers import (
     SolverConfig,
+    Tridiagonal,
     adaptive_simpson,
     invert_increasing,
     jacobi_eigh,
     multi_start,
     newton_solve,
+    solve_tridiagonal,
+    tikhonov_tridiagonal,
 )
 
 
@@ -176,6 +180,96 @@ def test_multi_start_all_domain_failures_raise_no_convergence():
 
     with pytest.raises(NoConvergence):
         multi_start(res, cubic_jac, 1, SolverConfig(starts=4))
+
+
+# ---------------------------------------------------------------------------
+# tridiagonal sweeps against LAPACK on the dense matrix
+
+
+def random_tridiagonal(rng, n, zero_diagonal=False):
+    diag = rng.standard_normal(n)
+    if zero_diagonal:
+        diag[1::3] = 0.0  # many eliminations then swap rows
+    return Tridiagonal(rng.standard_normal(n - 1), diag, rng.standard_normal(n - 1))
+
+
+def test_tridiagonal_array_is_the_dense_matrix():
+    T = Tridiagonal([1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0])
+    expect = [[3.0, 6.0, 0.0], [1.0, 4.0, 7.0], [0.0, 2.0, 5.0]]
+    assert np.asarray(T).tolist() == expect
+    with pytest.raises(ValueError, match="n - 1 on each off-diagonal"):
+        Tridiagonal([1.0], [1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("zero_diagonal", [False, True],
+                         ids=["random", "zero-diagonal-entries"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 200])
+def test_tridiagonal_solve_matches_lapack(n, zero_diagonal):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        T = random_tridiagonal(rng, n, zero_diagonal and n > 1)
+        b = rng.standard_normal(n)
+        A = np.asarray(T)
+        ref = np.linalg.solve(A, b)
+        # the forward error of either solve is about cond(A) * eps * |x|
+        tol = 1e-14 * np.linalg.cond(A) * float(np.max(np.abs(ref)))
+        assert_allclose(solve_tridiagonal(T, b), ref, rtol=0, atol=tol)
+
+
+def test_tridiagonal_solve_swaps_rows_where_a_pivot_is_zero():
+    # [[0, 1, 0], [2, 0, 3], [0, 4, 5]] is regular, and both eliminations swap
+    T = Tridiagonal([2.0, 4.0], [0.0, 0.0, 5.0], [1.0, 3.0])
+    b = np.array([1.0, 2.0, 3.0])
+    assert_allclose(solve_tridiagonal(T, b), np.linalg.solve(np.asarray(T), b),
+                    rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("T", [
+    Tridiagonal([], [0.0], []),
+    Tridiagonal([1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0]),  # column 1 is zero
+    Tridiagonal([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0]),  # rows 0 and 1 equal
+], ids=["zero", "zero-column", "equal-rows"])
+def test_tridiagonal_solve_raises_on_an_exactly_singular_band(T):
+    with pytest.raises(ZeroDivisionError):
+        solve_tridiagonal(T, np.ones(T.diag.size))
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 200])
+def test_tikhonov_sweep_matches_the_dense_formula(n, singular):
+    rng = np.random.default_rng(100 + n)
+    T = random_tridiagonal(rng, n)
+    if singular:  # a zero column: the variable the residual ignores
+        k = n // 2
+        T.diag[k] = 0.0
+        T.lower[k:k + 1] = 0.0
+        T.upper[k - 1:k] = 0.0
+    A = np.asarray(T)
+    r = rng.standard_normal(n)
+    for tau in (1e-3, 1.0):
+        ref = np.linalg.solve(A.T @ A + tau * np.eye(n), -A.T @ r)
+        assert_allclose(tikhonov_tridiagonal(T, r, tau), ref, rtol=1e-9, atol=1e-12)
+
+
+def test_newton_takes_the_tikhonov_step_on_an_exactly_singular_band(monkeypatch):
+    # x1 drops out: J = [[1, 0, 0], [1, 0, 1], [0, 0, 1]] has a zero column
+    def res(x):
+        return np.array([x[0] - 1.0, x[0] + x[2] - 3.0, x[2] - 2.0])
+
+    def band(x):
+        return Tridiagonal([1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0])
+
+    calls = []
+    sweep = solvers.tikhonov_tridiagonal
+    monkeypatch.setattr(solvers, "tikhonov_tridiagonal",
+                        lambda *args: calls.append(1) or sweep(*args))
+    x0 = [0.0, 5.0, 0.0]
+    x = newton_solve(res, band, x0)
+    assert calls
+    # the dense Jacobian fails in LAPACK and takes the dense Tikhonov step
+    assert_allclose(x, newton_solve(res, lambda x: np.asarray(band(x)), x0),
+                    rtol=1e-12, atol=1e-12)
+    assert_allclose(x, [1.0, 5.0, 2.0], atol=1e-9)
 
 
 def test_adaptive_simpson_known_integrals():

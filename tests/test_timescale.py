@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from tsvar import timescale as ts
 from tsvar.errors import InvalidAlpha, NotOnGrid
+from tsvar.fracvar import FracGrid
 
 
 def test_uniform_points():
@@ -101,6 +102,19 @@ def test_kind_of_grids_spanning_more_than_the_float_range(points, kind, ratio):
         warnings.simplefilter("error")
         g = ts.TimeScale(points)
     assert (g.kind, g.step, g.ratio) == (kind, None, ratio)
+
+
+@pytest.mark.parametrize("build, n_points, h", [
+    pytest.param(lambda: ts.uniform(100.0, 101.0, 0.01), 101, 0.01, id="away-from-origin"),
+    pytest.param(lambda: ts.uniform(0.0, 1.0, 1e-4), 10001, 1e-4, id="h=1e-4"),
+    pytest.param(lambda: ts.uniform(0.0, 1.0, 1e-5), 100001, 1e-5, id="h=1e-5"),
+    pytest.param(lambda: FracGrid(100.0, 101.0, 0.01).scale(), 101, 0.01, id="frac-grid"),
+])
+def test_fine_uniform_grids_are_uniform(build, n_points, h):
+    # each gap carries about eps * |t| of rounding, more than 1e-12 * h
+    g = build()
+    assert (g.kind, len(g)) == ("uniform", n_points)
+    assert g.step == pytest.approx(h, rel=1e-9)
 
 
 @pytest.mark.parametrize("points, message", [

@@ -1,25 +1,28 @@
 """Euler-Lagrange machinery, Legendre checks, direct methods, eigenvalue problem."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tsvar import dsl
+from tsvar import dsl, solvers
 from tsvar import timescale as tsc
 from tsvar.errors import (
     DomainError,
     GridTooSmall,
     HypothesisHViolated,
     InvalidExponent,
+    NoConvergence,
     NonPositivePhi,
     PreconditionViolated,
     SingularJacobian,
 )
-from tsvar.solvers import SolverConfig
+from tsvar.solvers import MAX_DENSE_POINTS, SolverConfig, multi_start
 from tsvar.varcalc import (
     DirectResult,
     HigherOrderProblem,
@@ -222,6 +225,156 @@ def test_higher_order_preconditions():
     with pytest.raises(HypothesisHViolated):
         HigherOrderProblem(tsc.explicit(0.0, 0.1, 0.5, 0.6, 1.3, 2.0), 2,
                            quad_L_u2_squared(), (0.0, 0.0), (1.0, 0.0))
+
+
+def _dense_reference_pair(p):
+    """solve_el's residual with a dense Jacobian built here by the chain rule,
+    so Newton solves each step with LAPACK instead of the tridiagonal sweep."""
+    pts = p.scale.points
+    n, mu = pts.size, np.diff(pts)
+    shift = np.eye(n)[1:]  # u_i = y_{i+1}
+    slope = (shift - np.eye(n)[:-1]) / mu[:, None]  # v_i = (y_{i+1} - y_i) / mu_i
+
+    def assemble(x):
+        return np.concatenate([[p.A], x, [p.B]])
+
+    def residual(x):
+        return el_residual(p, tsc.GridFunction(p.scale, assemble(x))).values
+
+    def jacobian(x):
+        y = assemble(x)
+        huu, huv, _, hvv, _, _ = dsl.eval_jet2(p.L, pts[:-1], y[1:], np.diff(y) / mu, 0.0).hess
+        d_lu = huu[:, None] * shift + huv[:, None] * slope
+        d_lv = huv[:, None] * shift + hvv[:, None] * slope
+        return (d_lu[:-1] - (d_lv[1:] - d_lv[:-1]) / mu[:-1, None])[:, 1:-1]
+
+    return residual, jacobian, n - 2
+
+
+def _record_newton_runs(monkeypatch) -> list:
+    """(residual calls, outcome, root) of every Newton run from now on."""
+    records = []
+    newton = solvers.newton_solve
+
+    def recording(fn, jac, x0, **kwargs):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return fn(x)
+
+        try:
+            root = newton(counted, jac, x0, **kwargs)
+        except Exception as exc:
+            records.append((len(calls), type(exc).__name__, None))
+            raise
+        records.append((len(calls), "ok", root))
+        return root
+
+    monkeypatch.setattr(solvers, "newton_solve", recording)
+    return records
+
+
+def _explicit_grid(seed, n=15):
+    steps = np.random.default_rng(seed).uniform(0.05, 0.3, n - 1)
+    return tsc.explicit(*np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("p", [
+    pytest.param(VariationalProblem(tsc.uniform(0.0, 1.0, 0.05), "0.5*v^2 + 0.25*u^4",
+                                    0.0, 1.0), id="uniform"),
+    # some starts do not converge: their runs must fail the same way
+    pytest.param(VariationalProblem(_explicit_grid(3),
+                                    "0.5*v^2 + 0.25*u^4 + u*v + sin(t)*u*v^2", 0.0, 1.0),
+                 id="explicit"),
+    pytest.param(VariationalProblem(tsc.geometric(1.5, -4, 6), "0.5*v^2 + 0.25*u^4 + u*v",
+                                    0.0, 1.0), id="geometric"),
+])
+def test_tridiagonal_newton_runs_match_the_dense_lapack_pair(monkeypatch, p, seed):
+    """Every start makes the same residual calls, ends the same way and finds
+    the same root to 1e-13, whether its steps come from the tridiagonal sweep
+    or from LAPACK on the dense matrix."""
+    cfg = SolverConfig(starts=16, seed=seed, box=(-3.0, 3.0))
+    records = _record_newton_runs(monkeypatch)
+    solve_el(p, cfg)
+    banded = records[:]
+    records.clear()
+    multi_start(*_dense_reference_pair(p), cfg)
+    assert len(banded) == cfg.starts
+    assert [r[:2] for r in banded] == [r[:2] for r in records]
+    for (_, _, root), (_, _, dense_root) in zip(banded, records):
+        if root is not None:
+            assert np.max(np.abs(root - dense_root)) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_arc_length_solve_ends_as_with_the_dense_pair(monkeypatch, seed):
+    """sqrt(1 + v^2) flattens out at large slopes, where the band turns singular
+    and Newton takes the Tikhonov step.  Single runs are too ill-conditioned to
+    repeat call for call; the candidates and the final exception must not move."""
+    p = VariationalProblem(tsc.uniform(0.0, 1.0, 0.1), "sqrt(1 + v^2)", 0.0, 1.0)
+    cfg = SolverConfig(starts=16, seed=seed, box=(-3.0, 3.0))
+    fallbacks = []
+    sweep = solvers.tikhonov_tridiagonal
+    monkeypatch.setattr(solvers, "tikhonov_tridiagonal",
+                        lambda *args: fallbacks.append(1) or sweep(*args))
+
+    def ending(solve):
+        try:
+            return sorted(solve(), key=lambda x: x.tolist()), None
+        except (NoConvergence, SingularJacobian) as exc:
+            return [], type(exc)
+
+    roots, error = ending(lambda: [c.y.values[1:-1] for c in solve_el(p, cfg)])
+    assert fallbacks
+    dense_roots, dense_error = ending(lambda: multi_start(*_dense_reference_pair(p), cfg))
+    assert error is dense_error and len(roots) == len(dense_roots)
+    for root, dense_root in zip(roots, dense_roots):
+        assert np.max(np.abs(root - dense_root)) <= 1e-13
+
+
+def test_solve_el_on_20001_points_runs_in_linear_memory():
+    # the dense Jacobian alone would take 19999^2 * 8 bytes = 3.2 GB; tol sits
+    # above the round-off of a residual that divides by h^2 = 2.5e-9
+    g = tsc.uniform(0.0, 1.0, 5e-5)
+    p = VariationalProblem(g, "v^2", 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        cands = solve_el(p, SolverConfig(starts=1, seed=0, box=(0.0, 1.0), tol=1e-4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert len(cands) == 1 and cands[0].residual_norm <= 1e-4
+    assert_allclose(cands[0].y.values, g.points, rtol=0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the solvers that stay dense refuse grids beyond the shared cap
+
+
+BEYOND_CAP = tsc.uniform(0.0, float(MAX_DENSE_POINTS), 1.0)  # one point too many
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param(partial(solve_isoperimetric,
+                         IsoperimetricProblem(BEYOND_CAP, "v^2", "u", 0.0, 0.0, 1.0)),
+                 id="isoperimetric"),
+    pytest.param(partial(solve_el, HigherOrderProblem(
+        BEYOND_CAP, 1, QuadraticLagrangian(np.eye(2), np.zeros(2)), (0.0,), (1.0,))),
+                 id="higher-order"),
+    pytest.param(partial(sturm_liouville_first, BEYOND_CAP, lambda t: 0.0),
+                 id="sturm-liouville"),
+])
+def test_dense_solvers_refuse_grids_beyond_the_shared_cap(monkeypatch, solve):
+    def never(*args, **kwargs):
+        raise AssertionError("allocated before the grid was refused")
+
+    monkeypatch.setattr(np, "eye", never)
+    monkeypatch.setattr(np, "zeros", never)
+    with pytest.raises(ValueError, match=f"at most {MAX_DENSE_POINTS} grid points"):
+        solve()
 
 
 # ---------------------------------------------------------------------------
