@@ -229,7 +229,11 @@ def newton_solve(
     for _ in range(max_iter):
         if rnorm <= tol:
             return x
-        step = _newton_step(jac(x), r)
+        # J stays referenced through the line search: a dense J freed here is
+        # unmapped (glibc mmaps blocks over 128 KB) and faulted back in by the
+        # next large allocation, which slows the fractional solves measurably
+        J = jac(x)
+        step = _newton_step(J, r)
         lam = 1.0
         accepted = False
         for _ in range(max_halvings):

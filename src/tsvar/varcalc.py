@@ -423,12 +423,16 @@ def solve_isoperimetric(p: IsoperimetricProblem,
         full, _ = assemble(x)
         return mu * el_residual(gprob, GridFunction(p.scale, full)).values
 
+    band = np.arange(n - 2)  # the block of F = L - lambda*g is tridiagonal
+
     def jacobian(x):
         full, lam = assemble(x)
         grad_g = constraint_grad(x)
+        JL, Jg = _el_jacobian(p.L, p.scale, full), _el_jacobian(p.g, p.scale, full)
         J = np.zeros((n - 1, n - 1))
-        J[:-1, :-1] = (np.asarray(_el_jacobian(p.L, p.scale, full))
-                       - lam * np.asarray(_el_jacobian(p.g, p.scale, full)))
+        J[band, band] = JL.diag - lam * Jg.diag
+        J[band[1:], band[:-1]] = JL.lower - lam * Jg.lower
+        J[band[:-1], band[1:]] = JL.upper - lam * Jg.upper
         J[:-1, -1] = -grad_g / mu
         J[-1, :-1] = grad_g
         return J
