@@ -162,41 +162,48 @@ def tikhonov_tridiagonal(T: Tridiagonal, r: np.ndarray, tau: float) -> np.ndarra
     return np.array(s[:n])
 
 
-def _newton_step(J, r: np.ndarray) -> np.ndarray:
-    """The Newton step s with J s = -r, or a damped least-squares step.
-
-    ``J`` is a ``Tridiagonal`` (an O(n) sweep) or anything ``np.asarray``
-    turns into a matrix (LAPACK).  Where J is exactly singular (e.g. a
-    variable the residual ignores) or the step is not finite, the step is the
-    minimum-norm Gauss-Newton step with a whisper of Tikhonov damping.
-    """
-    banded = isinstance(J, Tridiagonal)
-    if not banded:
-        J = np.asarray(J, dtype=float)
-    entries = (J.lower, J.diag, J.upper) if banded else (J,)
-    if not all(np.isfinite(e).all() for e in entries):
+def _dense_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The Newton step s with J s = -r by LAPACK, or a damped least-squares step."""
+    if not np.isfinite(J).all():
         raise NonFinite("Jacobian is not finite")
     try:
-        if banded:
-            step = solve_tridiagonal(J, -r)
-        elif J.shape[0] == J.shape[1]:
+        if J.shape[0] == J.shape[1]:
             step = np.linalg.solve(J, -r)
         else:
             step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-    except (ZeroDivisionError, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         step = None
-    if step is not None and np.isfinite(step).all():
-        return step
-    tau = 1e-12 * max(1.0, sum(float(np.sum(e * e)) for e in entries))
-    try:
-        if banded:
-            step = tikhonov_tridiagonal(J, r, tau)
-        else:
+    if step is None or not np.isfinite(step).all():
+        # exactly singular (e.g. a variable the residual ignores): take the
+        # minimum-norm Gauss-Newton step with a whisper of Tikhonov damping
+        tau = 1e-12 * max(1.0, float(np.sum(J * J)))
+        try:
             step = np.linalg.solve(J.T @ J + tau * np.eye(J.shape[1]), -J.T @ r)
-    except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
-        raise SingularJacobian(str(exc)) from exc
-    if not np.isfinite(step).all():
-        raise SingularJacobian("linear solve produced non-finite step")
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(str(exc)) from exc
+        if not np.isfinite(step).all():
+            raise SingularJacobian("linear solve produced non-finite step")
+    return step
+
+
+def _tridiagonal_step(T: Tridiagonal, r: np.ndarray) -> np.ndarray:
+    """``_dense_step`` for a tridiagonal J, with both solves O(n) sweeps."""
+    if not (np.isfinite(T.diag).all() and np.isfinite(T.lower).all()
+            and np.isfinite(T.upper).all()):
+        raise NonFinite("Jacobian is not finite")
+    try:
+        step = solve_tridiagonal(T, -r)
+    except ZeroDivisionError:  # a zero pivot: T is singular
+        step = None
+    if step is None or not np.isfinite(step).all():
+        tau = 1e-12 * max(1.0, float(T.diag @ T.diag + T.lower @ T.lower
+                                     + T.upper @ T.upper))
+        try:
+            step = tikhonov_tridiagonal(T, r, tau)
+        except ZeroDivisionError as exc:
+            raise SingularJacobian("zero pivot in the Tikhonov sweep") from exc
+        if not np.isfinite(step).all():
+            raise SingularJacobian("linear solve produced non-finite step")
     return step
 
 
@@ -229,11 +236,15 @@ def newton_solve(
     for _ in range(max_iter):
         if rnorm <= tol:
             return x
-        # J stays referenced through the line search: a dense J freed here is
-        # unmapped (glibc mmaps blocks over 128 KB) and faulted back in by the
-        # next large allocation, which slows the fractional solves measurably
         J = jac(x)
-        step = _newton_step(J, r)
+        if isinstance(J, Tridiagonal):
+            step = _tridiagonal_step(J, r)
+        else:
+            # J stays referenced through the line search, as a dense J freed
+            # here is unmapped (glibc mmaps blocks over 128 KB) and faulted
+            # back in by the next large allocation: measurably slower
+            J = np.asarray(J, dtype=float)
+            step = _dense_step(J, r)
         lam = 1.0
         accepted = False
         for _ in range(max_halvings):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -69,6 +70,11 @@ class VariationalProblem:
         object.__setattr__(self, "L", ensure_expr(self.L))
         if len(self.scale) < 3:
             raise GridTooSmall("need at least 3 points for a variational problem")
+
+    @cached_property
+    def residual_scale(self) -> TimeScale:
+        """T^{kappa kappa}, where el_residual lives; built once, not per residual."""
+        return self.scale.drop_last(2)
 
 
 @dataclass(frozen=True)
@@ -195,7 +201,7 @@ def el_residual(p: VariationalProblem, y: GridFunction) -> GridFunction:
     values = np.asarray(y.values, dtype=float)
     Lu, Lv, mu = _partials_first_order(p.L, p.scale, values)
     res = Lu[:-1] - np.diff(Lv) / mu[:-1]
-    return GridFunction(p.scale.drop_last(2), res)
+    return GridFunction(p.residual_scale, res)
 
 
 def _el_jacobian(L: Expr, ts: TimeScale, values: np.ndarray) -> Tridiagonal:
