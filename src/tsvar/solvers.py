@@ -105,7 +105,7 @@ def solve_tridiagonal(T: Tridiagonal, b) -> np.ndarray:
     """
     lower, diag, upper = T.lower.tolist(), T.diag.tolist(), T.upper.tolist()
     rhs = np.asarray(b, dtype=float).tolist()
-    rows = []  # (pivot, T[i, i+1], T[i, i+2], rhs) of each eliminated row i
+    rows = []  # row i once eliminated: (U[i, i], U[i, i+1], U[i, i+2], rhs[i])
     # row i, updated by the elimination so far, and row i+1 as given
     d, u, y = diag[0], upper[0] if upper else 0.0, rhs[0]
     for l, d1, u1, y1 in zip(lower, diag[1:], upper[1:] + [0.0], rhs[1:]):

@@ -35,9 +35,10 @@ def _detect_kind(points: np.ndarray, gaps: np.ndarray):
         return KIND_EXPLICIT, None, None
     h = gaps[0]
     # a gap between points of size |t| carries about eps*|t| of rounding, which
-    # outweighs the relative tolerance on a fine grid far from the origin
-    slack = 4.0 * _EPS * max(abs(points[0]), abs(points[-1]))
-    if np.abs(gaps - h).max() <= _REL_KIND_TOL * max(abs(h), 1e-300) + slack:
+    # outweighs the relative tolerance on a fine grid far from the origin; the
+    # points increase, so max(-t_0, t_last) is the largest |t|
+    if np.abs(gaps - h).max() <= (_REL_KIND_TOL * max(abs(h), 1e-300)
+                                  + 4.0 * _EPS * max(-points[0], points[-1])):
         return KIND_UNIFORM, float(h), None
     if points[0] > 0:
         if float(points[-1]) / float(points[0]) < math.inf:  # no ratio can overflow

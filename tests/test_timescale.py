@@ -108,6 +108,7 @@ def test_kind_of_grids_spanning_more_than_the_float_range(points, kind, ratio):
     pytest.param(lambda: ts.uniform(100.0, 101.0, 0.01), 101, 0.01, id="away-from-origin"),
     pytest.param(lambda: ts.uniform(0.0, 1.0, 1e-4), 10001, 1e-4, id="h=1e-4"),
     pytest.param(lambda: ts.uniform(0.0, 1.0, 1e-5), 100001, 1e-5, id="h=1e-5"),
+    pytest.param(lambda: ts.uniform(-1.0, 0.0, 1e-5), 100001, 1e-5, id="left-of-origin"),
     pytest.param(lambda: FracGrid(100.0, 101.0, 0.01).scale(), 101, 0.01, id="frac-grid"),
 ])
 def test_fine_uniform_grids_are_uniform(build, n_points, h):
