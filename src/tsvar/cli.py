@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -161,10 +162,11 @@ def _write_candidates_csv(out_dir: Path, points: np.ndarray, candidates) -> Path
     return path
 
 
-def _write_extremals(out_dir: Path, points: np.ndarray, candidates) -> None:
-    for cid, cand in enumerate(candidates, start=1):
-        lines = [f"{_fmt(t)} {_fmt(yv)}" for t, yv in zip(points, cand.y.values)]
-        (out_dir / f"extremal_{cid}.dat").write_text("\n".join(lines) + "\n")
+def _write_dat(out_dir: Path, name: str, points: np.ndarray, values) -> None:
+    """Write "t y" lines to out_dir/name, creating out_dir when needed."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lines = [f"{_fmt(t)} {_fmt(v)}" for t, v in zip(points, values)]
+    (out_dir / name).write_text("\n".join(lines) + "\n")
 
 
 def _print_candidates(points: np.ndarray, candidates) -> None:
@@ -188,9 +190,9 @@ def _emit(args, points: np.ndarray, candidates) -> None:
     _print_candidates(points, candidates)
     if args.csv:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        for cid, cand in enumerate(candidates, start=1):
+            _write_dat(out_dir, f"extremal_{cid}.dat", points, cand.y.values)
         _write_candidates_csv(out_dir, points, candidates)
-        _write_extremals(out_dir, points, candidates)
         print(f"wrote {len(candidates)} candidate(s) to {out_dir}/candidates.csv")
 
 
@@ -272,11 +274,7 @@ def cmd_direct(args) -> RunReport:
         print(f"{t:12.6g} {yv:15.8f}")
     print(f"{args.kind} extremum F = {result.F_value!r} ({result.kind})")
     if args.csv:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lines = [f"{_fmt(t)} {_fmt(v)}"
-                 for t, v in zip(scale.points, result.y.values)]
-        (out_dir / "extremal_1.dat").write_text("\n".join(lines) + "\n")
+        _write_dat(Path(args.out), "extremal_1.dat", scale.points, result.y.values)
     return RunReport("direct", echo={"kind": args.kind}, rows=[result])
 
 
@@ -291,10 +289,7 @@ def cmd_sturm(args) -> RunReport:
     lam, y1 = varcalc.sturm_liouville_first(scale, q_fn)
     print(f"lambda_1 = {lam!r}")
     if args.csv:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lines = [f"{_fmt(t)} {_fmt(v)}" for t, v in zip(scale.points, y1.values)]
-        (out_dir / "eigenfunction_1.dat").write_text("\n".join(lines) + "\n")
+        _write_dat(Path(args.out), "eigenfunction_1.dat", scale.points, y1.values)
     return RunReport("sturm", echo={"scale": args.scale, "q": args.q}, rows=[lam])
 
 
@@ -529,36 +524,25 @@ def _match_candidate(cands, values, functional, tol_y=1e-4, tol_f=1e-3):
     return None
 
 
-def _repro_ex3a() -> bool:
-    started = time.perf_counter()
-    _, cands = _solve_frac(0.0, 1.0, 0.25, 0.8, 0.5, "v^3 + 1*w^2",
-                           0.0, 1.0, starts=512, box=(-6.0, 6.0))
-    elapsed = time.perf_counter() - started
-    _print_candidates(np.linspace(0.0, 1.0, 5), cands)
-    n_ok = sum(c.legendre_ok for c in cands)
-    winner = _match_candidate(cands, _EX3A_WINNER[:3], _EX3A_WINNER[3])
-    ok = _check(f"cubic+quadratic problem: >=8 candidates (got {len(cands)})",
-                len(cands) >= 8)
-    ok &= _check(f"exactly 2 pass Legendre (got {n_ok})", n_ok == 2)
-    ok &= _check("winner matches reference values",
-                 winner is not None and winner.legendre_ok)
-    print(f"  solved in {elapsed:.2f} s")
-    return bool(ok)
+def _repro_table(label: str, b: float, h: float, orders: tuple, lagrangian: str,
+                 winner: tuple, min_count: int, n_legendre: int) -> bool:
+    """Candidate table of a 512-start solve on [0, b] with y(0) = 0, y(b) = 1.
 
-
-def _repro_ex3b() -> bool:
+    ``winner`` holds the reference interior values followed by the functional.
+    """
     started = time.perf_counter()
-    _, cands = _solve_frac(0.0, 0.5, 0.1, 0.3, 0.3, "v^3",
-                           0.0, 1.0, starts=512, box=(-6.0, 6.0))
+    problem, cands = _solve_frac(0.0, b, h, *orders, lagrangian,
+                                 0.0, 1.0, starts=512, box=(-6.0, 6.0))
     elapsed = time.perf_counter() - started
-    _print_candidates(np.linspace(0.0, 0.5, 6), cands)
+    _print_candidates(problem.grid.points(), cands)
     n_ok = sum(c.legendre_ok for c in cands)
-    winner = _match_candidate(cands, _EX3B_WINNER[:4], _EX3B_WINNER[4])
-    ok = _check(f"pure cubic problem: >=16 candidates (got {len(cands)})",
-                len(cands) >= 16)
-    ok &= _check(f"exactly 1 passes Legendre (got {n_ok})", n_ok == 1)
+    match = _match_candidate(cands, winner[:-1], winner[-1])
+    ok = _check(f"{label}: >={min_count} candidates (got {len(cands)})",
+                len(cands) >= min_count)
+    verb = "passes" if n_legendre == 1 else "pass"
+    ok &= _check(f"exactly {n_legendre} {verb} Legendre (got {n_ok})", n_ok == n_legendre)
     ok &= _check("winner matches reference values",
-                 winner is not None and winner.legendre_ok)
+                 match is not None and match.legendre_ok)
     print(f"  solved in {elapsed:.2f} s")
     return bool(ok)
 
@@ -631,8 +615,10 @@ def _repro_gronwall_2d() -> bool:
 _REPROS = {
     "ex1": _repro_ex1,
     "ex2": _repro_ex2,
-    "ex3a": _repro_ex3a,
-    "ex3b": _repro_ex3b,
+    "ex3a": partial(_repro_table, "cubic+quadratic problem", 1.0, 0.25, (0.8, 0.5),
+                    "v^3 + 1*w^2", _EX3A_WINNER, 8, 2),
+    "ex3b": partial(_repro_table, "pure cubic problem", 0.5, 0.1, (0.3, 0.3),
+                    "v^3", _EX3B_WINNER, 16, 1),
     "qscale": _repro_qscale,
     "directZ": _repro_direct_z,
     "jensen-counterexample": _repro_jensen_counterexample,

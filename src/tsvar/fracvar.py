@@ -10,11 +10,12 @@ tables
 
     w_nu(m) = Gamma(m + nu) / (Gamma(m + 1) Gamma(nu)),  w_nu(0) = 1,
 
-so the differences, the solver's operators and its natural-boundary rows are
-all assembled from cached weight vectors (w_{-alpha} holds the coefficients of
-(1 - z)^alpha).  The public sum operators and the Legendre check evaluate the
-textbook kernel (t - sigma(s))_h^(nu-1) through h_factorial, and the two
-routes are cross-checked in the tests.
+so the sums, the differences, the summation-by-parts correction, the solver's
+operators and its natural-boundary rows are all assembled from cached weight
+vectors (w_{-alpha} holds the coefficients of (1 - z)^alpha): the textbook
+kernel ((m - 1 + nu) h)_h^(nu-1) / Gamma(nu) is h^(nu-1) w_nu(m).  Only the
+Legendre check still evaluates its kernels through h_factorial; the tests
+cross-check the weights against the textbook kernels.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class FracProblem:
 
 
 # ---------------------------------------------------------------------------
-# Weight / kernel tables
+# Weight tables
 
 
 @lru_cache(maxsize=None)
@@ -119,14 +120,6 @@ def _weights(nu: float, count: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=None)
-def _kernel_table(nu: float, h: float, count: int) -> np.ndarray:
-    """((m - 1 + nu) h)_h^{(nu - 1)} for m = 0..count-1."""
-    k = np.array([h_factorial((m - 1.0 + nu) * h, nu - 1.0, h) for m in range(count)])
-    k.flags.writeable = False
-    return k
-
-
 def _uniform_step(f: GridFunction) -> float:
     step = f.scale.step
     if step is None:
@@ -135,7 +128,7 @@ def _uniform_step(f: GridFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fractional sums (public, kernel form) and differences
+# Fractional sums and differences
 
 
 def left_frac_sum(f: GridFunction, nu: float, t: float) -> float:
@@ -148,12 +141,8 @@ def left_frac_sum(f: GridFunction, nu: float, t: float) -> float:
     j = round(pos)
     if abs(pos - j) > 1e-9 * max(1.0, abs(pos)) or not (0 <= j < pts.size):
         raise OffDomain(f"t = {t} is not on the shifted grid a + nu*h + k*h")
-    kern = _kernel_table(nu, h, pts.size)
-    vals = np.asarray(f.values)
-    acc = 0.0
-    for i in range(j + 1):
-        acc += kern[j - i] * vals[i]
-    return acc * h / gamma_fn(nu)
+    vals = np.asarray(f.values, dtype=float)
+    return math.pow(h, nu) * float(_weights(nu, pts.size)[j::-1] @ vals[:j + 1])
 
 
 def right_frac_sum(f: GridFunction, nu: float, t: float) -> float:
@@ -166,12 +155,8 @@ def right_frac_sum(f: GridFunction, nu: float, t: float) -> float:
     j = round(pos)
     if abs(pos - j) > 1e-9 * max(1.0, abs(pos)) or not (0 <= j < pts.size):
         raise OffDomain(f"t = {t} is not on the shifted grid s - nu*h for s on the grid")
-    kern = _kernel_table(nu, h, pts.size)
-    vals = np.asarray(f.values)
-    acc = 0.0
-    for m in range(pts.size - j):
-        acc += kern[m] * vals[j + m]
-    return acc * h / gamma_fn(nu)
+    vals = np.asarray(f.values, dtype=float)
+    return math.pow(h, nu) * float(_weights(nu, pts.size)[:pts.size - j] @ vals[j:])
 
 
 def _left_sum_series(vals: np.ndarray, nu: float, h: float) -> np.ndarray:
@@ -271,11 +256,8 @@ def frac_sbp_residual(f: GridFunction, g: GridFunction, alpha: float) -> float:
     rhs += h * float(rfd_f @ gv[1:n - 1])
     if gamma != 0.0:
         # gamma-correction: kernels (t_j + gamma h - a) and (t_j + gamma h - sigma(a))
-        corr1 = sum(
-            h_factorial((j + gamma) * h, gamma - 1.0, h) * fv[j] for j in range(n - 1))
-        corr2 = sum(
-            h_factorial((j - 1 + gamma) * h, gamma - 1.0, h) * fv[j] for j in range(1, n - 1))
-        rhs += (gamma / gamma_fn(gamma + 1.0)) * gv[0] * h * (corr1 - corr2)
+        w = _weights(gamma, n)
+        rhs += math.pow(h, gamma) * gv[0] * float(w[1:n] @ fv - w[1:n - 1] @ fv[1:])
     return abs(lhs - rhs)
 
 

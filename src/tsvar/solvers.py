@@ -167,10 +167,7 @@ def _dense_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     if not np.isfinite(J).all():
         raise NonFinite("Jacobian is not finite")
     try:
-        if J.shape[0] == J.shape[1]:
-            step = np.linalg.solve(J, -r)
-        else:
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        step = np.linalg.solve(J, -r)
     except np.linalg.LinAlgError:
         step = None
     if step is None or not np.isfinite(step).all():
@@ -215,7 +212,7 @@ def newton_solve(
     max_iter: int = 200,
     max_halvings: int = 30,
 ) -> np.ndarray:
-    """Damped Newton iteration on a square (or rectangular) residual system.
+    """Damped Newton iteration on a square residual system.
 
     ``jac(x)`` returns the exact Jacobian of ``fn`` at ``x``: a
     ``Tridiagonal``, whose step is an O(n) sweep, or anything ``np.asarray``

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonRegressive, Pole
-from .timescale import GridFunction, TimeScale, delta_integral
+from .timescale import GridFunction, TimeScale
 
 _POLE_TOL = 1e-9
 

@@ -1,8 +1,8 @@
 """Fractional h-operators and the fractional variational machinery.
 
 The double-loop oracles here evaluate the defining sums directly through
-h_factorial/gamma_fn, independently of the convolution-weight route used by
-the implementation.
+h_factorial/gamma_fn, independently of the weight-table route used by the
+implementation.
 """
 
 import math
@@ -56,25 +56,44 @@ def sum_oracle_right(f, nu, t):
     return acc / gamma_fn(nu)
 
 
-@pytest.fixture
-def random_f():
-    g = uniform(0.0, 3.0, 0.5)
+def random_grid_function(b, h):
+    g = uniform(0.0, b, h)
     rng = np.random.default_rng(5)
     return GridFunction(g, rng.uniform(-2.0, 2.0, len(g)))
 
 
-def test_frac_sums_match_defining_double_loop(random_f):
-    f = random_f
-    n = len(f.scale)
+@pytest.fixture
+def random_f():
+    return random_grid_function(3.0, 0.5)
+
+
+@pytest.fixture
+def special_calls(monkeypatch):
+    """Names of the h_factorial and gamma_fn calls made through fracvar or special."""
+    calls = []
+    for module in (fracvar, special):
+        for name in ("h_factorial", "gamma_fn"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _real=real, _name=name: calls.append(_name)
+                                or _real(*a))
+    return calls
+
+
+def test_frac_sums_match_defining_double_loop(random_f, special_calls):
+    # the 46-point grid takes kernel indices past 30, where h_factorial
+    # switches to its log-gamma branch
     h = 0.5
-    for nu in (0.3, 0.5, 0.9, 1.0, 1.7):
-        for j in range(n):
-            t_left = nu * h + j * h
-            got = left_frac_sum(f, nu, t_left)
-            assert got == pytest.approx(sum_oracle_left(f, nu, t_left), abs=1e-12)
-            t_right = j * h - nu * h
-            got = right_frac_sum(f, nu, t_right)
-            assert got == pytest.approx(sum_oracle_right(f, nu, t_right), abs=1e-12)
+    for f in (random_f, random_grid_function(22.5, h)):
+        for nu in (0.3, 0.5, 0.9, 1.0, 1.7):
+            for j in range(len(f.scale)):
+                t_left = nu * h + j * h
+                t_right = j * h - nu * h
+                got = (left_frac_sum(f, nu, t_left), right_frac_sum(f, nu, t_right))
+                assert special_calls == []  # the sums read the weight table
+                assert got[0] == pytest.approx(sum_oracle_left(f, nu, t_left), abs=1e-12)
+                assert got[1] == pytest.approx(sum_oracle_right(f, nu, t_right), abs=1e-12)
+                special_calls.clear()  # the oracles' own calls
 
 
 def test_frac_sum_order_one_is_plain_sum(random_f):
@@ -192,7 +211,7 @@ def test_sum_of_delta_identity_right(random_f):
 # summation by parts
 
 
-def test_sbp_residual_random_draws():
+def test_sbp_residual_random_draws(special_calls):
     rng = np.random.default_rng(77)
     for trial in range(40):
         h = float(rng.choice([1.0, 0.5, 0.1]))
@@ -203,6 +222,7 @@ def test_sbp_residual_random_draws():
         alpha = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
         scale = max(1.0, float(np.max(np.abs(f.values))), float(np.max(np.abs(w.values))))
         assert frac_sbp_residual(f, w, alpha) <= 1e-10 * scale
+    assert special_calls == []  # the gamma-correction reads the weight table
 
 
 def test_sbp_alpha_one_classical():
@@ -328,19 +348,12 @@ def test_natural_bc_superposition_for_quadratic_L():
     (0.5, 1.0, 0.2), (0.3, 0.3, 0.1), (0.75, 0.6, 0.01),
 ])
 def test_natural_bc_rows_are_h_times_the_end_columns_of_the_diff_maps(
-        monkeypatch, alpha, beta, h):
+        special_calls, alpha, beta, h):
     # h * residual is the gradient of F, so dF/dy(a) and dF/dy(b) are h times
     # the first and last columns of y -> (u, v, w); no gamma value is needed
-    calls = []
-    for module in (fracvar, special):
-        for name in ("h_factorial", "gamma_fn"):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *a, _real=real, _name=name: calls.append(_name)
-                                or _real(*a))
     p = FracProblem(FracGrid(0.0, 1.0, h), FracOrders(alpha, beta), "v^2", A=None, B=None)
     left, right = fracvar._natural_bc_rows(p)
-    assert calls == []
+    assert special_calls == []
 
     N = p.grid.n_steps + 1
     A = np.zeros((N - 1, 3, N))

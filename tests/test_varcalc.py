@@ -443,6 +443,37 @@ def test_sturm_liouville_pair_satisfies_equation():
         sturm_liouville_first(tsc.uniform(0, 2, 1.0), lambda t: 0.0)
 
 
+def test_sturm_liouville_nonuniform_grid_matches_quadratic_forms():
+    # lambda_1 is the smallest eigenvalue of J[y] relative to the mass
+    # integral((y^sigma)^2), both built here from their defining sums
+    g = tsc.explicit(0.0, 0.3, 0.5, 1.1, 1.4, 2.0, 2.2, 3.0, 3.25)
+    pts = g.points
+    mu = np.diff(pts)
+    q = 0.5 + np.cos(3.0 * pts)
+    n = len(g)
+
+    def J(y):
+        return sum((y[j + 1] - y[j]) ** 2 / mu[j] - mu[j] * q[j] * y[j + 1] ** 2
+                   for j in range(n - 1))
+
+    def mass(y):
+        return sum(mu[j] * y[j + 1] ** 2 for j in range(n - 1))
+
+    unit = np.eye(n)[1:-1]  # interior unit vectors; y(a) = y(b) = 0
+    K = np.array([[(J(e + f) - J(e - f)) / 4.0 for f in unit] for e in unit])
+    M = np.array([[(mass(e + f) - mass(e - f)) / 4.0 for f in unit] for e in unit])
+    C = np.linalg.cholesky(M)
+    evals, vecs = np.linalg.eigh(np.linalg.solve(C, np.linalg.solve(C, K).T))
+    expect = np.linalg.solve(C.T, vecs[:, 0])
+
+    lam1, y1 = sturm_liouville_first(g, tsc.GridFunction(g, q))
+    assert lam1 == pytest.approx(evals[0], rel=1e-10)
+    y = np.asarray(y1.values)
+    assert mass(y) == pytest.approx(1.0, rel=1e-10)
+    assert J(y) == pytest.approx(lam1, rel=1e-10)
+    assert_allclose(y[1:-1], math.copysign(1.0, expect[0]) * expect, atol=1e-8)
+
+
 def test_sturm_liouville_first_pair_at_n202_matches_sine_mode():
     g = tsc.uniform(0.0, 201.0, 1.0)
     n = len(g)
