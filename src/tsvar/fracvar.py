@@ -110,7 +110,7 @@ class FracProblem:
 # Weight tables
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # each table is grid-sized; a solve reads a handful of orders
 def _weights(nu: float, count: int) -> np.ndarray:
     w = np.empty(count)
     w[0] = 1.0

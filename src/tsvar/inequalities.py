@@ -3,7 +3,8 @@
 Certifiers compute both sides of an inequality and report whether it holds
 within floating tolerance; bound calculators return the explicit right-hand
 sides of the Gronwall-type theorems.  The integrodynamic solver is a plain
-forward recursion (exact on isolated grids).
+forward recursion (exact on isolated grids).  Per-point coefficients, data
+and weights on one grid may come in any form ``timescale.values_on`` reads.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     ZeroWeightMass,
 )
 from .solvers import adaptive_simpson
-from .timescale import GridFunction, TimeScale
+from .timescale import GridFunction, TimeScale, values_on
 
 _CERT_TOL = 1e-10
 
@@ -61,17 +62,6 @@ def _report(lhs: float, rhs: float) -> BoundReport:
     return BoundReport(float(lhs), float(rhs), bool(holds), float(rhs - lhs))
 
 
-def _values_on(ts: TimeScale, f) -> np.ndarray:
-    if isinstance(f, GridFunction):
-        return np.asarray(f.values, dtype=float)
-    if callable(f):
-        return np.array([f(t) for t in ts.points], dtype=float)
-    out = np.asarray(f, dtype=float)
-    if out.shape != (len(ts),):
-        raise ValueError("values do not match the grid")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gronwall / comparison bounds
 
@@ -96,8 +86,8 @@ def _forward_solve(mu: np.ndarray, c: np.ndarray, d: np.ndarray, y0: float,
 
 def gronwall_bound(ts: TimeScale, a_fn, b_fn, t0: float) -> GridFunction:
     """Right side a(t) + integral_{t0}^t a b e_b(t, sigma(tau)) Delta tau, t >= t0."""
-    a = _values_on(ts, a_fn)
-    b = _values_on(ts, b_fn)
+    a = values_on(ts, a_fn)
+    b = values_on(ts, b_fn)
     pts = ts.points
     i0 = ts.index(t0)
     # the integral term solves acc^Delta = b acc + a b with acc(t0) = 0
@@ -107,8 +97,8 @@ def gronwall_bound(ts: TimeScale, a_fn, b_fn, t0: float) -> GridFunction:
 
 def comparison_bound(ts: TimeScale, y0: float, p, f, t0: float) -> GridFunction:
     """y0 e_p(t, t0) + integral_{t0}^t e_p(t, sigma(tau)) f(tau) Delta tau."""
-    pv = _values_on(ts, p)
-    fv = _values_on(ts, f)
+    pv = values_on(ts, p)
+    fv = values_on(ts, f)
     pts = ts.points
     i0 = ts.index(t0)
     # the solution of y^Delta = p y + f with y(t0) = y0
@@ -129,8 +119,8 @@ def nonlinear_gronwall_bound(ts: TimeScale, u_data, a_fn, f_fn,
     the bound itself depends only on (a, f, k, Phi, W).
     """
     del u_data  # the bound does not depend on the trajectory
-    a = _values_on(ts, a_fn)
-    f = _values_on(ts, f_fn)
+    a = values_on(ts, a_fn)
+    f = values_on(ts, f_fn)
     pts = ts.points
     n = pts.size
     mu = np.diff(pts)
@@ -229,11 +219,11 @@ def _diamond(mu: np.ndarray, vals: np.ndarray, alpha: float) -> float:
 def jensen_certify(ts: TimeScale, F: Callable[[float], float], g,
                    weights=None, alpha: float = 1.0) -> BoundReport:
     """F(weighted diamond-alpha mean of g) vs weighted mean of F(g)."""
-    gv = _values_on(ts, g)
+    gv = values_on(ts, g)
     if weights is None:
         hv = np.ones(len(ts))
     else:
-        hv = np.abs(_values_on(ts, weights))
+        hv = np.abs(values_on(ts, weights))
     mu = _diamond_gaps(ts, alpha)
     mass = _diamond(mu, hv, alpha)
     if mass <= 0.0:
@@ -250,9 +240,9 @@ def holder_certify(ts: TimeScale, f, g, h_weights=None, p: float = 2.0,
     if p <= 1.0:
         raise InvalidExponent(f"p = {p} must exceed 1")
     q = p / (p - 1.0)
-    fv = np.abs(_values_on(ts, f))
-    gv = np.abs(_values_on(ts, g))
-    hv = np.ones(len(ts)) if h_weights is None else np.abs(_values_on(ts, h_weights))
+    fv = np.abs(values_on(ts, f))
+    gv = np.abs(values_on(ts, g))
+    hv = np.ones(len(ts)) if h_weights is None else np.abs(values_on(ts, h_weights))
     mu = _diamond_gaps(ts, alpha)
     lhs = _diamond(mu, hv * fv * gv, alpha)
     rhs = (_diamond(mu, hv * fv**p, alpha) ** (1.0 / p)
@@ -269,8 +259,8 @@ def minkowski_certify(ts: TimeScale, f, g, p: float = 2.0,
     """Diamond-alpha Minkowski: ||f+g||_p <= ||f||_p + ||g||_p."""
     if p <= 1.0:
         raise InvalidExponent(f"p = {p} must exceed 1")
-    fv = _values_on(ts, f)
-    gv = _values_on(ts, g)
+    fv = values_on(ts, f)
+    gv = values_on(ts, g)
     mu = _diamond_gaps(ts, alpha)
     lhs = _diamond(mu, np.abs(fv + gv) ** p, alpha) ** (1.0 / p)
     rhs = (_diamond(mu, np.abs(fv) ** p, alpha) ** (1.0 / p)

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonRegressive, Pole
-from .timescale import GridFunction, TimeScale
+from .timescale import TimeScale, values_on
 
 _POLE_TOL = 1e-9
 
@@ -88,37 +88,28 @@ def generalized_polynomial_H(ts: TimeScale, k: int, t: float, s: float) -> float
     return float(vals[it])
 
 
-def ts_exponential(ts: TimeScale, p: GridFunction, t: float, t0: float) -> float:
+def _regressivity_factors(ts: TimeScale, p) -> np.ndarray:
+    """1 + mu(t) p(t) on T^kappa; p in any form ``timescale.values_on`` reads."""
+    return 1.0 + np.diff(ts.points) * values_on(ts, p)[:-1]
+
+
+def ts_exponential(ts: TimeScale, p, t: float, t0: float) -> float:
     """Exponential e_p(t, t0) = prod over tau in [t0, t) of (1 + mu(tau) p(tau))."""
     ia, ib = ts.index(t0), ts.index(t)
     if ia > ib:
         raise ValueError("ts_exponential requires t0 <= t")
-    pts = ts.points
-    out = 1.0
-    for i in range(ia, ib):
-        m = pts[i + 1] - pts[i]
-        factor = 1.0 + m * p(float(pts[i]))
-        if abs(factor) <= 1e-14:
-            raise NonRegressive(f"1 + mu*p vanishes at t = {pts[i]}")
-        out *= factor
-    return out
+    factors = _regressivity_factors(ts, p)[ia:ib]
+    vanish = np.flatnonzero(np.abs(factors) <= 1e-14)
+    if vanish.size:
+        raise NonRegressive(f"1 + mu*p vanishes at t = {ts.points[ia + vanish[0]]}")
+    return math.prod(factors.tolist(), start=1.0)  # in loop order
 
 
-def is_regressive(ts: TimeScale, p: GridFunction) -> bool:
+def is_regressive(ts: TimeScale, p) -> bool:
     """True when 1 + mu(t) p(t) stays away from zero (|.| > 1e-14) on T^kappa."""
-    pts = ts.points
-    for i in range(len(pts) - 1):
-        m = pts[i + 1] - pts[i]
-        if abs(1.0 + m * p(float(pts[i]))) <= 1e-14:
-            return False
-    return True
+    return not (np.abs(_regressivity_factors(ts, p)) <= 1e-14).any()
 
 
-def is_positively_regressive(ts: TimeScale, p: GridFunction) -> bool:
+def is_positively_regressive(ts: TimeScale, p) -> bool:
     """True when 1 + mu(t) p(t) > 0 on T^kappa."""
-    pts = ts.points
-    for i in range(len(pts) - 1):
-        m = pts[i + 1] - pts[i]
-        if 1.0 + m * p(float(pts[i])) <= 0.0:
-            return False
-    return True
+    return not (_regressivity_factors(ts, p) <= 0.0).any()

@@ -13,6 +13,7 @@ are out of scope by design.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -270,24 +271,27 @@ class GridFunction:
         return GridFunction(self.scale, -self.values)
 
 
-def sigma(ts: TimeScale, t: float) -> float:
-    """Forward jump: next grid point; the maximum maps to itself."""
-    return ts.sigma(t)
+def values_on(ts: TimeScale, f) -> np.ndarray:
+    """Per-point data on ``ts`` as a float array of ``len(ts)`` values.
 
-
-def rho(ts: TimeScale, t: float) -> float:
-    """Backward jump: previous grid point; the minimum maps to itself."""
-    return ts.rho(t)
-
-
-def mu(ts: TimeScale, t: float) -> float:
-    """Graininess mu(t) = sigma(t) - t (zero at the maximum)."""
-    return ts.mu(t)
-
-
-def nu_backward(ts: TimeScale, t: float) -> float:
-    """Backward graininess nu(t) = t - rho(t) (zero at the minimum)."""
-    return ts.nu(t)
+    ``f`` may be a GridFunction on ``ts`` (its values are used as they are), a
+    GridFunction on another scale (read at the points of ``ts`` through its own
+    grid, so NotOnGrid where it has no value), a callable of t, a number, or
+    ``len(ts)`` values.  Anything else raises ValueError.
+    """
+    if isinstance(f, GridFunction) and (f.scale is ts or f.scale == ts):
+        return f.values
+    if callable(f):  # a GridFunction on another scale is called through its own grid
+        return np.array([f(t) for t in ts.points], dtype=float)
+    if isinstance(f, numbers.Real):
+        return np.full(len(ts), float(f))
+    try:
+        out = np.asarray(f, dtype=float)
+    except TypeError as exc:  # complex or non-numeric entries
+        raise ValueError(f"cannot read {type(f).__name__} data as real values") from exc
+    if out.shape != (len(ts),):
+        raise ValueError(f"need {len(ts)} values for this scale, got shape {out.shape}")
+    return out
 
 
 def compose_sigma(f: GridFunction, k: int = 1) -> GridFunction:

@@ -3,7 +3,9 @@
 Covers the first-order Euler-Lagrange machinery (residuals, Legendre
 condition, multi-start solving), higher-order problems with quadratic
 Lagrangians, isoperimetric constraints with a multiplier, the Sturm-Liouville
-first eigenvalue, and the three closed-form direct methods.
+first eigenvalue, and the three closed-form direct methods.  The potential q
+and the direct-method weight phi may come in any form ``timescale.values_on``
+reads; values that are not finite raise NonFinite.
 
 Sign convention used throughout: the Euler-Lagrange residual is
 
@@ -50,6 +52,7 @@ from .timescale import (
     TimeScale,
     compose_sigma,
     higher_delta_derivative,
+    values_on,
 )
 
 # ---------------------------------------------------------------------------
@@ -501,14 +504,7 @@ def sturm_liouville_first(ts: TimeScale, q_fn) -> tuple:
     refuse_dense_beyond_cap(n, "Sturm-Liouville solver")
     pts = ts.points
     mu = np.diff(pts)
-    if isinstance(q_fn, GridFunction):
-        q = np.asarray(q_fn.values, dtype=float)
-    elif callable(q_fn):
-        q = np.array([q_fn(t) for t in pts], dtype=float)
-    else:
-        q = np.asarray(q_fn, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise NonFinite("q is not finite on the grid")
+    q = _finite_values(ts, q_fn, "q")
     m = n - 2  # unknowns y_1 .. y_{n-2}; boundary values are zero
     # J[y] sums (y_{j+1} - y_j)^2 / mu_j - mu_j q(t_j) y_{j+1}^2 over j < n - 1
     w = 1.0 / mu
@@ -539,15 +535,11 @@ def sturm_liouville_first(ts: TimeScale, q_fn) -> tuple:
 # Direct methods
 
 
-def _phi_values(ts: TimeScale, phi) -> np.ndarray:
-    if isinstance(phi, GridFunction):
-        values = np.asarray(phi.values, dtype=float)
-    elif callable(phi):
-        values = np.array([phi(t) for t in ts.points], dtype=float)
-    else:
-        values = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise NonFinite("phi is not finite on the grid")
+def _finite_values(ts: TimeScale, f, name: str) -> np.ndarray:
+    """``timescale.values_on(ts, f)``, refusing values that are not finite."""
+    values = values_on(ts, f)
+    if not np.isfinite(values).all():
+        raise NonFinite(f"{name} is not finite on the grid")
     return values
 
 
@@ -589,7 +581,7 @@ def power_functional(ts: TimeScale, phi: Callable[[float], float],
 
 def direct_solve_exp(ts: TimeScale, phi, B: float) -> DirectResult:
     """Minimize integral of phi(t) e^{y^Delta}; optimum has ln(phi) + y^Delta constant."""
-    pv = _phi_values(ts, phi)
+    pv = _finite_values(ts, phi, "phi")
     if np.any(pv[:-1] <= 0.0):
         raise NonPositivePhi("phi must be positive on T^kappa")
     pts = ts.points
@@ -603,7 +595,7 @@ def direct_solve_exp(ts: TimeScale, phi, B: float) -> DirectResult:
 
 
 def exp_functional(ts: TimeScale, phi, y: GridFunction) -> float:
-    pv = _phi_values(ts, phi)
+    pv = _finite_values(ts, phi, "phi")
     mu = np.diff(ts.points)
     v = np.diff(np.asarray(y.values, dtype=float)) / mu
     return float(np.sum(mu * pv[:-1] * np.exp(v)))
@@ -611,7 +603,7 @@ def exp_functional(ts: TimeScale, phi, y: GridFunction) -> float:
 
 def direct_solve_entropy(ts: TimeScale, phi, B: float) -> DirectResult:
     """Minimize integral of (phi + y^Delta) ln(phi + y^Delta) under y^Delta > 0."""
-    pv = _phi_values(ts, phi)
+    pv = _finite_values(ts, phi, "phi")
     pts = ts.points
     a, b = pts[0], pts[-1]
     mu = np.diff(pts)
@@ -625,7 +617,7 @@ def direct_solve_entropy(ts: TimeScale, phi, B: float) -> DirectResult:
 
 
 def entropy_functional(ts: TimeScale, phi, y: GridFunction) -> float:
-    pv = _phi_values(ts, phi)
+    pv = _finite_values(ts, phi, "phi")
     mu = np.diff(ts.points)
     v = np.diff(np.asarray(y.values, dtype=float)) / mu
     arg = pv[:-1] + v

@@ -113,6 +113,15 @@ def test_frac_sum_order_one_is_plain_sum(random_f):
         assert sum_oracle_right(f, 1.0, t) == pytest.approx(expect, abs=1e-12)
 
 
+def test_weight_tables_stay_bounded_over_many_orders():
+    # each table is grid-sized, so one per distinct order would grow without end
+    f = GridFunction(uniform(0.0, 1.0, 0.01), np.ones(101))
+    for k in range(1, 101):
+        nu = k / 101
+        left_frac_sum(f, nu, nu * 0.01)
+    assert fracvar._weights.cache_info().currsize <= 16
+
+
 def test_frac_sum_zero_function_and_errors(random_f):
     g = random_f.scale
     zero = GridFunction(g, np.zeros(len(g)))
