@@ -406,18 +406,14 @@ def _suite_gronwall_2d(rng) -> bool:
     f = rng.uniform(0.0, 1.0, (n1, n2))
     fl = f.tolist()
     slack = rng.uniform(0.0, 0.3, (n1, n2)).tolist()  # row-major, as the loop drew it
-    # u = a + the double sum of mu1 mu2 f u over j1 < i1, j2 < i2; col[j2] carries
-    # that sum's column j2 over the rows done so far
     u = [[0.0] * n2 for _ in range(n1)]
-    col = [0.0] * n2
     for i1 in range(n1):
-        acc = a_const
         for i2 in range(n2):
+            acc = a_const
+            for j1 in range(i1):
+                for j2 in range(i2):
+                    acc += mu1[j1] * mu2[j2] * fl[j1][j2] * u[j1][j2]
             u[i1][i2] = acc - slack[i1][i2]
-            acc += col[i2]
-        if i1 < n1 - 1:
-            for j2 in range(n2 - 1):
-                col[j2] += mu1[i1] * mu2[j2] * fl[i1][j2] * u[i1][j2]
     b1, b2 = inequalities.gronwall_2d_bound(ts1, ts2, lambda t1, t2: a_const, f)
     u = np.array(u).ravel()
     return _holds_pointwise(u, b1.ravel()) and _holds_pointwise(u, b2.ravel())

@@ -220,10 +220,7 @@ def jensen_certify(ts: TimeScale, F: Callable[[float], float], g,
                    weights=None, alpha: float = 1.0) -> BoundReport:
     """F(weighted diamond-alpha mean of g) vs weighted mean of F(g)."""
     gv = values_on(ts, g)
-    if weights is None:
-        hv = np.ones(len(ts))
-    else:
-        hv = np.abs(values_on(ts, weights))
+    hv = np.ones(len(ts)) if weights is None else np.abs(values_on(ts, weights))
     mu = _diamond_gaps(ts, alpha)
     mass = _diamond(mu, hv, alpha)
     if mass <= 0.0:

@@ -88,9 +88,14 @@ def generalized_polynomial_H(ts: TimeScale, k: int, t: float, s: float) -> float
     return float(vals[it])
 
 
-def _regressivity_factors(ts: TimeScale, p) -> np.ndarray:
-    """1 + mu(t) p(t) on T^kappa; p in any form ``timescale.values_on`` reads."""
-    return 1.0 + np.diff(ts.points) * values_on(ts, p)[:-1]
+def _regressivity_factors(ts: TimeScale, p, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """1 + mu(t) p(t) at ``ts.points[lo:hi]`` (T^kappa by default), reading p only there."""
+    pts = ts.points
+    hi = len(ts) - 1 if hi is None else hi
+    if lo >= hi:
+        return np.empty(0)
+    pv = values_on(TimeScale(pts[lo:hi]), p) if callable(p) else values_on(ts, p)[lo:hi]
+    return 1.0 + (pts[lo + 1:hi + 1] - pts[lo:hi]) * pv
 
 
 def ts_exponential(ts: TimeScale, p, t: float, t0: float) -> float:
@@ -98,7 +103,7 @@ def ts_exponential(ts: TimeScale, p, t: float, t0: float) -> float:
     ia, ib = ts.index(t0), ts.index(t)
     if ia > ib:
         raise ValueError("ts_exponential requires t0 <= t")
-    factors = _regressivity_factors(ts, p)[ia:ib]
+    factors = _regressivity_factors(ts, p, ia, ib)
     vanish = np.flatnonzero(np.abs(factors) <= 1e-14)
     if vanish.size:
         raise NonRegressive(f"1 + mu*p vanishes at t = {ts.points[ia + vanish[0]]}")

@@ -281,12 +281,14 @@ def values_on(ts: TimeScale, f) -> np.ndarray:
     """
     if isinstance(f, GridFunction) and (f.scale is ts or f.scale == ts):
         return f.values
-    if callable(f):  # a GridFunction on another scale is called through its own grid
-        return np.array([f(t) for t in ts.points], dtype=float)
     if isinstance(f, numbers.Real):
         return np.full(len(ts), float(f))
+    # a GridFunction on another scale is called through its own grid
+    out = np.asarray([f(t) for t in ts.points] if callable(f) else f)
     try:
-        out = np.asarray(f, dtype=float)
+        if out.dtype.kind == "c":
+            raise TypeError("complex values")
+        out = out.astype(float, copy=False)
     except TypeError as exc:  # complex or non-numeric entries
         raise ValueError(f"cannot read {type(f).__name__} data as real values") from exc
     if out.shape != (len(ts),):

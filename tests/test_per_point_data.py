@@ -5,6 +5,7 @@ result, a wrong-length array raises ValueError and a GridFunction that lives
 off the grid raises NotOnGrid."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -82,8 +83,28 @@ def test_per_point_data_forms(entry, form):
         assert _image(call(data)) == _image(call(expect))
 
 
+SPECIAL = ("ts_exponential", "is_regressive", "is_positively_regressive")
+
+
+def undefined_at_max(t):
+    """rate(t) on [0, 2), with no value at max TS = 2."""
+    return math.log(2.0 - t) + rate(t) - math.log(2.0 - t)
+
+
+# p is read only where the products need it: T^kappa, and [t0, t) = [0.5, 1.5) for e_p
+@pytest.mark.parametrize("entry, data", [
+    *((e, tsc.GridFunction.sample(TS.drop_last(), rate)) for e in SPECIAL),
+    *((e, undefined_at_max) for e in SPECIAL),
+    ("ts_exponential", tsc.GridFunction.sample(tsc.uniform(0.5, 1.25, 0.25), rate)),
+])
+def test_special_reads_p_only_where_the_product_does(entry, data):
+    call = ENTRY_POINTS[entry]
+    assert _image(call(data)) == _image(call(tsc.GridFunction.sample(TS, rate)))
+
+
 @pytest.mark.parametrize("data", [np.ones((len(TS), 1)), None, {"t": 1.0},
-                                  [1j] * len(TS), [[1.0, 2.0], [3.0]]])
+                                  [1j] * len(TS), np.full(len(TS), 1.0 + 2.0j),
+                                  lambda t: complex(t, 1.0), [[1.0, 2.0], [3.0]]])
 def test_values_on_refuses_other_data(data):
     with pytest.raises(ValueError):
         tsc.values_on(TS, data)
