@@ -87,9 +87,11 @@ def _parse_scale(text: str) -> TimeScale:
         if kind == "geometric":
             if len(args) != 3:
                 raise _ConfigError("geometric(q,kmin,kmax) takes three numbers")
+            if not (args[1].is_integer() and args[2].is_integer()):
+                raise _ConfigError(f"bad scale {text!r}; kmin and kmax must be integers")
             return timescale.geometric(args[0], int(args[1]), int(args[2]))
         return timescale.explicit(*args)
-    except (TsvarError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (TsvarError, ValueError, OverflowError) as exc:  # q**k may overflow
         raise _ConfigError(str(exc)) from exc
 
 
@@ -431,6 +433,8 @@ _SUITES = {
 
 
 def cmd_ineq_check(args) -> RunReport:
+    if args.trials < 1:
+        raise _ConfigError(f"--trials {args.trials} must be at least 1")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:

@@ -30,6 +30,9 @@ MAX_START_NUMBERS = 10**7
 # grid points a dense solver takes; the fractional operators, the largest,
 # take about 56 N^2 bytes: 0.22 GB at the cap
 MAX_DENSE_POINTS = 2001
+# multi_start keeps a root only if it differs from every earlier one by more
+# than this in the max norm
+DEDUP_TOL = 1e-6
 
 
 def refuse_dense_beyond_cap(n_points: int, solver: str) -> None:
@@ -45,9 +48,6 @@ class SolverConfig:
     seed: int = 0
     box: tuple = (-2.0, 3.0)
     tol: float = 1e-9
-    dedup_tol: float = 1e-6
-    max_iter: int = 200
-    max_halvings: int = 30
 
     def __post_init__(self):
         if not isinstance(self.starts, numbers.Integral):
@@ -290,8 +290,7 @@ def multi_start(
 
     def attempt(x0):
         try:
-            return newton_solve(fn, jac, x0, tol=cfg.tol, max_iter=cfg.max_iter,
-                                max_halvings=cfg.max_halvings)
+            return newton_solve(fn, jac, x0, tol=cfg.tol)
         except SingularJacobian:
             return "singular"
         except (NoConvergence, NonFinite, DomainError, ArithmeticError, ValueError):
@@ -309,7 +308,7 @@ def multi_start(
         if isinstance(out, str):
             saw_singular = True
             continue
-        if any(np.max(np.abs(out - s)) < cfg.dedup_tol for s in solutions):
+        if any(np.max(np.abs(out - s)) < DEDUP_TOL for s in solutions):
             continue
         solutions.append(out)
     if not solutions:

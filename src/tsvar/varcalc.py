@@ -47,13 +47,7 @@ from .solvers import (
     multi_start,
     refuse_dense_beyond_cap,
 )
-from .timescale import (
-    GridFunction,
-    TimeScale,
-    compose_sigma,
-    higher_delta_derivative,
-    values_on,
-)
+from .timescale import GridFunction, TimeScale, values_on
 
 # ---------------------------------------------------------------------------
 # Problem types
@@ -247,139 +241,131 @@ def legendre_check(p: VariationalProblem, y: GridFunction) -> LegendreReport:
 # Higher-order problems
 
 
-def _higher_order_args(p: HigherOrderProblem, values: np.ndarray) -> np.ndarray:
-    """Columns u_i = (y^{sigma^{r-i}})^{Delta^i} on the first n-r points."""
-    r = p.order
-    n = len(p.scale)
-    y = GridFunction(p.scale, values)
-    cols = []
-    for i in range(r + 1):
-        shifted = compose_sigma(y, r - i) if r - i > 0 else y
-        cols.append(higher_delta_derivative(shifted, i).values if i > 0 else shifted.values)
-    return np.column_stack([c[: n - r] for c in cols])
+def _delta_rows(x: np.ndarray, mu: np.ndarray, i: int) -> np.ndarray:
+    """Delta^i along axis 0 of x, whose rows sit at consecutive grid points.
+
+    ``mu[k]`` is the graininess at the point of row k; each application drops
+    the last row.
+    """
+    for _ in range(i):
+        gaps = mu[: len(x) - 1]
+        x = np.diff(x, axis=0)
+        x /= gaps.reshape(gaps.shape + (1,) * (x.ndim - 1))
+    return x
+
+
+def _arguments(p: HigherOrderProblem, Y: np.ndarray, mu: np.ndarray):
+    """X[i] = (y^{sigma^{r-i}})^{Delta^i} on the first n - r points, i = 0..r, in turn."""
+    for i in range(p.order + 1):
+        yield _delta_rows(Y[p.order - i:], mu, i)
+
+
+def _higher_order_system(p: HigherOrderProblem, Y: np.ndarray, lin: bool) -> np.ndarray:
+    """The stacked rows of the higher-order system for the columns of Y (or Y = y).
+
+    The rows are the Euler-Lagrange residual on [a, rho^{2r}(b)], then
+    y^{Delta^i}(a) - ya_i and y^{Delta^i}(rho^{r-1}(b)) - yb_i for each i < r.
+    A quadratic L makes them affine in y; the constant part (c and the
+    boundary data) enters only when ``lin`` is true, so Y = I with lin false
+    gives the matrix and Y = 0 with lin true the constant.
+    """
+    a1, _ = p.scale.hypothesis_h()  # HigherOrderProblem checked (H) and the grid size
+    r, n = p.order, len(p.scale)
+    mu = np.diff(p.scale.points)
+    Y = np.asarray(Y, dtype=float)
+    # sum_k w_k (L_{u_k})^{Delta^k} with L_{u_k} = 2 sum_i Q[k, i] X[i] + c_k.
+    # Each X[i] is carried through Delta^k for every k in turn, so Y = I needs
+    # a few N x N arrays whatever the order.  Delta^k of the constant c_k
+    # vanishes for k > 0, and w_0 = 1.
+    weights = [(-1.0) ** k * (1.0 / a1) ** ((k - 1) * k // 2) for k in range(r + 1)]
+    el = np.full((n - 2 * r,) + Y.shape[1:], p.L.lin[0] if lin else 0.0)
+    for i, D in enumerate(_arguments(p, Y, mu)):
+        for k in range(r + 1):
+            if k:
+                D = _delta_rows(D, mu, 1)
+            el += 2.0 * weights[k] * p.L.quad[k, i] * D[: n - 2 * r]
+    rows = [el]
+    for i in range(r):
+        rows.append(_delta_rows(Y[: i + 1], mu, i)[:1] - lin * p.ya[i])
+        rows.append(_delta_rows(Y[n - r: n - r + i + 1], mu[n - r:], i)[:1] - lin * p.yb[i])
+    return np.concatenate(rows)
 
 
 def el_residual_higher(p: HigherOrderProblem, y: GridFunction) -> GridFunction:
     """Sum of (-1)^i (1/a1)^{i(i-1)/2} (L_{u_i})^{Delta^i} on [a, rho^{2r}(b)]."""
-    a1, _ = p.scale.hypothesis_h()  # HigherOrderProblem checked (H) and the grid size
-    r = p.order
-    n = len(p.scale)
-    X = _higher_order_args(p, np.asarray(y.values, dtype=float))
-    grads = 2.0 * X @ p.L.quad + p.L.lin  # row j holds L_{u_i} at t_j
-    inner = p.scale.drop_last(r)
-    total = np.zeros(n - 2 * r)
-    for i in range(r + 1):
-        term = GridFunction(inner, grads[:, i].copy())
-        if i > 0:
-            term = higher_delta_derivative(term, i)
-        weight = (-1.0) ** i * (1.0 / a1) ** ((i - 1) * i // 2)
-        total += weight * term.values[: n - 2 * r]
-    return GridFunction(p.scale.drop_last(2 * r), total)
+    m = len(p.scale) - 2 * p.order
+    return GridFunction(p.scale.drop_last(2 * p.order),
+                        _higher_order_system(p, y.values, lin=True)[:m])
 
 
 def functional_value_higher(p: HigherOrderProblem, y: GridFunction) -> float:
-    r = p.order
-    n = len(p.scale)
-    X = _higher_order_args(p, np.asarray(y.values, dtype=float))
-    mu = np.diff(p.scale.points)[: n - r]
-    return float(sum(mu[j] * p.L.value(X[j]) for j in range(n - r)))
-
-
-def _boundary_rows_higher(p: HigherOrderProblem, values: np.ndarray) -> np.ndarray:
-    """Residuals of y^{Delta^i}(a) = ya_i and y^{Delta^i}(rho^{r-1}(b)) = yb_i."""
-    r = p.order
-    n = len(p.scale)
-    y = GridFunction(p.scale, values)
-    rows = []
-    for i in range(r):
-        d = higher_delta_derivative(y, i) if i > 0 else y
-        rows.append(d.values[0] - p.ya[i])
-        rows.append(d.values[n - r] - p.yb[i])
-    return np.array(rows)
+    mu = np.diff(p.scale.points)
+    X = np.array(list(_arguments(p, np.asarray(y.values, dtype=float), mu)))
+    return float(mu[: X.shape[1]] @ (np.sum(X * (p.L.quad @ X), axis=0) + p.L.lin @ X))
 
 
 # ---------------------------------------------------------------------------
 # Solving
 
 
-def _candidate_from_values(p, full_values: np.ndarray, residual: np.ndarray,
-                           multiplier: Optional[float] = None) -> ExtremalCandidate:
-    y = GridFunction(p.scale, full_values.copy())
-    if isinstance(p, HigherOrderProblem):
-        fval = functional_value_higher(p, y)
-        # Legendre is a first-order notion; report trivially true margins.
-        margins = GridFunction(p.scale.drop_last(1), np.zeros(len(p.scale) - 1))
-        leg_ok = True
-    else:
-        fval = functional_value(p, y)
-        report = legendre_check(_as_variational(p), y)
-        margins = report.margins
-        leg_ok = report.ok
-    return ExtremalCandidate(
-        y=y,
-        residual_norm=float(np.linalg.norm(residual)),
-        legendre_ok=leg_ok,
-        margins=margins,
-        functional_value=fval,
-        multiplier=multiplier,
-    )
-
-
-def _as_variational(p) -> VariationalProblem:
-    if isinstance(p, VariationalProblem):
-        return p
-    return VariationalProblem(p.scale, p.L, p.A, p.B)
-
-
 def solve_el(p: Union[VariationalProblem, HigherOrderProblem],
              config: Optional[SolverConfig] = None) -> list:
-    """Multi-start Newton on the discrete stationarity system.
+    """The extremals of the discrete stationarity system, as ExtremalCandidates.
 
-    Returns deduplicated ExtremalCandidates sorted by functional value.  The
-    first-order system is tridiagonal and costs O(N) per Newton step; the
-    higher-order one is solved dense and refuses more than
+    A first-order problem runs multi-start Newton and returns deduplicated
+    candidates sorted by functional value; its system is tridiagonal and
+    costs O(N) per Newton step.  A higher-order problem is affine in y: its
+    matrix and constant part are assembled once and solved with one LAPACK
+    call, so ``config`` is unused there and the one candidate comes back as
+    a one-element list (SingularJacobian when the matrix is singular).  Its
+    Legendre margins are trivially true, Legendre being a first-order
+    notion.  The higher-order system is dense and refuses more than
     ``solvers.MAX_DENSE_POINTS`` points with a ValueError.
     """
-    cfg = config or SolverConfig()
+    n = len(p.scale)
     if isinstance(p, HigherOrderProblem):
-        n = len(p.scale)
         refuse_dense_beyond_cap(n, "higher-order solver")
+        J = _higher_order_system(p, np.eye(n), lin=False)
+        r0 = _higher_order_system(p, np.zeros(n), lin=True)
+        try:
+            x = np.linalg.solve(J, -r0)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(f"higher-order system: {exc}") from exc
+        if not np.isfinite(x).all():
+            raise SingularJacobian("higher-order system: non-finite solution")
+        y = GridFunction(p.scale, x)
+        return [ExtremalCandidate(
+            y=y,
+            residual_norm=float(np.linalg.norm(el_residual_higher(p, y).values)),
+            legendre_ok=True,
+            margins=GridFunction(p.scale.drop_last(1), np.zeros(n - 1)),
+            functional_value=functional_value_higher(p, y),
+        )]
 
-        def residual_map(x):
-            res = el_residual_higher(p, GridFunction(p.scale, x)).values
-            return np.concatenate([res, _boundary_rows_higher(p, x)])
+    def assemble(interior):
+        full = np.empty(n)
+        full[0] = p.A
+        full[-1] = p.B
+        full[1:-1] = interior
+        return full
 
-        # a quadratic L makes the system affine, so its Jacobian is the constant
-        # linear part: column i is the image of the i-th unit vector minus that of 0
-        r0 = residual_map(np.zeros(n))
-        J = np.column_stack([residual_map(e) - r0 for e in np.eye(n)])
-        sols = multi_start(residual_map, lambda x: J, n, cfg)
-        out = []
-        for x in sols:
-            res = el_residual_higher(p, GridFunction(p.scale, x)).values
-            out.append(_candidate_from_values(p, x, res))
-    else:
-        n = len(p.scale)
+    def residual_map(interior):
+        return el_residual(p, GridFunction(p.scale, assemble(interior))).values
 
-        def assemble(interior):
-            full = np.empty(n)
-            full[0] = p.A
-            full[-1] = p.B
-            full[1:-1] = interior
-            return full
+    def jacobian(interior):
+        return _el_jacobian(p.L, p.scale, assemble(interior))
 
-        def residual_map(interior):
-            return el_residual(p, GridFunction(p.scale, assemble(interior))).values
-
-        def jacobian(interior):
-            return _el_jacobian(p.L, p.scale, assemble(interior))
-
-        sols = multi_start(residual_map, jacobian, n - 2, cfg)
-        out = []
-        for x in sols:
-            full = assemble(x)
-            res = el_residual(p, GridFunction(p.scale, full)).values
-            out.append(_candidate_from_values(p, full, res))
+    out = []
+    for x in multi_start(residual_map, jacobian, n - 2, config or SolverConfig()):
+        y = GridFunction(p.scale, assemble(x))
+        report = legendre_check(p, y)
+        out.append(ExtremalCandidate(
+            y=y,
+            residual_norm=float(np.linalg.norm(el_residual(p, y).values)),
+            legendre_ok=report.ok,
+            margins=report.margins,
+            functional_value=functional_value(p, y),
+        ))
     out.sort(key=lambda c: c.functional_value)
     return out
 

@@ -185,6 +185,15 @@ b = 1
     assert "bad scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", ["geometric(2, 0.5, 4)", "geometric(2, 0, 4.9)"])
+def test_var_solve_fractional_geometric_exponents_exit_2(tmp_path, capsys, scale):
+    # int() would truncate them and solve on another scale
+    config = write_config(tmp_path, f"[scale]\nscale = {scale}\n\n"
+                          "[problem]\nlagrangian = v^2\na = 0\nb = 1\n")
+    assert run_cli(["var-solve", "--config", config]) == 2
+    assert "kmin and kmax must be integers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scale", ["uniform(0,1,1e-9)", "geometric(2,0,1e9)",
                                    "geometric(2,0,1e400)"])
 def test_var_solve_scale_beyond_the_point_cap_exits_2(tmp_path, capsys, scale):
@@ -255,6 +264,14 @@ def test_ineq_check_small_runs(capsys):
     for name in ("holder", "cauchy-schwarz", "minkowski", "gronwall",
                  "comparison", "gronwall2d"):
         assert f"suite {name}: 8/8 hold" in out
+
+
+@pytest.mark.parametrize("trials", ["-5", "0"])
+def test_ineq_check_without_trials_is_a_config_error(capsys, trials):
+    # a suite of no trials certifies nothing; exit 1 would read as a failed run
+    assert run_cli(["ineq-check", "--suite", "jensen", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and "hold" not in captured.out
 
 
 @pytest.mark.parametrize("name", ["directZ", "jensen-counterexample",

@@ -1,11 +1,12 @@
 """Exact Newton Jacobians against forward differences, and the gradient identity.
 
-Every stationarity system hands ``multi_start`` its residual together with an
-exact Jacobian.  The reference here is the forward-difference Jacobian with
-steps sqrt(eps) * max(1, |x_i|), whose own error is about 1e-8 relative, so
-the comparisons use 1e-6 relative to the largest entry.  The systems are
-captured from the public solvers by replacing ``multi_start`` in the solver's
-module.
+Every Newton-solved stationarity system hands ``multi_start`` its residual
+together with an exact Jacobian; the affine higher-order system hands
+``np.linalg.solve`` its matrix.  The reference here is the forward-difference
+Jacobian with steps sqrt(eps) * max(1, |x_i|), whose own error is about 1e-8
+relative, so the comparisons use 1e-6 relative to the largest entry.  The
+systems are captured from the public solvers by replacing ``multi_start`` in
+the solver's module, or ``np.linalg.solve``.
 """
 
 import math
@@ -157,12 +158,34 @@ def test_isoperimetric_bordered_jacobian_matches_forward_differences(monkeypatch
 
 
 def test_higher_order_jacobian_matches_forward_differences(monkeypatch):
+    # the system is affine: solve_el hands LAPACK its matrix and the negated
+    # rows at y = 0, captured here in place of the one linear solve
     rng = np.random.default_rng(31)
     M = rng.standard_normal((3, 3))
     L = QuadraticLagrangian(M @ M.T, rng.standard_normal(3))
     p = HigherOrderProblem(tsc.geometric(1.5, 0, 7), 2, L, (0.0, 1.0), (2.0, -1.0))
-    fn, jac, n = capture_system(monkeypatch, varcalc, lambda: solve_el(p))
-    check_at_random_points(fn, jac, n, seed=37)
+    seen = {}
+
+    def spy(A, b):
+        seen.update(A=A, b=b)
+        raise _Captured
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    with pytest.raises(_Captured):
+        solve_el(p)
+    n = len(p.scale)
+
+    def rows(x):
+        """The Euler-Lagrange rows, then y^{Delta^i} - ya_i at a and - yb_i at rho(b)."""
+        y = tsc.GridFunction(p.scale, x)
+        ends = []
+        for i in range(2):
+            d = tsc.higher_delta_derivative(y, i).values
+            ends += [d[0] - p.ya[i], d[n - 2] - p.yb[i]]
+        return np.concatenate([varcalc.el_residual_higher(p, y).values, ends])
+
+    assert_close(-seen["b"], rows(np.zeros(n)))
+    check_at_random_points(rows, lambda x: seen["A"], n, seed=37)
 
 
 def test_constraint_gradient_matches_forward_differences(monkeypatch):

@@ -1,5 +1,6 @@
 """Newton, multi-start, quadrature, inversion, and the Jacobi eigensolver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -162,6 +163,12 @@ def test_solver_config_refuses_starts_and_seeds_that_are_not_integers(setting):
     # int() would truncate 2.5 and overflow on inf; SolverConfig takes neither
     with pytest.raises(ValueError, match=f"solver {next(iter(setting))} = "):
         SolverConfig(**setting)
+
+
+def test_solver_config_has_only_the_validated_fields():
+    # every field is checked in __post_init__; Newton's iteration limits and
+    # the dedup distance are fixed in solvers, not per config
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["starts", "seed", "box", "tol"]
 
 
 @pytest.mark.parametrize("starts, n_unknowns", [(10**7 + 1, 1), (10**6, 11), (10**30, 3)])

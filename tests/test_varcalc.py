@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tsvar import dsl, solvers
+from tsvar import dsl, solvers, varcalc
 from tsvar import timescale as tsc
 from tsvar.errors import (
     DomainError,
@@ -37,6 +37,7 @@ from tsvar.varcalc import (
     entropy_functional,
     exp_functional,
     functional_value,
+    functional_value_higher,
     legendre_check,
     power_functional,
     solve_el,
@@ -225,6 +226,89 @@ def test_higher_order_preconditions():
     with pytest.raises(HypothesisHViolated):
         HigherOrderProblem(tsc.explicit(0.0, 0.1, 0.5, 0.6, 1.3, 2.0), 2,
                            quad_L_u2_squared(), (0.0, 0.0), (1.0, 0.0))
+
+
+def reference_higher_order(p, y):
+    """el_residual_higher and functional_value_higher by the definitions: the
+    arguments (y^{sigma^{r-i}})^{Delta^i} and the derivatives of L_{u_i} each
+    on its own sub-scale, through compose_sigma and higher_delta_derivative."""
+    a1, _ = p.scale.hypothesis_h()
+    r, n = p.order, len(p.scale)
+    X = np.column_stack([
+        tsc.higher_delta_derivative(tsc.compose_sigma(y, r - i), i).values[: n - r]
+        for i in range(r + 1)])
+    grads = 2.0 * X @ p.L.quad + p.L.lin
+    inner = p.scale.drop_last(r)
+    res = np.zeros(n - 2 * r)
+    for i in range(r + 1):
+        term = tsc.higher_delta_derivative(tsc.GridFunction(inner, grads[:, i].copy()), i)
+        res += (-1.0) ** i * (1.0 / a1) ** ((i - 1) * i // 2) * term.values[: n - 2 * r]
+    mu = np.diff(p.scale.points)
+    F = sum(mu[j] * p.L.value(X[j]) for j in range(n - r))
+    return res, F
+
+
+def random_higher_order_problem(rng, scale, r):
+    M = rng.standard_normal((r + 1, r + 1))
+    L = QuadraticLagrangian(M @ M.T, rng.standard_normal(r + 1))
+    return HigherOrderProblem(scale, r, L, rng.standard_normal(r), rng.standard_normal(r))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("scale", [tsc.uniform(0.0, 2.0, 0.125), tsc.uniform(-1.0, 1.0, 0.25),
+                                   tsc.geometric(1.5, 0, 9), tsc.geometric(2.0, -3, 6)],
+                         ids=["uniform-h", "uniform-quarter", "geometric-1.5", "geometric-2"])
+def test_higher_order_residual_and_functional_match_the_definitions(scale, r):
+    rng = np.random.default_rng(43 + r)
+    for _ in range(3):
+        p = random_higher_order_problem(rng, scale, r)
+        y = tsc.GridFunction(scale, rng.uniform(-2.0, 2.0, len(scale)))
+        ref_res, ref_F = reference_higher_order(p, y)
+        res = el_residual_higher(p, y)
+        assert len(res.scale) == len(scale) - 2 * r
+        assert np.max(np.abs(res.values - ref_res)) <= 1e-12 * np.max(np.abs(ref_res))
+        assert functional_value_higher(p, y) == pytest.approx(ref_F, rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.02, 0.01], ids=["51-points", "101-points"])
+def test_higher_order_solve_recovers_a_cubic_on_a_fine_grid(h):
+    # rounding alone leaves a residual of about 1e-7 at the exact cubic, which
+    # the multi-start Newton solver this replaced could not get below 1e-9
+    g = tsc.uniform(0.0, 1.0, h)
+    cubic = lambda t: t ** 3 - 2.0 * t ** 2 + 3.0 * t - 1.0
+    ya, yb = sample_derivative_boundaries(g, cubic, 2)
+    (cand,) = solve_el(HigherOrderProblem(g, 2, quad_L_u2_squared(), ya, yb))
+    assert_allclose(cand.y.values, [cubic(t) for t in g.points], rtol=0, atol=1e-8)
+
+
+def test_higher_order_solve_refuses_a_singular_system():
+    # L = 0: every y with the boundary data is stationary
+    L = QuadraticLagrangian(np.zeros((3, 3)), np.zeros(3))
+    p = HigherOrderProblem(tsc.uniform(0.0, 2.0, 0.25), 2, L, (0.0, 1.0), (1.0, 0.0))
+    with pytest.raises(SingularJacobian):
+        solve_el(p)
+
+
+def test_higher_order_solve_is_one_linear_solve(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the higher-order solve is not iterative")
+
+    monkeypatch.setattr(varcalc, "multi_start", never)
+    monkeypatch.setattr(solvers, "newton_solve", never)
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counted_solve(A, b):
+        solves.append(A.shape)
+        return real_solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    g = tsc.geometric(2.0, 0, 8)
+    p = HigherOrderProblem(g, 2, quad_L_u2_squared(), (0.0, 1.0), (2.0, -1.0))
+    (cand,) = solve_el(p, SolverConfig(starts=1, seed=5))
+    assert solves == [(9, 9)]
+    assert cand.legendre_ok and not np.any(cand.margins.values)
+    assert cand.functional_value == functional_value_higher(p, cand.y)
 
 
 def _dense_reference_pair(p):
