@@ -87,9 +87,7 @@ def _parse_scale(text: str) -> TimeScale:
         if kind == "geometric":
             if len(args) != 3:
                 raise _ConfigError("geometric(q,kmin,kmax) takes three numbers")
-            if not (args[1].is_integer() and args[2].is_integer()):
-                raise _ConfigError(f"bad scale {text!r}; kmin and kmax must be integers")
-            return timescale.geometric(args[0], int(args[1]), int(args[2]))
+            return timescale.geometric(*args)
         return timescale.explicit(*args)
     except (TsvarError, ValueError, OverflowError) as exc:  # q**k may overflow
         raise _ConfigError(str(exc)) from exc
@@ -303,7 +301,8 @@ def _random_scale(rng, n_min=3, n_max=9, step_lo=0.1, step_hi=1.0) -> TimeScale:
     start = float(rng.uniform(-2.0, 2.0))
     offsets = np.zeros(n)
     rng.uniform(step_lo, step_hi, n - 1).cumsum(out=offsets[1:])
-    return TimeScale(start + offsets)
+    # no suite reads kind, step or ratio, so the scale skips kind detection
+    return TimeScale(start + offsets, kind=timescale.KIND_EXPLICIT)
 
 
 def _holds_pointwise(values: np.ndarray, bound: np.ndarray) -> bool:
@@ -408,14 +407,20 @@ def _suite_gronwall_2d(rng) -> bool:
     f = rng.uniform(0.0, 1.0, (n1, n2))
     fl = f.tolist()
     slack = rng.uniform(0.0, 0.3, (n1, n2)).tolist()  # row-major, as the loop drew it
-    u = [[0.0] * n2 for _ in range(n1)]
+    # u[i1][i2] = a + (sum over j1 < i1, j2 < i2 of mu1 mu2 f u) - slack, summed
+    # row j1 by row j1 and along each row by j2: acc[i2] carries that sum from
+    # row i1 to row i1 + 1, so every point adds the same terms in the same
+    # order as a fresh double sum
+    acc = [a_const] * n2
+    u = []
     for i1 in range(n1):
-        for i2 in range(n2):
-            acc = a_const
-            for j1 in range(i1):
-                for j2 in range(i2):
-                    acc += mu1[j1] * mu2[j2] * fl[j1][j2] * u[j1][j2]
-            u[i1][i2] = acc - slack[i1][i2]
+        row = [acc_i2 - slack_i2 for acc_i2, slack_i2 in zip(acc, slack[i1])]
+        u.append(row)
+        if i1 < n1 - 1:
+            for j2 in range(n2 - 1):
+                term = mu1[i1] * mu2[j2] * fl[i1][j2] * row[j2]
+                for i2 in range(j2 + 1, n2):
+                    acc[i2] += term
     b1, b2 = inequalities.gronwall_2d_bound(ts1, ts2, lambda t1, t2: a_const, f)
     u = np.array(u).ravel()
     return _holds_pointwise(u, b1.ravel()) and _holds_pointwise(u, b2.ravel())

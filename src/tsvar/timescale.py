@@ -61,7 +61,9 @@ class TimeScale:
     points : np.ndarray
         Strictly increasing grid points.
     kind : str
-        One of ``uniform`` / ``geometric`` / ``explicit``.
+        One of ``uniform`` / ``geometric`` / ``explicit``.  ``auto`` detects
+        it; a declared ``explicit`` skips detection, so step and ratio stay
+        None even for evenly spaced points.
     step : float or None
         Common step h for uniform scales.
     ratio : float or None
@@ -83,7 +85,10 @@ class TimeScale:
             raise ValueError("time scale points must be strictly increasing")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        detected, h, q = _detect_kind(pts, gaps)
+        if kind == KIND_EXPLICIT:  # declared: no step or ratio is looked for
+            detected, h, q = KIND_EXPLICIT, None, None
+        else:
+            detected, h, q = _detect_kind(pts, gaps)
         if kind == "auto":
             kind = detected
         elif kind == KIND_UNIFORM and detected != KIND_UNIFORM:
@@ -120,6 +125,8 @@ class TimeScale:
         """Index of the grid point equal to ``t`` within relative tolerance 1e-9."""
         pts = self.points
         i = int(np.searchsorted(pts, t))
+        if i < len(pts) and pts[i] == t:
+            return i
         best, dist = -1, math.inf
         for j in (i - 1, i, i + 1):
             if 0 <= j < len(pts) and abs(pts[j] - t) < dist:
@@ -192,10 +199,19 @@ def uniform(a: float, b: float, h: float) -> TimeScale:
     return TimeScale(pts, kind=KIND_UNIFORM)
 
 
+def _whole(k, name: str) -> int:
+    """``k`` as an int if it is a whole number (an int or an integral float)."""
+    if isinstance(k, numbers.Integral) or (isinstance(k, numbers.Real)
+                                           and float(k).is_integer()):
+        return int(k)
+    raise ValueError(f"kmin and kmax must be integers, got {name} = {k!r}")
+
+
 def geometric(q: float, kmin: int, kmax: int) -> TimeScale:
-    """Geometric scale {q^k : kmin <= k <= kmax}, q > 1."""
+    """Geometric scale {q^k : kmin <= k <= kmax}, q > 1; whole-float exponents are accepted."""
     if q <= 1:
         raise ValueError("ratio q must exceed 1")
+    kmin, kmax = _whole(kmin, "kmin"), _whole(kmax, "kmax")
     if kmax - kmin < 1:
         raise ValueError("need at least two exponents")
     if kmax - kmin >= MAX_POINTS:

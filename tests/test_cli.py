@@ -266,6 +266,17 @@ def test_ineq_check_small_runs(capsys):
         assert f"suite {name}: 8/8 hold" in out
 
 
+def test_ineq_check_builds_its_scales_without_kind_detection(monkeypatch, capsys):
+    # no suite reads a kind, step or ratio, so its random scales are declared explicit
+    def no_detection(points, gaps):
+        raise AssertionError("kind detection ran")
+
+    monkeypatch.setattr(cli.timescale, "_detect_kind", no_detection)
+    assert run_cli(["ineq-check", "--suite", "all", "--trials", "20",
+                    "--seed", "0"]) == 0
+    assert capsys.readouterr().out.count("20/20 hold") == len(cli._SUITES)
+
+
 @pytest.mark.parametrize("trials", ["-5", "0"])
 def test_ineq_check_without_trials_is_a_config_error(capsys, trials):
     # a suite of no trials certifies nothing; exit 1 would read as a failed run

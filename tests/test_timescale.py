@@ -131,6 +131,95 @@ def test_constructor_error_messages(points, message):
         ts.TimeScale(points)
 
 
+def _no_detection(points, gaps):
+    raise AssertionError("kind detection ran for a declared explicit scale")
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param([0.0, 0.5, 1.0, 1.5], id="uniform-looking"),
+    pytest.param([1.0, 2.0, 4.0, 8.0], id="geometric-looking"),
+])
+def test_declared_explicit_scale_skips_kind_detection(monkeypatch, points):
+    assert ts.TimeScale(points).kind != "explicit"  # detection would find a kind
+    monkeypatch.setattr(ts, "_detect_kind", _no_detection)
+    g = ts.TimeScale(points, kind="explicit")
+    assert (g.kind, g.step, g.ratio) == ("explicit", None, None)
+    assert g.hypothesis_h() is None
+    assert_allclose(g.points, points)
+
+
+@pytest.mark.parametrize("points, message", [
+    pytest.param([0.0, math.nan, 1.0], "finite", id="nan"),
+    pytest.param([0.0, 1.0, math.inf], "finite", id="inf"),
+    pytest.param([0.0, 1.0, 1.0], "strictly increasing", id="repeated"),
+    pytest.param([0.0, 2.0, 1.0], "strictly increasing", id="decreasing"),
+])
+def test_declared_explicit_scale_still_checks_its_points(monkeypatch, points, message):
+    monkeypatch.setattr(ts, "_detect_kind", _no_detection)
+    with pytest.raises(ValueError, match=message):
+        ts.TimeScale(points, kind="explicit")
+
+
+@pytest.mark.parametrize("args, points", [
+    pytest.param((2.0, 0, 3.0), [1.0, 2.0, 4.0, 8.0], id="whole-float-kmax"),
+    pytest.param((2, -2.0, 1), [0.25, 0.5, 1.0, 2.0], id="whole-float-kmin"),
+    pytest.param((3, np.int64(0), np.float64(2)), [1.0, 3.0, 9.0], id="numpy-scalars"),
+])
+def test_geometric_accepts_whole_float_exponents(args, points):
+    g = ts.geometric(*args)
+    assert g.kind == "geometric"
+    assert_allclose(g.points, points, rtol=1e-15)
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param((2, 0.5, 4), id="fractional-kmin"),
+    pytest.param((2, 0, 3.5), id="fractional-kmax"),
+    pytest.param((2, 0, math.inf), id="infinite"),
+    pytest.param((2, math.nan, 3), id="nan"),
+    pytest.param((2, "0", 3), id="string"),
+])
+def test_geometric_refuses_exponents_that_are_not_whole(args):
+    with pytest.raises(ValueError, match="kmin and kmax must be integers"):
+        ts.geometric(*args)
+
+
+def test_index_of_exact_grid_points():
+    g = ts.explicit(-1.5, 0.0, 0.25, 2.0, 7.0)
+    for i, t in enumerate(g.points):
+        assert g.index(t) == i
+        assert g.index(float(t)) == i
+    assert g.index(-1.5) == 0 and g.index(7) == len(g) - 1
+    one = ts.TimeScale([3.5])
+    assert one.index(3.5) == 0
+    with pytest.raises(NotOnGrid):
+        one.index(3.6)
+
+
+@pytest.mark.parametrize("scale", [
+    pytest.param(ts.explicit(-1.5, 0.0, 0.25, 2.0, 7.0), id="explicit"),
+    pytest.param(ts.uniform(100.0, 101.0, 0.01), id="fine-uniform"),
+    pytest.param(ts.geometric(1.5, -4, 6), id="geometric"),
+])
+def test_index_of_near_hits_resolves_to_the_nearest_point(scale):
+    pts = scale.points
+    for i, t in enumerate(pts):
+        tol = 1e-9 * max(1.0, abs(t))
+        for off in (0.4 * tol, -0.4 * tol):
+            near = float(t) + off
+            if near == t:
+                continue  # the offset is below the spacing of floats here
+            assert near in scale
+            assert scale.index(near) == i
+
+
+def test_index_of_off_grid_values_raises():
+    g = ts.explicit(-1.5, 0.0, 0.25, 2.0, 7.0)
+    for t in (-2.0, -1.5 - 1e-6, 0.1, 0.25 + 3e-9, 7.0 + 1e-6, 100.0, math.nan):
+        assert t not in g
+        with pytest.raises(NotOnGrid):
+            g.index(t)
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: ts.uniform(0.0, 1.0, 1e-9), id="uniform-1e9"),
     pytest.param(lambda: ts.uniform(0.0, 1.0, 1e-320), id="uniform-inf-steps"),
