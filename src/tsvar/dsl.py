@@ -308,6 +308,8 @@ def ensure_expr(e) -> Expr:
 
 # Hessian rows (uu, uv, uw, vv, vw, ww) as pairs of gradient rows
 _PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+# entry (a, b) of the symmetric 3 x 3 Hessian is Hessian row HESS_INDEX[a, b]
+HESS_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 class Jet2:
@@ -325,7 +327,7 @@ class Jet2:
         self.hess = hess
 
     def hess_matrix(self) -> np.ndarray:
-        return self.hess[[0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape((3, 3) + self.hess.shape[1:])
+        return self.hess[HESS_INDEX]
 
     def __repr__(self):
         return f"Jet2(value={self.value}, grad={self.grad}, hess={self.hess})"
@@ -567,16 +569,29 @@ class _Compiler:
 _PROGRAMS = {}
 
 
-def _run(e: Expr, order: int, t, u, v, w) -> np.ndarray:
+def program(e: Expr, order: int):
+    """The compiled program of ``e`` at ``order`` (0, 1 or 2), built once.
+
+    ``program(e, order)(t, u, v, w, shape)`` takes float arrays that broadcast
+    to ``shape`` and returns 1, 4 or 10 rows of that shape: the value, then the
+    gradient and Hessian rows (``Jet2``'s order).  It raises DomainError as the
+    ``eval_*`` functions do, but runs under the caller's ``np.errstate``: a
+    caller that wants overflow to give inf silently, as they do, sets
+    ``np.errstate(all="ignore")`` itself.
+    """
     programs = _PROGRAMS.get(id(e))
     if programs is None:
         programs = _PROGRAMS[id(e)] = [None, None, None]
         weakref.finalize(e, _PROGRAMS.pop, id(e), None)
     if programs[order] is None:
         programs[order] = _Compiler(order).compile(e)
+    return programs[order]
+
+
+def _run(e: Expr, order: int, t, u, v, w) -> np.ndarray:
     t, u, v, w = [np.asarray(x, dtype=float) for x in (t, u, v, w)]
     with np.errstate(all="ignore"):  # overflow gives inf, as float arithmetic does
-        return programs[order](t, u, v, w, np.broadcast(t, u, v, w).shape)
+        return program(e, order)(t, u, v, w, np.broadcast(t, u, v, w).shape)
 
 
 def eval_value(e: Expr, t, u=0.0, v=0.0, w=0.0):

@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dsl import Expr, ensure_expr, eval_grad, eval_jet2
+from .dsl import HESS_INDEX, Expr, ensure_expr, eval_grad, eval_jet2, program
 from .errors import DomainError, InvalidAlpha, OffDomain, OrderNotPositive
 from .solvers import SolverConfig, multi_start, refuse_dense_beyond_cap
 from .special import gamma_fn, h_factorial
@@ -421,17 +421,22 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     def arguments(x):
         return (t, *(A @ assemble(x)).reshape(m, 3).T)
 
-    # Newton calls the Jacobian only at its latest successful residual point, so
-    # the residual keeps its jet there (gradient rows bit-equal to eval_grad's).
-    kept = [None, None]  # [x, jet of L at x]
+    # The residual runs L's compiled programs directly: multi_start has set
+    # np.errstate, and the arguments are float arrays of shape (m,).  Newton
+    # calls the Jacobian only at its latest successful residual point, so the
+    # residual keeps its jet rows there (gradient rows bit-equal to eval_grad's).
+    jet2, jet1 = program(p.L, 2), program(p.L, 1)
+    hessian = 4 + HESS_INDEX  # rows of the jet holding each Hessian entry
+    kept = [None, None]  # [x, jet rows of L at x]
 
     def residual_map(x):
+        args = arguments(x)
         try:
-            kept[:] = x, eval_jet2(p.L, *arguments(x))
-            grad = kept[1].grad
+            kept[:] = x, jet2(*args, (m,))
+            grad = kept[1][1:4]
         except DomainError:  # L may have a gradient but no Hessian here
             kept[:] = None, None
-            grad = eval_grad(p.L, *arguments(x))[1:]
+            grad = jet1(*args, (m,))[1:]
         rows = [C_interior @ grad.T.ravel()]
         if free_left or free_right:
             left, right = natural_bc_residuals(p, GridFunction(scale, assemble(x)))
@@ -442,8 +447,8 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
         return np.concatenate(rows)
 
     def jacobian(x):
-        jet = kept[1] if kept[0] is x else eval_jet2(p.L, *arguments(x))
-        H = jet.hess_matrix().transpose(2, 0, 1)
+        jet = kept[1] if kept[0] is x else jet2(*arguments(x), (m,))
+        H = jet.T[:, hessian]  # (m, 3, 3), point-major like A
         return C @ (H @ A_unknown).reshape(3 * m, n_unknowns)
 
     sols = multi_start(residual_map, jacobian, n_unknowns, cfg)
@@ -451,7 +456,8 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     for x in sols:
         full = assemble(x)
         y = GridFunction(scale, full)
-        res = residual_map(x)
+        with np.errstate(all="ignore"):  # as in multi_start: overflow gives inf
+            res = residual_map(x)
         report = legendre_frac_check(p, y)
         out.append(ExtremalCandidate(
             y=y,

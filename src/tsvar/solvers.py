@@ -250,9 +250,11 @@ def newton_solve(
                 r_try = np.asarray(fn(x_try), dtype=float)
             except (ArithmeticError, ValueError, DomainError):
                 r_try = None
-            if r_try is not None and np.isfinite(r_try).all():
+            if r_try is not None:
+                # a NaN or infinite entry makes the norm NaN or inf, and so
+                # does a finite residual whose norm overflows: all rejected
                 rnorm_try = math.sqrt(r_try @ r_try)
-                if rnorm_try < rnorm or rnorm_try <= tol:
+                if math.isfinite(rnorm_try) and (rnorm_try < rnorm or rnorm_try <= tol):
                     x, r, rnorm = x_try, r_try, rnorm_try
                     accepted = True
                     break
@@ -300,19 +302,17 @@ def multi_start(
     # is just a failed one, not worth a warning
     with np.errstate(all="ignore"):
         outcomes = [attempt(x0) for x0 in starts]
+    roots = [out for out in outcomes if isinstance(out, np.ndarray)]
+    # each root is compared with all kept ones at once; the first start wins
+    kept = np.empty((len(roots), n_unknowns))
     solutions = []
-    saw_singular = False
-    for out in outcomes:
-        if out is None:
+    for x in roots:
+        if solutions and (np.abs(kept[:len(solutions)] - x).max(axis=1) < DEDUP_TOL).any():
             continue
-        if isinstance(out, str):
-            saw_singular = True
-            continue
-        if any(np.max(np.abs(out - s)) < DEDUP_TOL for s in solutions):
-            continue
-        solutions.append(out)
+        kept[len(solutions)] = x
+        solutions.append(x)
     if not solutions:
-        if saw_singular:
+        if any(isinstance(out, str) for out in outcomes):
             raise SingularJacobian("all starts failed; at least one Jacobian was singular")
         raise NoConvergence("no start converged")
     return solutions

@@ -23,6 +23,7 @@ from .errors import GridTooSmall, InvalidAlpha, NotOnGrid
 KIND_UNIFORM = "uniform"
 KIND_GEOMETRIC = "geometric"
 KIND_EXPLICIT = "explicit"
+_KINDS = ("auto", KIND_UNIFORM, KIND_GEOMETRIC, KIND_EXPLICIT)
 
 _REL_KIND_TOL = 1e-12  # spacing uniformity check
 _REL_GRID_TOL = 1e-9   # membership snap tolerance
@@ -73,6 +74,8 @@ class TimeScale:
     __slots__ = ("points", "kind", "step", "ratio")
 
     def __init__(self, points: Iterable[float], kind: str = "auto"):
+        if kind not in _KINDS:
+            raise ValueError(f"time scale kind {kind!r} must be one of {', '.join(_KINDS)}")
         if not isinstance(points, np.ndarray):
             points = list(points)
         pts = np.array(points, dtype=float)  # always a copy the caller cannot alias

@@ -240,6 +240,27 @@ def test_jet2_value_and_gradient_rows_equal_eval_grad(text):
     assert np.array_equal(jet.grad, grad[1:])
 
 
+@pytest.mark.parametrize("text", PARITY_CASES)
+def test_program_is_the_one_evaluator_behind_eval(text):
+    # fracvar's Newton loop runs the compiled programs directly
+    e = dsl.parse(text)
+    points = np.random.default_rng(6).uniform(0.2, 1.5, (4, 25))
+    assert dsl.program(e, 2) is dsl.program(e, 2)  # compiled once
+    with np.errstate(all="ignore"):
+        rows = [dsl.program(e, order)(*points, (25,)) for order in (1, 2)]
+    assert np.array_equal(rows[0], dsl.eval_grad(e, *points))
+    jet = dsl.eval_jet2(e, *points)
+    assert np.array_equal(rows[1], np.vstack([jet.value, jet.grad, jet.hess]))
+
+
+def test_hessian_index_map_places_every_pair_of_gradient_rows():
+    for k, (i, j) in enumerate(dsl._PAIRS):
+        assert dsl.HESS_INDEX[i - 1, j - 1] == dsl.HESS_INDEX[j - 1, i - 1] == k
+    H = dsl.Jet2(0.0, None, np.arange(6.0)[:, None] * np.ones(2)).hess_matrix()
+    assert H.shape == (3, 3, 2)
+    assert np.array_equal(H[:, :, 1], dsl.HESS_INDEX)
+
+
 # (expression, value of u, lowest order that raises)
 DOMAIN_RULES = [
     ("sqrt(u)", 0.0, 1),

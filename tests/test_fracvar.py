@@ -14,7 +14,13 @@ from numpy.testing import assert_allclose
 
 from tsvar import dsl, fracvar, solvers, special
 from tsvar import timescale as tsc
-from tsvar.errors import DomainError, InvalidAlpha, OffDomain, OrderNotPositive
+from tsvar.errors import (
+    DomainError,
+    InvalidAlpha,
+    NoConvergence,
+    OffDomain,
+    OrderNotPositive,
+)
 from tsvar.fracvar import (
     FracGrid,
     FracOrders,
@@ -664,6 +670,46 @@ def test_newton_runs_match_the_fresh_jacobian_pair(monkeypatch, p, starts, box, 
     multi_start(residual, jacobian, n, cfg)
     assert len(records[0]) == starts
     assert records[0] == records[1]
+
+
+def test_solve_frac_el_overflowing_starts_leak_no_warning():
+    # exp(v^2) overflows at most starts in (-30, 30); pytest turns a
+    # RuntimeWarning into an error, so the solve must keep every one inside
+    p = FracProblem(FracGrid(0.0, 1.0, 0.25), FracOrders(0.8, 0.5), "exp(v^2) + w^2",
+                    A=0.0, B=1.0)
+    try:
+        cands = solve_frac_el(p, SolverConfig(starts=32, seed=0, box=(-30.0, 30.0)))
+    except NoConvergence:
+        return
+    assert all(np.isfinite(c.functional_value) for c in cands)
+
+
+def test_newton_loop_calls_the_compiled_programs_not_the_eval_wrapper(monkeypatch):
+    # the eval_* wrapper costs about half of a small evaluation; inside
+    # multi_start the residual and Jacobian run dsl.program's output directly
+    calls = {"inside": 0, "outside": 0}
+    where = ["outside"]
+    run, real_multi_start = dsl._run, fracvar.multi_start
+
+    def counted_run(*args):
+        calls[where[0]] += 1
+        return run(*args)
+
+    def inside(*args):
+        where[0] = "inside"
+        try:
+            return real_multi_start(*args)
+        finally:
+            where[0] = "outside"
+
+    monkeypatch.setattr(dsl, "_run", counted_run)
+    monkeypatch.setattr(fracvar, "multi_start", inside)
+    p = FracProblem(FracGrid(0.0, 1.0, 0.25), FracOrders(0.8, 0.5), "v^3 + 1*w^2",
+                    A=0.0, B=1.0)
+    cands = solve_frac_el(p, SolverConfig(starts=64, seed=0, box=(-6.0, 6.0)))
+    assert calls["inside"] == 0
+    # the Legendre check and F still go through eval_jet2 and eval_grad
+    assert calls["outside"] == 2 * len(cands) > 0
 
 
 @pytest.mark.parametrize("grid", [FracGrid(0.0, 1.0, 1e-6), FracGrid(0.0, 2001.0, 1.0)],

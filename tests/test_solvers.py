@@ -189,6 +189,122 @@ def test_multi_start_all_domain_failures_raise_no_convergence():
         multi_start(res, cubic_jac, 1, SolverConfig(starts=4))
 
 
+def _pairwise_newton(fn, jac, x0, tol=1e-9, max_iter=200, max_halvings=30):
+    """newton_solve's dense loop as it was before its line search tested the
+    norm alone: a trial needed every residual entry finite first."""
+    x = np.asarray(x0, dtype=float).copy()
+    r = np.asarray(fn(x), dtype=float)
+    rnorm = math.sqrt(r @ r)
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            return x
+        step = solvers._dense_step(np.asarray(jac(x), dtype=float), r)
+        lam = 1.0
+        accepted = False
+        for _ in range(max_halvings):
+            x_try = x + lam * step
+            try:
+                r_try = np.asarray(fn(x_try), dtype=float)
+            except (ArithmeticError, ValueError, DomainError):
+                r_try = None
+            if r_try is not None and np.isfinite(r_try).all():
+                rnorm_try = math.sqrt(r_try @ r_try)
+                if rnorm_try < rnorm or rnorm_try <= tol:
+                    x, r, rnorm = x_try, r_try, rnorm_try
+                    accepted = True
+                    break
+            lam *= 0.5
+        if not accepted:
+            raise NoConvergence(f"line search stalled at residual norm {rnorm:.3e}")
+    if rnorm <= tol:
+        return x
+    raise NoConvergence(f"no convergence after {max_iter} iterations (residual {rnorm:.3e})")
+
+
+def _logged_run(newton, fn, jac, x0):
+    """(residual call points, Jacobian call points, root bytes or failure text)."""
+    calls, accepted = [], []
+
+    def logged_fn(x):
+        calls.append(x.tobytes())
+        return fn(x)
+
+    def logged_jac(x):
+        accepted.append(x.tobytes())
+        return jac(x)
+
+    try:
+        with np.errstate(all="ignore"):  # as in multi_start
+            outcome = newton(logged_fn, logged_jac, x0).tobytes()
+    except NoConvergence as exc:
+        outcome = str(exc)
+    return calls, accepted, outcome
+
+
+@pytest.mark.parametrize("poison", [math.nan, math.inf, -math.inf, 1e200],
+                         ids=["nan", "inf", "-inf", "norm-overflows"])
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("x0, bad", [
+    pytest.param(2.0, lambda x: x < -1.0, id="overshoot"),  # full step lands at -3.5
+    pytest.param(2.0, lambda x: x != 2.0, id="stall"),  # every trial is rejected
+])
+def test_line_search_rejects_the_same_trials_as_the_entrywise_check(poison, size, x0, bad):
+    def res(x):
+        r = np.array([math.atan(x[0]), x[-1] - 1.0][:size])
+        if bad(x[0]):
+            r[0] = poison
+        return r
+
+    def jac(x):
+        return np.diag([1.0 / (1.0 + x[0] ** 2), 1.0][:size])
+
+    start = [x0, 3.0][:size]
+    got = _logged_run(newton_solve, res, jac, start)
+    assert got == _logged_run(_pairwise_newton, res, jac, start)
+    assert len(got[0]) > len(got[1])  # some trial was rejected
+
+
+def _pairwise_dedup(roots):
+    """multi_start's dedup as a loop over pairs of roots."""
+    solutions = []
+    for out in roots:
+        if any(np.max(np.abs(out - s)) < solvers.DEDUP_TOL for s in solutions):
+            continue
+        solutions.append(out)
+    return solutions
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_multi_start_dedup_keeps_the_roots_the_pairwise_loop_keeps(monkeypatch, seed):
+    tol, n = solvers.DEDUP_TOL, 3
+    # from the origin the gaps are exact: at DEDUP_TOL (kept), below (dropped)
+    # and above (kept)
+    table = [np.zeros(n), np.array([tol, 0.0, 0.0]),
+             np.array([-tol * (1.0 - 1e-3), 0.0, 0.0]), np.array([0.0, tol * (1.0 + 1e-3), 0.0])]
+    assert [x is y for x, y in zip(_pairwise_dedup(table), table[:2] + table[3:])] == [True] * 3
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-2.0, 2.0, size=(4, n))
+    gaps = tol * np.array([0.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0])
+    for _ in range(80):
+        x = centres[rng.integers(len(centres))].copy()
+        x[rng.integers(n)] += rng.choice([-1.0, 1.0]) * rng.choice(gaps)
+        table.append(None if rng.random() < 0.1 else x)  # None: the start fails
+
+    outcomes = iter(table)
+
+    def newton(fn, jac, x0, tol):
+        root = next(outcomes)
+        if root is None:
+            raise NoConvergence("failed start")
+        return root
+
+    monkeypatch.setattr(solvers, "newton_solve", newton)
+    got = multi_start(None, None, n, SolverConfig(starts=len(table), seed=seed))
+    want = _pairwise_dedup([x for x in table if x is not None])
+    assert [id(x) for x in got] == [id(x) for x in want]
+    assert 4 < len(want) < len(table) - 20  # many near-duplicates dropped
+
+
 # ---------------------------------------------------------------------------
 # tridiagonal sweeps against LAPACK on the dense matrix
 

@@ -131,6 +131,12 @@ def test_constructor_error_messages(points, message):
         ts.TimeScale(points)
 
 
+@pytest.mark.parametrize("kind", ["unifrom", "Uniform", "", "detect", None])
+def test_constructor_refuses_an_unknown_kind(kind):
+    with pytest.raises(ValueError, match="auto, uniform, geometric, explicit"):
+        ts.TimeScale([0.0, 0.5, 1.0], kind=kind)
+
+
 def _no_detection(points, gaps):
     raise AssertionError("kind detection ran for a declared explicit scale")
 
