@@ -616,7 +616,7 @@ def _repro_gronwall_2d() -> bool:
     ok = True
     for label, got, want in targets:
         ok &= _check(f"{label} = {want}", abs(got - float(want)) <= 1e-12,
-                     f"got {got!r}")
+                     f"got {float(got)!r}")
     return bool(ok)
 
 

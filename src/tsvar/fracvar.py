@@ -10,12 +10,15 @@ tables
 
     w_nu(m) = Gamma(m + nu) / (Gamma(m + 1) Gamma(nu)),  w_nu(0) = 1,
 
-so the sums, the differences, the summation-by-parts correction, the solver's
-operators and its natural-boundary rows are all assembled from cached weight
-vectors (w_{-alpha} holds the coefficients of (1 - z)^alpha): the textbook
-kernel ((m - 1 + nu) h)_h^(nu-1) / Gamma(nu) is h^(nu-1) w_nu(m).  Only the
-Legendre check still evaluates its kernels through h_factorial; the tests
-cross-check the weights against the textbook kernels.
+the coefficients of (1 - z)^(-nu): the textbook kernel
+((m - 1 + nu) h)_h^(nu-1) / Gamma(nu) is h^(nu-1) w_nu(m).  Since
+(1 - z) (1 - z)^(alpha-1) = (1 - z)^alpha, each difference is one convolution
+with w_{-alpha}, the Grunwald-Letnikov weights (Lubich, SIAM J. Math. Anal. 17,
+1986), divided by h^alpha; it equals the difference of the sums.  The sums,
+the differences, the summation-by-parts correction, the solver's operators and
+every row of its stationarity system are assembled from these cached weight
+vectors.  Only the Legendre check still evaluates its kernels through
+h_factorial; the tests cross-check the weights against the textbook kernels.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dsl import HESS_INDEX, Expr, ensure_expr, eval_grad, eval_jet2, program
+from .dsl import HESS_INDEX, Expr, ensure_expr, eval_grad, eval_jet2, eval_value, program
 from .errors import DomainError, InvalidAlpha, OffDomain, OrderNotPositive
 from .solvers import SolverConfig, multi_start, refuse_dense_beyond_cap
 from .special import gamma_fn, h_factorial
@@ -131,60 +134,42 @@ def _uniform_step(f: GridFunction) -> float:
 # Fractional sums and differences
 
 
-def left_frac_sum(f: GridFunction, nu: float, t: float) -> float:
-    """Left fractional h-sum of order nu at t, with t on the +nu*h shifted grid."""
+def _shifted_index(f: GridFunction, nu: float, t: float, shift: float, where: str):
+    """(h^nu, w_nu, values of f, j) with t = t_j + shift*nu*h on f's grid."""
     if nu <= 0:
         raise OrderNotPositive(f"order nu = {nu} must be positive")
     h = _uniform_step(f)
     pts = f.scale.points
-    pos = (t - pts[0] - nu * h) / h
+    pos = (t - pts[0] - shift * nu * h) / h
     j = round(pos)
     if abs(pos - j) > 1e-9 * max(1.0, abs(pos)) or not (0 <= j < pts.size):
-        raise OffDomain(f"t = {t} is not on the shifted grid a + nu*h + k*h")
-    vals = np.asarray(f.values, dtype=float)
-    return math.pow(h, nu) * float(_weights(nu, pts.size)[j::-1] @ vals[:j + 1])
+        raise OffDomain(f"t = {t} is not on the shifted grid {where}")
+    return math.pow(h, nu), _weights(nu, pts.size), np.asarray(f.values, dtype=float), j
+
+
+def left_frac_sum(f: GridFunction, nu: float, t: float) -> float:
+    """Left fractional h-sum of order nu at t, with t on the +nu*h shifted grid."""
+    scale, w, vals, j = _shifted_index(f, nu, t, 1.0, "a + nu*h + k*h")
+    return scale * float(w[j::-1] @ vals[:j + 1])
 
 
 def right_frac_sum(f: GridFunction, nu: float, t: float) -> float:
     """Right fractional h-sum of order nu at t, with t on the -nu*h shifted grid."""
-    if nu <= 0:
-        raise OrderNotPositive(f"order nu = {nu} must be positive")
-    h = _uniform_step(f)
-    pts = f.scale.points
-    pos = (t - pts[0] + nu * h) / h
-    j = round(pos)
-    if abs(pos - j) > 1e-9 * max(1.0, abs(pos)) or not (0 <= j < pts.size):
-        raise OffDomain(f"t = {t} is not on the shifted grid s - nu*h for s on the grid")
-    vals = np.asarray(f.values, dtype=float)
-    return math.pow(h, nu) * float(_weights(nu, pts.size)[:pts.size - j] @ vals[j:])
-
-
-def _left_sum_series(vals: np.ndarray, nu: float, h: float) -> np.ndarray:
-    """Y[j] = left sum of order nu evaluated at t_j + nu*h, for every j."""
-    n = vals.size
-    w = _weights(nu, n)
-    return math.pow(h, nu) * np.convolve(w, vals)[:n]
-
-
-def _right_sum_series(vals: np.ndarray, nu: float, h: float) -> np.ndarray:
-    """V[j] = right sum of order nu evaluated at t_j - nu*h, for every j."""
-    n = vals.size
-    w = _weights(nu, n)
-    return math.pow(h, nu) * np.convolve(w, vals[::-1])[:n][::-1]
+    scale, w, vals, j = _shifted_index(f, nu, t, -1.0, "s - nu*h for s on the grid")
+    return scale * float(w[:vals.size - j] @ vals[j:])
 
 
 def _left_diff_values(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
-    gamma = 1.0 - alpha
-    if gamma == 0.0:
+    """v_j = h^-alpha sum_{k <= j+1} w_{-alpha}(j + 1 - k) y_k on T^kappa."""
+    if alpha == 1.0:
         return np.diff(vals) / h
-    return np.diff(_left_sum_series(vals, gamma, h)) / h
+    return np.convolve(_weights(-alpha, vals.size), vals)[1:vals.size] / math.pow(h, alpha)
 
 
 def _right_diff_values(vals: np.ndarray, alpha: float, h: float) -> np.ndarray:
-    gamma = 1.0 - alpha
-    if gamma == 0.0:
-        return -np.diff(vals) / h
-    return -np.diff(_right_sum_series(vals, gamma, h)) / h
+    """w_j = h^-alpha sum_{k >= j} w_{-alpha}(k - j) y_k on T^kappa: the left
+    difference of the reversed values, reversed."""
+    return _left_diff_values(vals[::-1], alpha, h)[::-1]
 
 
 def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
@@ -195,12 +180,7 @@ def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
 
 
 def _diff_maps(alpha: float, beta: float, h: float, n: int):
-    """(n - 1) x n matrices (V, W) of _left_diff_values / _right_diff_values.
-
-    With w_{-alpha}, the coefficients of (1 - z)^alpha, both are Toeplitz:
-    v_j = h^-alpha sum_k w_{-alpha}(j + 1 - k) y_k and
-    w_j = h^-beta sum_k w_{-beta}(k - j) y_k.
-    """
+    """(n - 1) x n Toeplitz matrices (V, W) of _left_diff_values / _right_diff_values."""
     V = math.pow(h, -alpha) * _lower_toeplitz(_weights(-alpha, n))[1:]
     W = math.pow(h, -beta) * _lower_toeplitz(_weights(-beta, n)).T[:-1]
     return V, W
@@ -265,35 +245,25 @@ def frac_sbp_residual(f: GridFunction, g: GridFunction, alpha: float) -> float:
 # Euler-Lagrange machinery
 
 
-def _arg_arrays(pts: np.ndarray, h: float, alpha: float, beta: float,
-                yvals: np.ndarray):
+def _arg_arrays(p: FracProblem, y: GridFunction):
     """(t, u, v, w) rows of [y] on T^kappa."""
-    u = yvals[1:]
-    v = _left_diff_values(yvals, alpha, h)
-    w = _right_diff_values(yvals, beta, h)
-    return pts[:-1], u, v, w
-
-
-def _el_core(L: Expr, pts: np.ndarray, h: float, alpha: float, beta: float,
-             yvals: np.ndarray) -> np.ndarray:
-    Lu, Lv, Lw = eval_grad(L, *_arg_arrays(pts, h, alpha, beta, yvals))[1:]
-    return Lu[:-1] + _right_diff_values(Lv, alpha, h) + _left_diff_values(Lw, beta, h)
+    yvals = np.asarray(y.values, dtype=float)
+    h = p.grid.h
+    return (p.grid.points()[:-1], yvals[1:], _left_diff_values(yvals, p.orders.alpha, h),
+            _right_diff_values(yvals, p.orders.beta, h))
 
 
 def el_residual_frac(p: FracProblem, y: GridFunction) -> GridFunction:
     """L_u + (right diff base rho(b)) L_v + (left diff order beta) L_w on T^{kappa kappa}."""
-    pts = p.grid.points()
-    res = _el_core(p.L, pts, p.grid.h, p.orders.alpha, p.orders.beta,
-                   np.asarray(y.values, dtype=float))
+    h, alpha, beta = p.grid.h, p.orders.alpha, p.orders.beta
+    Lu, Lv, Lw = eval_grad(p.L, *_arg_arrays(p, y))[1:]
+    res = Lu[:-1] + _right_diff_values(Lv, alpha, h) + _left_diff_values(Lw, beta, h)
     return GridFunction(y.scale.drop_last(2), res)
 
 
 def functional_value(p: FracProblem, y: GridFunction) -> float:
     """Sum of h * L([y](t)) over [a, b)."""
-    pts = p.grid.points()
-    h = p.grid.h
-    args = _arg_arrays(pts, h, p.orders.alpha, p.orders.beta, np.asarray(y.values, dtype=float))
-    return h * float(np.sum(eval_grad(p.L, *args)[0]))
+    return p.grid.h * float(np.sum(eval_value(p.L, *_arg_arrays(p, y))))
 
 
 def _natural_bc_rows(p: FracProblem):
@@ -324,20 +294,17 @@ def natural_bc_residuals(p: FracProblem, y: GridFunction):
     """(left, right) residuals of the natural boundary conditions; None when fixed."""
     if p.A is not None and p.B is not None:
         return (None, None)
-    partials = eval_grad(p.L, *_arg_arrays(p.grid.points(), p.grid.h, p.orders.alpha,
-                                           p.orders.beta, np.asarray(y.values, dtype=float)))[1:]
+    partials = eval_grad(p.L, *_arg_arrays(p, y))[1:]
     return tuple(None if row is None else float(sum(c @ d for c, d in zip(row, partials)))
                  for row in _natural_bc_rows(p))
 
 
 def legendre_frac_check(p: FracProblem, y: GridFunction) -> LegendreReport:
     """Second-order (Legendre) margins on T^{kappa kappa}; verdict >= -1e-8."""
-    pts = p.grid.points()
     h = p.grid.h
     gamma = p.orders.gamma
     nu = p.orders.nu_order
-    t, u, v, w = _arg_arrays(pts, h, p.orders.alpha, p.orders.beta,
-                             np.asarray(y.values, dtype=float))
+    t, u, v, w = _arg_arrays(p, y)
     m = t.size
     Huu, Huv, Huw, Hvv, Hvw, Hww = eval_jet2(p.L, t, u, v, w).hess
 
@@ -415,7 +382,6 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     A = A.reshape(3 * m, N)
     ends = [np.stack(row, axis=1).ravel() for row in _natural_bc_rows(p) if row is not None]
     C = np.vstack([A[:, 1:N - 1].T, *ends]) if ends else A[:, 1:N - 1].T
-    C_interior = C[:N - 2]
     t = pts[:-1]
 
     def arguments(x):
@@ -437,14 +403,7 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
         except DomainError:  # L may have a gradient but no Hessian here
             kept[:] = None, None
             grad = jet1(*args, (m,))[1:]
-        rows = [C_interior @ grad.T.ravel()]
-        if free_left or free_right:
-            left, right = natural_bc_residuals(p, GridFunction(scale, assemble(x)))
-            if free_left:
-                rows.append([left])
-            if free_right:
-                rows.append([right])
-        return np.concatenate(rows)
+        return C @ grad.T.ravel()
 
     def jacobian(x):
         jet = kept[1] if kept[0] is x else jet2(*arguments(x), (m,))
@@ -454,10 +413,11 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     sols = multi_start(residual_map, jacobian, n_unknowns, cfg)
     out = []
     for x in sols:
-        full = assemble(x)
-        y = GridFunction(scale, full)
+        y = GridFunction(scale, assemble(x))
+        # the textbook system, evaluated apart from C: an independent check of it
         with np.errstate(all="ignore"):  # as in multi_start: overflow gives inf
-            res = residual_map(x)
+            natural = [r for r in natural_bc_residuals(p, y) if r is not None]
+            res = np.concatenate([el_residual_frac(p, y).values, natural])
         report = legendre_frac_check(p, y)
         out.append(ExtremalCandidate(
             y=y,

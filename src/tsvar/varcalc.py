@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .dsl import Bin, Expr, Num, ensure_expr, eval_jet2
+from .dsl import Bin, Expr, Num, ensure_expr, eval_jet2, eval_value
 from .errors import (
     ConstraintInfeasible,
     DomainError,
@@ -218,7 +218,7 @@ def functional_value(p: Union[VariationalProblem, IsoperimetricProblem],
     L = expr if expr is not None else p.L
     values = np.asarray(y.values, dtype=float)
     t, u, v, mu = _first_order_args(p.scale, values)
-    return float(mu @ eval_jet2(L, t, u, v, 0.0).value)
+    return float(mu @ eval_value(L, t, u, v))
 
 
 def legendre_check(p: VariationalProblem, y: GridFunction) -> LegendreReport:

@@ -294,6 +294,12 @@ def test_repro_fast_cases_pass(name, capsys):
     assert "PASS" in out
 
 
+def test_repro_gronwall2d_prints_plain_floats(capsys):
+    assert run_cli(["repro", "gronwall2d"]) == 0
+    out = capsys.readouterr().out
+    assert "(got 1.5)" in out and "np.float64" not in out
+
+
 def test_repro_ex1_converges(capsys):
     assert run_cli(["repro", "ex1"]) == 0
     assert "nonincreasing" in capsys.readouterr().out

@@ -324,6 +324,19 @@ def test_functional_constant_lagrangian():
     assert functional_value(p, y) == pytest.approx(2.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("L, orders, values, exact", [
+    ("sqrt(v)", (1.0, 1.0), [0.0, 0.5, 0.5, 0.75, 1.0], 0.25 * (math.sqrt(2.0) + 2.0)),
+    ("abs(v)", (1.0, 1.0), [0.0, 0.5, 0.5, 0.75, 1.0], 1.0),
+    ("sqrt(u) + abs(w)", (0.8, 0.5), [0.0] * 5, 0.0),
+], ids=["sqrt-flat", "abs-flat", "at-0"])
+def test_functional_value_is_defined_wherever_the_lagrangian_is(L, orders, values, exact):
+    # F reads L alone: v = 0 or u = 0 leaves L defined where its gradient is not
+    grid = FracGrid(0.0, 1.0, 0.25)
+    p = FracProblem(grid, FracOrders(*orders), L, A=values[0], B=values[-1])
+    y = tsc.GridFunction(grid.scale(), values)
+    assert functional_value(p, y) == pytest.approx(exact, rel=1e-15)
+
+
 def test_natural_bc_both_fixed_absent():
     grid = FracGrid(0.0, 1.0, 0.25)
     p = FracProblem(grid, FracOrders(0.8, 0.5), "v^2", A=0.0, B=1.0)
@@ -558,7 +571,8 @@ def test_solve_frac_el_domain_error_fails_single_starts():
 
 def _reference_pair(p):
     """solve_frac_el's Newton pair without the jet hand-off: the residual
-    evaluates the gradient, the Jacobian evaluates the jet anew."""
+    evaluates the gradient, the Jacobian evaluates the jet anew; both apply
+    the stationarity matrix C to every row, free-end rows included."""
     pts, h = p.grid.points(), p.grid.h
     N = pts.size
     m = N - 1
@@ -586,10 +600,7 @@ def _reference_pair(p):
         return (pts[:-1], *(A @ assemble(x)).reshape(m, 3).T)
 
     def residual(x):
-        rows = [C[:N - 2] @ dsl.eval_grad(p.L, *arguments(x))[1:].T.ravel()]
-        left, right = natural_bc_residuals(p, GridFunction(p.grid.scale(), assemble(x)))
-        rows += [[r] for r in (left, right) if r is not None]
-        return np.concatenate(rows)
+        return C @ dsl.eval_grad(p.L, *arguments(x))[1:].T.ravel()
 
     def jacobian(x):
         H = dsl.eval_jet2(p.L, *arguments(x)).hess_matrix().transpose(2, 0, 1)
@@ -684,16 +695,19 @@ def test_solve_frac_el_overflowing_starts_leak_no_warning():
     assert all(np.isfinite(c.functional_value) for c in cands)
 
 
-def test_newton_loop_calls_the_compiled_programs_not_the_eval_wrapper(monkeypatch):
-    # the eval_* wrapper costs about half of a small evaluation; inside
-    # multi_start the residual and Jacobian run dsl.program's output directly
-    calls = {"inside": 0, "outside": 0}
+def _solve_counting_calls(monkeypatch, p, cfg, *targets):
+    """solve_frac_el's candidates, and calls[(name, where)] for each (module,
+    name) target, where is "inside" or "outside" multi_start."""
+    calls = {(name, where): 0 for _, name in targets for where in ("inside", "outside")}
     where = ["outside"]
-    run, real_multi_start = dsl._run, fracvar.multi_start
 
-    def counted_run(*args):
-        calls[where[0]] += 1
-        return run(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name, where[0]] += 1
+            return fn(*args)
+        return wrapper
+
+    real_multi_start = fracvar.multi_start
 
     def inside(*args):
         where[0] = "inside"
@@ -702,14 +716,53 @@ def test_newton_loop_calls_the_compiled_programs_not_the_eval_wrapper(monkeypatc
         finally:
             where[0] = "outside"
 
-    monkeypatch.setattr(dsl, "_run", counted_run)
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(fracvar, "multi_start", inside)
+    return solve_frac_el(p, cfg), calls
+
+
+def test_newton_loop_calls_the_compiled_programs_not_the_eval_wrapper(monkeypatch):
+    # the eval_* wrapper costs about half of a small evaluation; inside
+    # multi_start the residual and Jacobian run dsl.program's output directly
     p = FracProblem(FracGrid(0.0, 1.0, 0.25), FracOrders(0.8, 0.5), "v^3 + 1*w^2",
                     A=0.0, B=1.0)
-    cands = solve_frac_el(p, SolverConfig(starts=64, seed=0, box=(-6.0, 6.0)))
-    assert calls["inside"] == 0
-    # the Legendre check and F still go through eval_jet2 and eval_grad
-    assert calls["outside"] == 2 * len(cands) > 0
+    cands, calls = _solve_counting_calls(
+        monkeypatch, p, SolverConfig(starts=64, seed=0, box=(-6.0, 6.0)), (dsl, "_run"))
+    assert calls["_run", "inside"] == 0
+    # each candidate's report: el_residual_frac (eval_grad), the Legendre
+    # check (eval_jet2) and F (eval_value); fixed ends evaluate no natural row
+    assert calls["_run", "outside"] == 3 * len(cands) > 0
+
+
+def test_free_end_newton_loop_evaluates_the_lagrangian_once_per_point(monkeypatch):
+    # the free-end rows come from the residual's own gradient through C, not
+    # from natural_bc_residuals, which would evaluate L a second time
+    p = FracProblem(FracGrid(0.0, 1.0, 0.1), FracOrders(0.75, 0.6), QUARTIC,
+                    A=None, B=None)
+    cands, calls = _solve_counting_calls(
+        monkeypatch, p, SolverConfig(starts=4, seed=0, box=(0.0, 1.0)),
+        (dsl, "_run"), (fracvar, "natural_bc_residuals"))
+    assert cands
+    assert calls["_run", "inside"] == calls["natural_bc_residuals", "inside"] == 0
+    # the report: el_residual_frac, the natural rows, Legendre and F
+    assert calls["_run", "outside"] == 4 * len(cands)
+    assert calls["natural_bc_residuals", "outside"] == len(cands)
+
+
+def test_free_right_residual_norm_is_the_textbook_system():
+    # residual_norm reports el_residual_frac and the natural-boundary row,
+    # evaluated apart from the solver's stationarity matrix
+    p = FracProblem(FracGrid(0.0, 1.0, 0.05), FracOrders(0.75, 0.6), QUARTIC,
+                    A=0.0, B=None)
+    cands = solve_frac_el(p, SolverConfig(starts=2, seed=0, box=(0.0, 1.0)))
+    assert cands
+    for c in cands:
+        left, right = natural_bc_residuals(p, c.y)
+        assert left is None
+        rows = np.concatenate([el_residual_frac(p, c.y).values, [right]])
+        assert c.residual_norm == float(np.linalg.norm(rows))
+        assert c.residual_norm <= 1e-9
 
 
 @pytest.mark.parametrize("grid", [FracGrid(0.0, 1.0, 1e-6), FracGrid(0.0, 2001.0, 1.0)],

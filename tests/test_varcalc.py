@@ -92,6 +92,19 @@ def test_functional_value_fraction_oracle():
     assert functional_value(p, y) == pytest.approx(float(exact), rel=1e-14)
 
 
+@pytest.mark.parametrize("L, values, exact", [
+    ("sqrt(v)", [0.0, 0.5, 0.5, 0.75, 1.0], 0.25 * (math.sqrt(2.0) + 2.0)),
+    ("abs(v)", [0.0, 0.5, 0.5, 0.75, 1.0], 1.0),
+    ("u^1.5 + v^2", [0.0] * 5, 0.0),
+], ids=["sqrt-flat", "abs-flat", "u^1.5-at-0"])
+def test_functional_value_is_defined_wherever_the_lagrangian_is(L, values, exact):
+    # F reads L alone: a flat interval (v = 0) or u = 0 leaves L defined even
+    # where its gradient or Hessian is not
+    g = tsc.uniform(0.0, 1.0, 0.25)
+    p = VariationalProblem(g, L, values[0], values[-1])
+    assert functional_value(p, tsc.GridFunction(g, values)) == pytest.approx(exact, rel=1e-15)
+
+
 def test_legendre_margins_quadratic():
     g = zgrid(4)
     y = tsc.GridFunction.sample(g, lambda t: 0.3 * t)
