@@ -1,6 +1,6 @@
 """Variational calculus on discrete time scales, with fractional h-operators."""
 
-from . import dsl, errors, fracvar, inequalities, special, timescale, varcalc
+from . import dsl, errors, fracvar, ineqcheck, inequalities, special, timescale, varcalc
 from .errors import TsvarError
 from .fracvar import (
     FracGrid,

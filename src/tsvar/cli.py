@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsl, fracvar, inequalities, timescale, varcalc
+from . import dsl, fracvar, ineqcheck, inequalities, timescale, varcalc
 from .errors import (
     ConstraintInfeasible,
     ExprSyntaxError,
@@ -296,145 +296,7 @@ def cmd_sturm(args) -> RunReport:
 # Randomized inequality suites
 
 
-def _random_scale(rng, n_min=3, n_max=9, step_lo=0.1, step_hi=1.0) -> TimeScale:
-    n = int(rng.integers(n_min, n_max + 1))
-    start = float(rng.uniform(-2.0, 2.0))
-    offsets = np.zeros(n)
-    rng.uniform(step_lo, step_hi, n - 1).cumsum(out=offsets[1:])
-    # no suite reads kind, step or ratio, so the scale skips kind detection
-    return TimeScale(start + offsets, kind=timescale.KIND_EXPLICIT)
-
-
-def _holds_pointwise(values: np.ndarray, bound: np.ndarray) -> bool:
-    tol = 1e-10 * np.maximum(1.0, np.abs(bound))
-    return bool((values <= bound + tol).all())
-
-
-def _suite(trial):
-    """A suite from one trial: ``run(trials, seed)`` draws every trial from one
-    seeded stream, in order, and counts the trials whose inequality held."""
-    def run(trials: int, seed: int) -> int:
-        rng = np.random.default_rng(seed)
-        return sum(trial(rng) for _ in range(trials))
-
-    return run
-
-
-_JENSEN_CATALOG = (math.exp, lambda x: x * x, abs, lambda x: x ** 4)
-
-
-@_suite
-def _suite_jensen(rng) -> bool:
-    ts = _random_scale(rng)
-    g = GridFunction(ts, rng.uniform(-2.0, 2.0, len(ts)))
-    F = _JENSEN_CATALOG[int(rng.integers(len(_JENSEN_CATALOG)))]
-    weights = None
-    if rng.random() < 0.5:
-        weights = GridFunction(ts, rng.uniform(0.05, 3.0, len(ts)))
-    alpha = float(rng.random())
-    return inequalities.jensen_certify(ts, F, g, weights, alpha).holds
-
-
-@_suite
-def _suite_holder(rng) -> bool:
-    ts = _random_scale(rng)
-    f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-    g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-    h = GridFunction(ts, rng.uniform(0.0, 2.0, len(ts)))
-    p = 1.0 + float(rng.uniform(0.1, 3.0))
-    alpha = float(rng.random())
-    return inequalities.holder_certify(ts, f, g, h, p, alpha).holds
-
-
-@_suite
-def _suite_cauchy_schwarz(rng) -> bool:
-    ts = _random_scale(rng)
-    f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-    g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-    alpha = float(rng.random())
-    return inequalities.cauchy_schwarz_certify(ts, f, g, alpha).holds
-
-
-@_suite
-def _suite_minkowski(rng) -> bool:
-    ts = _random_scale(rng)
-    f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-    g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-    p = 1.0 + float(rng.uniform(0.1, 3.0))
-    alpha = float(rng.random())
-    return inequalities.minkowski_certify(ts, f, g, p, alpha).holds
-
-
-@_suite
-def _suite_gronwall(rng) -> bool:
-    ts = _random_scale(rng)
-    n = len(ts)
-    mu = np.diff(ts.points)
-    a = rng.uniform(-1.0, 2.0, n)
-    b = rng.uniform(0.0, 1.5, n)
-    # one vector draw gives the same numbers as n scalar draws
-    slack = rng.uniform(0.0, 0.5, n)
-    u = a - slack  # u[0]; the later entries are set in order below
-    for i in range(1, n):
-        u[i] = a[i] + float(mu[:i] @ (b[:i] * u[:i])) - slack[i]
-    bound = inequalities.gronwall_bound(ts, a, b, ts.points[0])
-    return _holds_pointwise(u, bound.values)
-
-
-@_suite
-def _suite_comparison(rng) -> bool:
-    ts = _random_scale(rng)
-    n = len(ts)
-    mu = np.diff(ts.points)
-    p = rng.uniform(-0.9, 1.5, n)
-    f = rng.uniform(-1.0, 1.0, n)
-    y = [float(rng.uniform(-1.0, 1.0))]
-    for mu_i, p_i, f_i, s_i in zip(mu.tolist(), p.tolist(), f.tolist(),
-                                   rng.uniform(0.0, 0.5, n - 1).tolist()):
-        y.append(y[-1] + mu_i * (p_i * y[-1] + f_i - s_i))
-    bound = inequalities.comparison_bound(ts, y[0], p, f, ts.points[0])
-    return _holds_pointwise(np.array(y), bound.values)
-
-
-@_suite
-def _suite_gronwall_2d(rng) -> bool:
-    ts1 = _random_scale(rng, n_min=3, n_max=6, step_lo=0.2)
-    ts2 = _random_scale(rng, n_min=3, n_max=6, step_lo=0.2)
-    n1, n2 = len(ts1), len(ts2)
-    mu1 = np.diff(ts1.points).tolist()
-    mu2 = np.diff(ts2.points).tolist()
-    a_const = float(rng.uniform(0.5, 2.0))
-    f = rng.uniform(0.0, 1.0, (n1, n2))
-    fl = f.tolist()
-    slack = rng.uniform(0.0, 0.3, (n1, n2)).tolist()  # row-major, as the loop drew it
-    # u[i1][i2] = a + (sum over j1 < i1, j2 < i2 of mu1 mu2 f u) - slack, summed
-    # row j1 by row j1 and along each row by j2: acc[i2] carries that sum from
-    # row i1 to row i1 + 1, so every point adds the same terms in the same
-    # order as a fresh double sum
-    acc = [a_const] * n2
-    u = []
-    for i1 in range(n1):
-        row = [acc_i2 - slack_i2 for acc_i2, slack_i2 in zip(acc, slack[i1])]
-        u.append(row)
-        if i1 < n1 - 1:
-            for j2 in range(n2 - 1):
-                term = mu1[i1] * mu2[j2] * fl[i1][j2] * row[j2]
-                for i2 in range(j2 + 1, n2):
-                    acc[i2] += term
-    b1, b2 = inequalities.gronwall_2d_bound(ts1, ts2, lambda t1, t2: a_const, f)
-    u = np.array(u).ravel()
-    return _holds_pointwise(u, b1.ravel()) and _holds_pointwise(u, b2.ravel())
-
-
-_SUITES = {
-    "jensen": _suite_jensen,
-    "holder": _suite_holder,
-    "cauchy-schwarz": _suite_cauchy_schwarz,
-    "minkowski": _suite_minkowski,
-    "gronwall": _suite_gronwall,
-    "comparison": _suite_comparison,
-    "gronwall2d": _suite_gronwall_2d,
-}
+_SUITES = ineqcheck.SUITES
 
 
 def cmd_ineq_check(args) -> RunReport:

@@ -2,7 +2,12 @@
 
 Certifiers compute both sides of an inequality and report whether it holds
 within floating tolerance; bound calculators return the explicit right-hand
-sides of the Gronwall-type theorems.  The integrodynamic solver is a plain
+sides of the Gronwall-type theorems.  The Gronwall, comparison and 2-D
+Gronwall bounds come from kernels over a stack of trials (``_gronwall_stack``,
+``_comparison_stack``, ``_gronwall_2d_stack``: one trial per row, zero-padded
+past each grid), which ``ineqcheck`` runs on blocks of random trials; the
+public functions are one-row wrappers with the same bits.  Bound data must be
+finite (``NonFinite`` otherwise).  The integrodynamic solver is a plain
 forward recursion (exact on isolated grids).  Per-point coefficients, data
 and weights on one grid may come in any form ``timescale.values_on`` reads.
 """
@@ -10,6 +15,7 @@ and weights on one grid may come in any form ``timescale.values_on`` reads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,6 +24,7 @@ import numpy as np
 from .errors import (
     InvalidAlpha,
     InvalidExponent,
+    NoConvergence,
     NonFinite,
     NonRegressive,
     OutsideDomPsiInverse,
@@ -66,44 +73,79 @@ def _report(lhs: float, rhs: float) -> BoundReport:
 # Gronwall / comparison bounds
 
 
-def _forward_solve(mu: np.ndarray, c: np.ndarray, d: np.ndarray, y0: float,
-                   i0: int) -> np.ndarray:
-    """Solution of y^Delta = c y + d from y(t_{i0}) = y0, on t_{i0}, ..., t_{n-1}.
+def _require_finite(what: str, *arrays) -> None:
+    """One finiteness check per stack of bound data, before any arithmetic."""
+    for x in arrays:
+        if not np.isfinite(x).all():
+            raise NonFinite(f"{what} must be finite")
 
-    One forward step per grid interval, y[i+1] = (1 + mu_i c_i) y[i] + mu_i d_i,
-    is the variation-of-constants formula on an isolated grid.  Raises
-    NonRegressive at the first i >= i0 where 1 + mu_i c_i is not positive.
+
+def _forward_solve(mu: np.ndarray, c: np.ndarray, d: np.ndarray, y0: np.ndarray,
+                   i0: int) -> np.ndarray:
+    """Solutions of y^Delta = c y + d from y(t_{i0}) = y0, one per row of a stack.
+
+    mu, c and d hold one trial per row, zero-padded past the end of each
+    trial's grid: a zero gap makes the step factor 1 and adds nothing, so the
+    real entries do not depend on the padding.  One forward step per grid
+    interval, y[i+1] = (1 + mu_i c_i) y[i] + mu_i d_i, is the
+    variation-of-constants formula on an isolated grid.  Returns the values at
+    t_{i0}, ..., t_m for m gaps, shape (trials, m - i0 + 1).  Raises
+    NonRegressive at the first i >= i0 where some row's 1 + mu_i c_i is not
+    positive.
     """
-    mu, c, d = mu.tolist(), c.tolist(), d.tolist()
-    y = [float(y0)]
-    for j in range(i0, len(mu)):
-        factor = 1.0 + mu[j] * c[j]
-        if factor <= 1e-14:
-            raise NonRegressive(f"1 + mu*p = {factor} at t index {j} must stay positive")
-        y.append(factor * y[-1] + mu[j] * d[j])
-    return np.array(y)
+    m = mu.shape[1]
+    factor = 1.0 + mu[:, i0:] * c[:, i0:m]
+    step = mu[:, i0:] * d[:, i0:m]
+    bad = factor <= 1e-14
+    if bad.any():
+        j = int(bad.any(axis=0).argmax())
+        value = float(factor[int(bad[:, j].argmax()), j])
+        raise NonRegressive(f"1 + mu*p = {value} at t index {j + i0} must stay positive")
+    if len(mu) == 1:
+        # one trial steps on Python floats: a numpy call per column costs more
+        factor, step, y = factor[0].tolist(), step[0].tolist(), [float(y0[0])]
+    else:
+        factor, step, y = factor.T, step.T, [y0]
+    for f, s in zip(factor, step):
+        y.append(f * y[-1] + s)
+    return np.array(y).T.reshape(len(mu), -1)
+
+
+def _gronwall_stack(mu: np.ndarray, a: np.ndarray, b: np.ndarray, i0: int) -> np.ndarray:
+    """gronwall_bound's values for a stack of trials (rows of mu, a and b)."""
+    _require_finite("Gronwall data a and b", a, b)
+    # the integral term solves acc^Delta = b acc + a b with acc(t0) = 0
+    return a[:, i0:] + _forward_solve(mu, b, a * b, np.zeros(len(a)), i0)
+
+
+def _comparison_stack(mu: np.ndarray, y0: np.ndarray, p: np.ndarray, f: np.ndarray,
+                      i0: int) -> np.ndarray:
+    """comparison_bound's values for a stack of trials: y^Delta = p y + f, y(t0) = y0."""
+    _require_finite("comparison data y0, p and f", y0, p, f)
+    return _forward_solve(mu, p, f, y0, i0)
+
+
+def _from_t0(ts: TimeScale, i0: int) -> TimeScale:
+    return ts if i0 == 0 else TimeScale(ts.points[i0:])
 
 
 def gronwall_bound(ts: TimeScale, a_fn, b_fn, t0: float) -> GridFunction:
     """Right side a(t) + integral_{t0}^t a b e_b(t, sigma(tau)) Delta tau, t >= t0."""
     a = values_on(ts, a_fn)
     b = values_on(ts, b_fn)
-    pts = ts.points
     i0 = ts.index(t0)
-    # the integral term solves acc^Delta = b acc + a b with acc(t0) = 0
-    acc = _forward_solve(np.diff(pts), b, a * b, 0.0, i0)
-    return GridFunction(ts if i0 == 0 else TimeScale(pts[i0:]), a[i0:] + acc)
+    bound = _gronwall_stack(np.diff(ts.points)[None], a[None], b[None], i0)
+    return GridFunction(_from_t0(ts, i0), bound[0])
 
 
 def comparison_bound(ts: TimeScale, y0: float, p, f, t0: float) -> GridFunction:
     """y0 e_p(t, t0) + integral_{t0}^t e_p(t, sigma(tau)) f(tau) Delta tau."""
     pv = values_on(ts, p)
     fv = values_on(ts, f)
-    pts = ts.points
     i0 = ts.index(t0)
-    # the solution of y^Delta = p y + f with y(t0) = y0
-    out = _forward_solve(np.diff(pts), pv, fv, y0, i0)
-    return GridFunction(ts if i0 == 0 else TimeScale(pts[i0:]), out)
+    bound = _comparison_stack(np.diff(ts.points)[None], np.array([float(y0)]),
+                              pv[None], fv[None], i0)
+    return GridFunction(_from_t0(ts, i0), bound[0])
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +167,9 @@ def nonlinear_gronwall_bound(ts: TimeScale, u_data, a_fn, f_fn,
     n = pts.size
     mu = np.diff(pts)
 
+    _require_finite("nonlinear Gronwall data a and f", a, f)
     # p = 1 + integral_a^t f e_f(t, sigma(s)) Delta s, which is e_f(t, a)
-    p = _forward_solve(mu, f, np.zeros(n), 1.0, 0)
+    p = _forward_solve(mu[None], f[None], np.zeros((1, n)), np.ones(1), 0)[0]
 
     # zeta = integral over [a, rho(b)) of k(rho(b), s) Phi(p(s) a(s))
     zeta = 0.0
@@ -148,14 +191,27 @@ def nonlinear_gronwall_bound(ts: TimeScale, u_data, a_fn, f_fn,
             pos /= 2.0
         return acc + adaptive_simpson(integrand, pos, x)
 
-    def Psi_inv(target: float) -> float:
-        if target == 0.0:
-            return spec.Psi_x0
-        grow = target > 0.0
-        x, val = spec.Psi_x0, 0.0
+    def Psi_inv(target: float, x: float, val: float) -> tuple:
+        """(root, x', Psi(x')): Psi(root) = target, from a point x with Psi(x) = val.
+
+        Safeguarded Newton: Psi' = 1/Phi(W(x)) > 0, and each step accumulates
+        Psi from the last point by one quadrature.  Before the root is
+        bracketed a step at most doubles or halves x; after, a step that
+        leaves the bracket bisects it.  x' is the last point whose Psi is
+        known, where the next inversion starts.
+        """
+        lo, hi = 0.0, math.inf
         stall = 0
-        while (val < target) if grow else (val > target):
-            nxt = 2.0 * x if grow else 0.5 * x
+        for _ in range(2500):  # doubling from 1e-300 past 1e300 takes 2,000
+            step = (target - val) * spec.Phi(spec.W(x))
+            if abs(step) <= 1e-13 * max(1.0, abs(x)):
+                return x + step, x, val
+            if step > 0.0:
+                lo, nxt = x, min(x + step, 2.0 * x)
+            else:
+                hi, nxt = x, max(x + step, 0.5 * x)
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
             if nxt > 1e300 or nxt < 1e-300:
                 raise OutsideDomPsiInverse(f"Psi never reaches {target}")
             piece = adaptive_simpson(integrand, x, nxt)
@@ -166,19 +222,8 @@ def nonlinear_gronwall_bound(ts: TimeScale, u_data, a_fn, f_fn,
                         f"Psi plateaus below its inversion target {target}")
             else:
                 stall = 0
-            prev_x, prev_v = x, val
             x, val = nxt, val + piece
-        near_x, near_v, far_x = prev_x, prev_v, x
-        for _ in range(200):
-            mid = 0.5 * (near_x + far_x)
-            v_mid = near_v + adaptive_simpson(integrand, near_x, mid)
-            if (v_mid < target) if grow else (v_mid > target):
-                near_x, near_v = mid, v_mid
-            else:
-                far_x = mid
-            if abs(far_x - near_x) <= 1e-13 * max(1.0, abs(far_x)):
-                break
-        return 0.5 * (near_x + far_x)
+        raise NoConvergence(f"Psi^-1({target}) did not converge")
 
     # F[m] = integral of f over [a, t_m); inner_j = int_a^{s_j} k(s_j,tau) Phi(p) Phi(F)
     # and w[j] = W(Psi^-1(Psi(zeta) + inner_j)) depend on j alone
@@ -194,7 +239,10 @@ def nonlinear_gronwall_bound(ts: TimeScale, u_data, a_fn, f_fn,
             continue  # zero-kernel collapse: no growth contribution
         if psi_zeta is None:
             psi_zeta = Psi(zeta)
-        w[j] = spec.W(Psi_inv(psi_zeta + inner))
+            # each inversion starts from the last point of the one before
+            x, val = (zeta, psi_zeta) if zeta > 0.0 else (spec.Psi_x0, 0.0)
+        root, x, val = Psi_inv(psi_zeta + inner, x, val)
+        w[j] = spec.W(root)
     acc = np.concatenate([[0.0], np.cumsum(mu * f[:-1] * w)])
     return GridFunction(ts, p * a + p * acc)
 
@@ -273,6 +321,8 @@ def _surface_values(ts1: TimeScale, ts2: TimeScale, fn) -> np.ndarray:
     if callable(fn):
         return np.array([[fn(t1, t2) for t2 in ts2.points] for t1 in ts1.points],
                         dtype=float)
+    if isinstance(fn, numbers.Real):
+        return np.full((len(ts1), len(ts2)), float(fn))
     out = np.asarray(fn, dtype=float)
     if out.shape != (len(ts1), len(ts2)):
         raise ValueError("surface shape does not match the grids")
@@ -280,11 +330,32 @@ def _surface_values(ts1: TimeScale, ts2: TimeScale, fn) -> np.ndarray:
 
 
 def _step_products(mu: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """P[i] = product over j < i of (1 + mu[j] S[j]) along the first axis;
-    cumprod multiplies in loop order, so P is bit-identical to a running product."""
+    """P[:, i] = product over j < i of (1 + mu[:, j] S[:, j]) along axis 1 of a
+    stack; cumprod multiplies in loop order, so P is bit-identical to a running
+    product."""
     P = np.ones_like(S)
-    P[1:] = np.cumprod(1.0 + mu[:, None] * S[:-1], axis=0)
+    P[:, 1:] = np.cumprod(1.0 + mu[:, :, None] * S[:, :-1], axis=1)
     return P
+
+
+def _gronwall_2d_stack(mu1: np.ndarray, mu2: np.ndarray, a: np.ndarray,
+                       f: np.ndarray) -> tuple:
+    """gronwall_2d_bound's (bound1, bound2) for a stack of trials.
+
+    a and f have shape (trials, n1, n2) and the gaps mu1, mu2 one row per
+    trial, all zero-padded past each trial's grids: a padded entry only ever
+    follows the real ones in a sum or product, so it leaves them unchanged.
+    """
+    _require_finite("2-D Gronwall data a and f", a, f)
+    # S2[:, i1, i2] = integral of f(t1_{i1}, .) over [a2, t2_{i2})
+    S2 = np.zeros_like(a)
+    S2[:, :, 1:] = np.cumsum(f[:, :, :-1] * mu2[:, None, :], axis=2)
+    bound1 = a * _step_products(mu1, S2)
+
+    S1 = np.zeros_like(a)
+    S1[:, 1:, :] = np.cumsum(f[:, :-1, :] * mu1[:, :, None], axis=1)
+    bound2 = a * _step_products(mu2, S1.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return bound1, bound2
 
 
 def gronwall_2d_bound(ts1: TimeScale, ts2: TimeScale, a_fn, f_fn):
@@ -296,19 +367,9 @@ def gronwall_2d_bound(ts1: TimeScale, ts2: TimeScale, a_fn, f_fn):
     """
     a = _surface_values(ts1, ts2, a_fn)
     f = _surface_values(ts1, ts2, f_fn)
-    mu1 = np.diff(ts1.points)
-    mu2 = np.diff(ts2.points)
-
-    # S2[i1, i2] = integral of f(t1_{i1}, .) over [a2, t2_{i2})
-    S2 = np.zeros_like(a)
-    S2[:, 1:] = np.cumsum(f[:, :-1] * mu2, axis=1)
-    bound1 = a * _step_products(mu1, S2)
-
-    S1 = np.zeros_like(a)
-    S1[1:, :] = np.cumsum(f[:-1, :] * mu1[:, None], axis=0)
-    bound2 = a * _step_products(mu2, S1.T).T
-
-    return bound1, bound2
+    bound1, bound2 = _gronwall_2d_stack(np.diff(ts1.points)[None],
+                                        np.diff(ts2.points)[None], a[None], f[None])
+    return bound1[0], bound2[0]
 
 
 def gronwall_2d_power_bound(ts1: TimeScale, ts2: TimeScale, a_fn, f_fn,
@@ -325,7 +386,7 @@ def gronwall_2d_power_bound(ts1: TimeScale, ts2: TimeScale, a_fn, f_fn,
     kernel = f * a ** (q / p - 1.0)
     S2 = np.zeros_like(a)
     S2[:, 1:] = np.cumsum(kernel[:, :-1] * mu2, axis=1)
-    prod = _step_products(mu1, S2)
+    prod = _step_products(mu1[None], S2[None])[0]
     # pow on Python floats: numpy's vectorised power may round the last bit differently
     e = 1.0 / p
     bound = [x ** e * y ** e for x, y in zip(a.ravel().tolist(), prod.ravel().tolist())]

@@ -1,11 +1,15 @@
 """ineq-check and the 2-D Gronwall bounds against the per-element loops they replaced.
 
-The 2-D bounds build their step products with ``cumprod`` and the CLI suites
-draw each trial's slack in one vector call; neither may change a single bit.
-The references below are the earlier double loops, certifiers and suites.  The
-suite oracle records every certifier, bound and pointwise check that
-``ineq-check`` makes (arguments and results) and compares both records bit for
-bit.
+The 2-D bounds build their step products with ``cumprod``, the suites draw
+each trial's slack in one vector call, and the Gronwall, comparison and 2-D
+Gronwall suites run blocks of stacked trials through one kernel per bound;
+none of this may change a single bit.  The references below are the earlier
+double loops, forward-step loops, certifiers and suites.  The suite oracle
+records every certifier call, every bound and every pointwise check that the
+old suites made (arguments and results).  For the certifier suites it records
+the calls ``ineq-check`` makes; for the stacked suites it reads each trial's
+row of every block (grid points, data, reference trajectory, bounds and
+verdicts) and compares both records bit for bit.
 """
 
 import math
@@ -13,8 +17,8 @@ import math
 import numpy as np
 import pytest
 
-from tsvar import cli, inequalities
-from tsvar.errors import InvalidAlpha, InvalidExponent
+from tsvar import cli, ineqcheck, inequalities
+from tsvar.errors import InvalidAlpha, InvalidExponent, NonRegressive
 from tsvar.inequalities import BoundReport
 from tsvar.timescale import GridFunction, TimeScale
 
@@ -86,6 +90,47 @@ def test_gronwall_2d_bounds_match_double_loops():
             assert np.array_equal(got, ref)
         assert np.array_equal(inequalities.gronwall_2d_power_bound(ts1, ts2, a, f, p, q),
                               old_gronwall_2d_power_bound(ts1, ts2, a, f, p, q))
+
+
+# ---------------------------------------------------------------------------
+# reference: the 1-D bounds as one forward step per interval on Python floats
+
+
+def _old_forward_solve(mu, c, d, y0, i0):
+    mu, c, d = mu.tolist(), c.tolist(), d.tolist()
+    y = [float(y0)]
+    for j in range(i0, len(mu)):
+        factor = 1.0 + mu[j] * c[j]
+        if factor <= 1e-14:
+            raise NonRegressive(f"1 + mu*p = {factor} at t index {j} must stay positive")
+        y.append(factor * y[-1] + mu[j] * d[j])
+    return np.array(y)
+
+
+def old_gronwall_bound(ts, a, b, t0):
+    i0 = ts.index(t0)
+    acc = _old_forward_solve(np.diff(ts.points), b, a * b, 0.0, i0)
+    return GridFunction(TimeScale(ts.points[i0:]), a[i0:] + acc)
+
+
+def old_comparison_bound(ts, y0, p, f, t0):
+    i0 = ts.index(t0)
+    out = _old_forward_solve(np.diff(ts.points), p, f, y0, i0)
+    return GridFunction(TimeScale(ts.points[i0:]), out)
+
+
+@pytest.mark.parametrize("n,i0", [(9, 0), (2000, 0), (2000, 37)])
+def test_public_1d_bounds_keep_the_forward_loop_bits(n, i0):
+    rng = np.random.default_rng(n + i0)
+    ts = _random_grid(rng, n)
+    a, b = rng.uniform(-1.0, 2.0, n), rng.uniform(-0.5, 1.5, n)
+    t0 = ts.points[i0]
+    for got, want in ((inequalities.gronwall_bound(ts, a, b, t0),
+                       old_gronwall_bound(ts, a, b, t0)),
+                      (inequalities.comparison_bound(ts, 0.25, b, a, t0),
+                       old_comparison_bound(ts, 0.25, b, a, t0))):
+        assert np.array_equal(got.scale.points, want.scale.points)
+        assert np.array_equal(got.values, want.values)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +324,8 @@ def _key(x):
     raise TypeError(f"no key for {x!r}")
 
 
-RECORDED = ("jensen_certify", "holder_certify", "cauchy_schwarz_certify", "minkowski_certify",
-            "gronwall_bound", "comparison_bound", "gronwall_2d_bound")
+CERTIFIERS = ("jensen_certify", "holder_certify", "cauchy_schwarz_certify",
+              "minkowski_certify")
 
 
 def _recording(log, name, fn):
@@ -300,29 +345,99 @@ class _Reference:
             log, "cauchy_schwarz_certify",
             lambda ts, f, g, alpha: self.holder_certify(ts, f, g, None, 2.0, alpha))
         self.minkowski_certify = _recording(log, "minkowski_certify", old_minkowski_certify)
-        # the 1-D bounds did not change: they are pinned by test_bound_oracles.py
-        self.gronwall_bound = _recording(log, "gronwall_bound", inequalities.gronwall_bound)
-        self.comparison_bound = _recording(log, "comparison_bound",
-                                           inequalities.comparison_bound)
+        self.gronwall_bound = _recording(log, "gronwall_bound", old_gronwall_bound)
+        self.comparison_bound = _recording(log, "comparison_bound", old_comparison_bound)
         self.gronwall_2d_bound = _recording(log, "gronwall_2d_bound", old_gronwall_2d_bound)
         self.holds_pointwise = _recording(log, "_holds_pointwise", old_holds_pointwise)
 
 
+def _constant_surface(c):
+    return lambda t1, t2: c
+
+
+def _record(log, name, args, out):
+    log.append((name, _key(args), _key([]), _key(out)))
+
+
+def _trial_records(suite, block, values, bounds, verdicts, log):
+    """The old suite's records of each trial, read from one stacked block."""
+    for k in range(len(values)):
+        mask = block["mask"][k]
+        if suite == "gronwall2d":
+            n1, n2 = mask.any(axis=1).sum(), mask.any(axis=0).sum()
+            ts1 = TimeScale(block["points1"][k, :n1])
+            ts2 = TimeScale(block["points2"][k, :n2])
+            a = _constant_surface(block["a"][k])
+            _record(log, "gronwall_2d_bound", (ts1, ts2, a, block["f"][k, :n1, :n2]),
+                    tuple(b[k, :n1, :n2] for b in bounds))
+            u = values[k, :n1, :n2].ravel()
+            for bound, verdict in zip(bounds, verdicts):
+                _record(log, "_holds_pointwise", (u, bound[k, :n1, :n2].ravel()),
+                        bool(verdict[k]))
+                if not verdict[k]:
+                    break  # the old suite stopped at the first failed check
+            continue
+        n = mask.sum()
+        ts = TimeScale(block["points"][k, :n])
+        if suite == "gronwall":
+            args = (ts, block["a"][k, :n], block["b"][k, :n], ts.points[0])
+        else:
+            args = (ts, block["y0"][k], block["p"][k, :n], block["f"][k, :n], ts.points[0])
+        bound = bounds[0][k, :n]
+        _record(log, f"{suite}_bound", args, GridFunction(ts, bound))
+        _record(log, "_holds_pointwise", (values[k, :n], bound), bool(verdicts[0][k]))
+
+
+STACKED = {"gronwall": "_gronwall_pass", "comparison": "_comparison_pass",
+           "gronwall2d": "_gronwall_2d_pass"}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_suite_data_and_reports_match_the_old_loops(monkeypatch, seed):
+    _match_old_loops(monkeypatch, seed)
+
+
+def test_stacked_suites_match_the_old_loops_across_block_boundaries(monkeypatch):
+    monkeypatch.setattr(ineqcheck, "TRIAL_BLOCK", 7)  # 300 trials make 43 blocks
+    _match_old_loops(monkeypatch, 0)
+
+
+def _match_old_loops(monkeypatch, seed):
     expected = []
     reference = _Reference(expected)
     for suite in _old_suites(reference).values():
         suite(300, seed)
 
     got = []
-    for name in RECORDED:
+    for name in CERTIFIERS:
         monkeypatch.setattr(inequalities, name,
                             _recording(got, name, getattr(inequalities, name)))
-    monkeypatch.setattr(cli, "_holds_pointwise",
-                        _recording(got, "_holds_pointwise", cli._holds_pointwise))
-    for suite in cli._SUITES.values():
+    passes = []  # [block, values, bounds, verdicts of each bound] per block
+
+    def recording_pass(bound_pass):
+        def record(data):
+            values, bounds = bound_pass(data)
+            passes.append((data, values, bounds, []))
+            return values, bounds
+
+        return record
+
+    holds = ineqcheck._holds_pointwise
+
+    def recording_holds(values, bound, mask):
+        verdicts = holds(values, bound, mask)
+        passes[-1][3].append(verdicts)
+        return verdicts
+
+    monkeypatch.setattr(ineqcheck, "_holds_pointwise", recording_holds)
+    for name, attr in STACKED.items():
+        monkeypatch.setattr(ineqcheck, attr, recording_pass(getattr(ineqcheck, attr)))
+    assert cli._SUITES is ineqcheck.SUITES
+    for name, suite in cli._SUITES.items():
         assert suite(300, seed) == 300
+        for record in passes:
+            _trial_records(name, *record, got)
+        passes.clear()
 
     # every trial holds, so both 2-D checks run: 12 records per trial
     assert len(got) == len(expected) == 300 * 12

@@ -423,6 +423,61 @@ def test_gronwall_2d_power_dominates_recursion():
     assert np.all(u <= bound * (1 + 1e-12) + 1e-12)
 
 
+def test_gronwall_2d_bound_reads_a_number_as_a_constant_surface():
+    ts1 = uniform(0.0, 3.0, 1.0)
+    ts2 = uniform(0.0, 2.0, 0.5)
+    f = np.random.default_rng(5).uniform(0.0, 1.0, (len(ts1), len(ts2)))
+    for got, want in zip(ineq.gronwall_2d_bound(ts1, ts2, 1.5, f),
+                         ineq.gronwall_2d_bound(ts1, ts2, lambda t1, t2: 1.5, f)):
+        assert np.array_equal(got, want)
+    square = uniform(0.0, 2.0, 1.0)
+    for got in ineq.gronwall_2d_bound(square, square, 1.0, 0.0):
+        assert np.array_equal(got, np.ones((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# non-finite bound data
+
+
+def test_gronwall_bound_rejects_non_finite_data():
+    g = uniform(0.0, 2.0, 0.5)
+    a = np.ones(len(g))
+    a[1] = math.nan
+    with pytest.raises(NonFinite):
+        ineq.gronwall_bound(g, a, 0.5, 0.0)
+    a[1] = 1.0
+    a[-1] = math.inf  # the last point enters the bound but no step
+    with pytest.raises(NonFinite):
+        ineq.gronwall_bound(g, a, 0.5, 0.0)
+    with pytest.raises(NonFinite):
+        ineq.gronwall_bound(g, 1.0, lambda t: math.inf if t == 1.0 else 0.5, 0.0)
+
+
+def test_comparison_bound_rejects_non_finite_data():
+    g = uniform(0.0, 2.0, 0.5)
+    p = np.full(len(g), 0.3)
+    p[2] = math.inf
+    with pytest.raises(NonFinite):
+        ineq.comparison_bound(g, 1.0, p, 0.0, 0.0)
+    with pytest.raises(NonFinite):
+        ineq.comparison_bound(g, math.inf, 0.3, 0.0, 0.0)
+    with pytest.raises(NonFinite):
+        ineq.comparison_bound(g, 1.0, 0.3, lambda t: math.nan, 0.0)
+
+
+def test_gronwall_2d_and_nonlinear_bounds_reject_non_finite_data():
+    ts = uniform(0.0, 2.0, 1.0)
+    f = np.zeros((3, 3))
+    f[1, 2] = math.nan
+    with pytest.raises(NonFinite):
+        ineq.gronwall_2d_bound(ts, ts, 1.0, f)
+    with pytest.raises(NonFinite):
+        ineq.gronwall_2d_bound(ts, ts, math.inf, 0.0)
+    spec = NonlinearGrowthSpec(Phi=lambda u: u, W=lambda u: u, Psi_x0=1.0)
+    with pytest.raises(NonFinite):
+        ineq.nonlinear_gronwall_bound(ts, None, math.nan, 0.1, lambda t, s: 0.1, spec)
+
+
 # ---------------------------------------------------------------------------
 # integrodynamic recursion
 
