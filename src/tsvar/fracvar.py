@@ -19,6 +19,8 @@ the differences, the summation-by-parts correction, the solver's operators and
 every row of its stationarity system are assembled from these cached weight
 vectors.  Only the Legendre check still evaluates its kernels through
 h_factorial; the tests cross-check the weights against the textbook kernels.
+The solver's Newton pair and candidate reports come from ``varcalc``'s
+``newton_pair`` and ``extremal_candidates``, shared with the classical solvers.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dsl import HESS_INDEX, Expr, ensure_expr, eval_grad, eval_jet2, eval_value, program
-from .errors import DomainError, InvalidAlpha, OffDomain, OrderNotPositive
+from .dsl import HESS_INDEX, Expr, ensure_expr, eval_grad, eval_jet2, eval_value
+from .errors import InvalidAlpha, OffDomain, OrderNotPositive
 from .solvers import SolverConfig, multi_start, refuse_dense_beyond_cap
 from .special import gamma_fn, h_factorial
 from .timescale import MAX_POINTS, GridFunction, TimeScale, uniform
-from .varcalc import ExtremalCandidate, LegendreReport
+from .varcalc import LegendreReport, extremal_candidates, newton_pair
 
 # ---------------------------------------------------------------------------
 # Types
@@ -349,24 +351,21 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     deduplicated, annotated with Legendre verdicts, sorted by functional value.
     """
     refuse_dense_beyond_cap(p.grid.n_steps + 1, "fractional solver")
-    cfg = config or SolverConfig()
     scale = p.grid.scale()
     pts = scale.points
     h = p.grid.h
     N = pts.size
     m = N - 1
     alpha, beta = p.orders.alpha, p.orders.beta
-    free_left = p.A is None
-    free_right = p.B is None
-    n_unknowns = (N - 2) + int(free_left) + int(free_right)
-    lo = 0 if free_left else 1  # the unknowns are y_lo .. y_{lo + n_unknowns - 1}
+    lo, hi = int(p.A is not None), N - int(p.B is not None)  # the unknowns are y_lo .. y_{hi-1}
+    n_unknowns = hi - lo
     fixed = np.zeros(N)
-    fixed[0] = 0.0 if free_left else p.A
-    fixed[-1] = 0.0 if free_right else p.B
+    fixed[0] = 0.0 if p.A is None else p.A
+    fixed[-1] = 0.0 if p.B is None else p.B
 
     def assemble(x):
         full = fixed.copy()
-        full[lo:lo + n_unknowns] = x
+        full[lo:hi] = x
         return full
 
     # A stacks the maps y -> (u, v, w) on T^kappa, point by point: row 3j + a
@@ -378,53 +377,23 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     A = np.zeros((m, 3, N))
     A[np.arange(m), 0, np.arange(1, N)] = 1.0
     A[:, 1], A[:, 2] = _diff_maps(alpha, beta, h, N)
-    A_unknown = A[:, :, lo:lo + n_unknowns]
+    A_unknown = A[:, :, lo:hi]
     A = A.reshape(3 * m, N)
     ends = [np.stack(row, axis=1).ravel() for row in _natural_bc_rows(p) if row is not None]
     C = np.vstack([A[:, 1:N - 1].T, *ends]) if ends else A[:, 1:N - 1].T
     t = pts[:-1]
-
-    def arguments(x):
-        return (t, *(A @ assemble(x)).reshape(m, 3).T)
-
-    # The residual runs L's compiled programs directly: multi_start has set
-    # np.errstate, and the arguments are float arrays of shape (m,).  Newton
-    # calls the Jacobian only at its latest successful residual point, so the
-    # residual keeps its jet rows there (gradient rows bit-equal to eval_grad's).
-    jet2, jet1 = program(p.L, 2), program(p.L, 1)
     hessian = 4 + HESS_INDEX  # rows of the jet holding each Hessian entry
-    kept = [None, None]  # [x, jet rows of L at x]
+    residual, jacobian, _ = newton_pair(
+        [p.L], lambda x: (t, *(A @ assemble(x)).reshape(m, 3).T),
+        lambda x, rows: C @ rows[0][1:4].T.ravel(),
+        lambda x, rows: C @ (rows[0].T[:, hessian] @ A_unknown).reshape(3 * m, n_unknowns))
+    roots = multi_start(residual, jacobian, n_unknowns, config or SolverConfig())
 
-    def residual_map(x):
-        args = arguments(x)
-        try:
-            kept[:] = x, jet2(*args, (m,))
-            grad = kept[1][1:4]
-        except DomainError:  # L may have a gradient but no Hessian here
-            kept[:] = None, None
-            grad = jet1(*args, (m,))[1:]
-        return C @ grad.T.ravel()
-
-    def jacobian(x):
-        jet = kept[1] if kept[0] is x else jet2(*arguments(x), (m,))
-        H = jet.T[:, hessian]  # (m, 3, 3), point-major like A
-        return C @ (H @ A_unknown).reshape(3 * m, n_unknowns)
-
-    sols = multi_start(residual_map, jacobian, n_unknowns, cfg)
-    out = []
-    for x in sols:
-        y = GridFunction(scale, assemble(x))
+    def textbook_residual(y):
         # the textbook system, evaluated apart from C: an independent check of it
-        with np.errstate(all="ignore"):  # as in multi_start: overflow gives inf
-            natural = [r for r in natural_bc_residuals(p, y) if r is not None]
-            res = np.concatenate([el_residual_frac(p, y).values, natural])
-        report = legendre_frac_check(p, y)
-        out.append(ExtremalCandidate(
-            y=y,
-            residual_norm=float(np.linalg.norm(res)),
-            legendre_ok=report.ok,
-            margins=report.margins,
-            functional_value=functional_value(p, y),
-        ))
-    out.sort(key=lambda c: c.functional_value)
-    return out
+        natural = [r for r in natural_bc_residuals(p, y) if r is not None]
+        return np.concatenate([el_residual_frac(p, y).values, natural])
+
+    return extremal_candidates(roots, scale, assemble, textbook_residual,
+                               lambda y: legendre_frac_check(p, y),
+                               lambda y: functional_value(p, y))

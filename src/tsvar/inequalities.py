@@ -177,7 +177,11 @@ def nonlinear_gronwall_bound(ts: TimeScale, u_data, a_fn, f_fn,
         zeta += mu[j] * kernel(pts[n - 2], pts[j]) * spec.Phi(p[j] * a[j])
 
     def integrand(s: float) -> float:
-        return 1.0 / spec.Phi(spec.W(s))
+        phi = spec.Phi(spec.W(s))
+        value = 1.0 / phi if phi else math.inf
+        if not math.isfinite(value):  # e.g. Phi(W(0)) = 0: Psi is undefined there
+            raise OutsideDomPsiInverse(f"1/Phi(W(s)) is not finite at s = {s}")
+        return value
 
     def Psi(x: float) -> float:
         # accumulate octave by octave: a single sweep over [x0, x] can span

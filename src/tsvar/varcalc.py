@@ -14,6 +14,11 @@ Sign convention used throughout: the Euler-Lagrange residual is
 so a minimizer zeroes it.  (The time-scales EL equation is usually written
 L_v^Delta = L_u; both orderings appear in the literature and only the sign of
 the reported residual differs.)
+
+The Newton-solved systems (classical and isoperimetric here, fractional in
+``fracvar``) take their residual and exact Jacobian from ``newton_pair``, which
+evaluates each Lagrangian once per Newton point, and report their roots
+through ``extremal_candidates``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .dsl import Bin, Expr, Num, ensure_expr, eval_jet2, eval_value
+from .dsl import Expr, ensure_expr, eval_jet2, eval_value, program
 from .errors import (
     ConstraintInfeasible,
     DomainError,
@@ -186,24 +191,27 @@ def _first_order_args(ts: TimeScale, values: np.ndarray):
     return pts[:-1], u, v, mu
 
 
+def _el_rows(grad: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """L_u - (L_v)^Delta on T^{kappa kappa} from L's gradient rows on T^kappa."""
+    return grad[0][:-1] - np.diff(grad[1]) / mu[:-1]
+
+
 def el_residual(p: VariationalProblem, y: GridFunction) -> GridFunction:
     """L_u - (L_v)^Delta on T^{kappa kappa}; zero along extremals."""
     t, u, v, mu = _first_order_args(p.scale, np.asarray(y.values, dtype=float))
-    Lu, Lv, _ = eval_jet2(p.L, t, u, v, 0.0).grad
-    res = Lu[:-1] - np.diff(Lv) / mu[:-1]
-    return GridFunction(p.residual_scale, res)
+    return GridFunction(p.residual_scale, _el_rows(eval_jet2(p.L, t, u, v, 0.0).grad, mu))
 
 
-def _el_jacobian(L: Expr, ts: TimeScale, values: np.ndarray) -> Tridiagonal:
-    """Exact Jacobian of el_residual in the interior values, as its three diagonals.
+def _el_jacobian(hess: np.ndarray, mu: np.ndarray) -> Tridiagonal:
+    """Exact Jacobian of el_residual in the interior values, as its three diagonals,
+    from L's Hessian rows (uu, uv, uw, vv, vw, ww) on T^kappa.
 
     Row j, L_u(t_j) - (L_v(t_{j+1}) - L_v(t_j)) / mu_j, sees y_j, y_{j+1} and
     y_{j+2} through u_i = y_{i+1} and v_i = (y_{i+1} - y_i) / mu_i, so the
     matrix is tridiagonal: O(N) memory, and newton_solve steps with an O(N)
     sweep.  ``np.asarray`` gives the dense matrix.
     """
-    t, u, v, mu = _first_order_args(ts, values)
-    huu, huv, _, hvv, _, _ = eval_jet2(L, t, u, v, 0.0).hess
+    huu, huv, _, hvv, _, _ = hess
     # d L_u(t_i) and d L_v(t_i) by y_i (suffix 0) and by y_{i+1} (suffix 1)
     du0, du1 = -huv / mu, huu + huv / mu
     dv0, dv1 = -hvv / mu, huv + hvv / mu
@@ -213,12 +221,10 @@ def _el_jacobian(L: Expr, ts: TimeScale, values: np.ndarray) -> Tridiagonal:
 
 
 def functional_value(p: Union[VariationalProblem, IsoperimetricProblem],
-                     y: GridFunction, expr: Optional[Expr] = None) -> float:
-    """Delta-integral of the Lagrangian along y (expr overrides p.L)."""
-    L = expr if expr is not None else p.L
-    values = np.asarray(y.values, dtype=float)
-    t, u, v, mu = _first_order_args(p.scale, values)
-    return float(mu @ eval_value(L, t, u, v))
+                     y: GridFunction) -> float:
+    """Delta-integral of the Lagrangian along y."""
+    t, u, v, mu = _first_order_args(p.scale, np.asarray(y.values, dtype=float))
+    return float(mu @ eval_value(p.L, t, u, v))
 
 
 def legendre_check(p: VariationalProblem, y: GridFunction) -> LegendreReport:
@@ -227,14 +233,18 @@ def legendre_check(p: VariationalProblem, y: GridFunction) -> LegendreReport:
     Uses the reciprocal convention 0* = 0, which on a finite grid kicks in at
     rho(b) where mu(sigma(t)) = 0.
     """
-    values = np.asarray(y.values, dtype=float)
-    t, u, v, mu = _first_order_args(p.scale, values)
-    huu, huv, _, hvv, _, _ = eval_jet2(p.L, t, u, v, 0.0).hess
+    t, u, v, mu = _first_order_args(p.scale, np.asarray(y.values, dtype=float))
+    return _legendre_report(p.scale, eval_jet2(p.L, t, u, v, 0.0).hess, mu)
+
+
+def _legendre_report(ts: TimeScale, hess: np.ndarray, mu: np.ndarray) -> LegendreReport:
+    """legendre_check from L's Hessian rows (uu, uv, uw, vv, vw, ww) on T^kappa."""
+    huu, huv, _, hvv, _, _ = hess
     # (1 / mu(sigma(t))) L_vv(sigma(t)); mu(sigma(t)) = 0 at the right edge: 0* = 0
     sigma_term = np.append((1.0 / mu[1:]) * hvv[1:], 0.0)
     margins = hvv + mu * (2.0 * huv + mu * huu + sigma_term)
     ok = bool(np.all(margins >= -1e-10))
-    return LegendreReport(GridFunction(p.scale.drop_last(1), margins), ok)
+    return LegendreReport(GridFunction(ts.drop_last(1), margins), ok)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +318,64 @@ def functional_value_higher(p: HigherOrderProblem, y: GridFunction) -> float:
 # Solving
 
 
+def newton_pair(exprs: Sequence[Expr], arguments: Callable,
+                residual_of: Callable, jacobian_of: Callable) -> tuple:
+    """Newton's residual and Jacobian built from the jets of ``exprs``, and ``jets(x)``.
+
+    ``arguments(x)`` gives the expressions' (t, u, v, w) at the unknowns x,
+    t spanning the grid; ``residual_of(x, rows)`` and ``jacobian_of(x, rows)``
+    build the system from each expression's ``dsl.program`` rows at x.  The
+    residual runs each order-2 program once per point and keeps the rows (it
+    runs order 1 and keeps none where a Hessian raises DomainError).  Newton
+    asks for the Jacobian only at the very x object of its latest successful
+    residual call, so ``jets(x)``, and the Jacobian with it, reads the kept
+    rows there and evaluates afresh elsewhere.  The programs run under the
+    caller's ``np.errstate``, which multi_start sets.
+    """
+    jet2, jet1 = [program(e, 2) for e in exprs], [program(e, 1) for e in exprs]
+    kept = [None, None]  # [x, rows at x]
+
+    def evaluate(programs, args):
+        return [run(*args, args[0].shape) for run in programs]
+
+    def residual(x):
+        args = arguments(x)
+        try:
+            kept[:] = x, evaluate(jet2, args)
+        except DomainError:
+            kept[:] = None, evaluate(jet1, args)
+        return residual_of(x, kept[1])
+
+    def jets(x):
+        return kept[1] if kept[0] is x else evaluate(jet2, arguments(x))
+
+    return residual, lambda x: jacobian_of(x, jets(x)), jets
+
+
+def extremal_candidates(roots: list, ts: TimeScale, assemble: Callable,
+                        residual: Callable, legendre: Callable, value: Callable) -> list:
+    """ExtremalCandidates at multi_start's roots x, sorted by functional value:
+    at y = GridFunction(ts, assemble(x)), the norm of the textbook residual
+    array ``residual(y)`` (overflow gives inf, as in multi_start), the
+    LegendreReport ``legendre(y)`` and the functional ``value(y)``."""
+    out = []
+    for y in (GridFunction(ts, assemble(x)) for x in roots):
+        with np.errstate(all="ignore"):
+            norm = float(np.linalg.norm(residual(y)))
+        report = legendre(y)
+        out.append(ExtremalCandidate(y=y, residual_norm=norm, legendre_ok=report.ok,
+                                     margins=report.margins, functional_value=value(y)))
+    return sorted(out, key=lambda c: c.functional_value)
+
+
+def _first_order_unknowns(p: Union[VariationalProblem, IsoperimetricProblem]):
+    """(assemble, arguments): y and L's (t, u, v, w) at unknowns led by the interior values."""
+    def assemble(x):
+        return np.concatenate([[p.A], x[:len(p.scale) - 2], [p.B]])
+
+    return assemble, lambda x: _first_order_args(p.scale, assemble(x))[:3] + (0.0,)
+
+
 def solve_el(p: Union[VariationalProblem, HigherOrderProblem],
              config: Optional[SolverConfig] = None) -> list:
     """The extremals of the discrete stationarity system, as ExtremalCandidates.
@@ -335,113 +403,71 @@ def solve_el(p: Union[VariationalProblem, HigherOrderProblem],
             raise SingularJacobian("higher-order system: non-finite solution")
         y = GridFunction(p.scale, x)
         return [ExtremalCandidate(
-            y=y,
-            residual_norm=float(np.linalg.norm(el_residual_higher(p, y).values)),
-            legendre_ok=True,
-            margins=GridFunction(p.scale.drop_last(1), np.zeros(n - 1)),
-            functional_value=functional_value_higher(p, y),
-        )]
+            y=y, residual_norm=float(np.linalg.norm(el_residual_higher(p, y).values)),
+            legendre_ok=True, margins=GridFunction(p.scale.drop_last(1), np.zeros(n - 1)),
+            functional_value=functional_value_higher(p, y))]
 
-    def assemble(interior):
-        full = np.empty(n)
-        full[0] = p.A
-        full[-1] = p.B
-        full[1:-1] = interior
-        return full
-
-    def residual_map(interior):
-        return el_residual(p, GridFunction(p.scale, assemble(interior))).values
-
-    def jacobian(interior):
-        return _el_jacobian(p.L, p.scale, assemble(interior))
-
-    out = []
-    for x in multi_start(residual_map, jacobian, n - 2, config or SolverConfig()):
-        y = GridFunction(p.scale, assemble(x))
-        report = legendre_check(p, y)
-        out.append(ExtremalCandidate(
-            y=y,
-            residual_norm=float(np.linalg.norm(el_residual(p, y).values)),
-            legendre_ok=report.ok,
-            margins=report.margins,
-            functional_value=functional_value(p, y),
-        ))
-    out.sort(key=lambda c: c.functional_value)
-    return out
+    mu = np.diff(p.scale.points)
+    assemble, arguments = _first_order_unknowns(p)
+    residual, jacobian, _ = newton_pair(
+        [p.L], arguments, lambda x, rows: _el_rows(rows[0][1:], mu),
+        lambda x, rows: _el_jacobian(rows[0][4:], mu))
+    roots = multi_start(residual, jacobian, n - 2, config or SolverConfig())
+    return extremal_candidates(roots, p.scale, assemble, lambda y: el_residual(p, y).values,
+                               lambda y: legendre_check(p, y), lambda y: functional_value(p, y))
 
 
 def solve_isoperimetric(p: IsoperimetricProblem,
                         config: Optional[SolverConfig] = None) -> ExtremalCandidate:
     """Stationarity of F = L - lambda*g plus the constraint row; lambda unknown.
 
-    The bordered Jacobian is dense, so more than ``solvers.MAX_DENSE_POINTS``
-    points are refused with a ValueError.
+    Reports the root of least functional value.  The bordered Jacobian is dense,
+    so more than ``solvers.MAX_DENSE_POINTS`` points are refused with a ValueError.
     """
-    cfg = config or SolverConfig()
     n = len(p.scale)
     refuse_dense_beyond_cap(n, "isoperimetric solver")
+    mu = np.diff(p.scale.points)
+    assemble, arguments = _first_order_unknowns(p)
 
-    def assemble(x):
-        full = np.empty(n)
-        full[0] = p.A
-        full[-1] = p.B
-        full[1:-1] = x[:-1]
-        return full, x[-1]
+    def residual_of(x, rows):
+        L_rows, g_rows = rows
+        return np.concatenate([_el_rows(L_rows[1:], mu) - x[-1] * _el_rows(g_rows[1:], mu),
+                               [mu @ g_rows[0] - p.l]])
 
-    base = VariationalProblem(p.scale, p.L, p.A, p.B)
-    gprob = VariationalProblem(p.scale, p.g, p.A, p.B)
-
-    def residual_map(x):
-        full, lam = assemble(x)
-        y = GridFunction(p.scale, full)
-        res_L = el_residual(base, y).values
-        res_g = el_residual(gprob, y).values
-        constraint = functional_value(p, y, expr=p.g) - p.l
-        return np.concatenate([res_L - lam * res_g, [constraint]])
-
-    mu = np.diff(p.scale.points)[:-1]
-
-    def constraint_grad(x):
-        """Exact gradient of the constraint row in y: mu times g's residual."""
-        full, _ = assemble(x)
-        return mu * el_residual(gprob, GridFunction(p.scale, full)).values
-
-    band = np.arange(n - 2)  # the block of F = L - lambda*g is tridiagonal
-
-    def jacobian(x):
-        full, lam = assemble(x)
-        grad_g = constraint_grad(x)
-        JL, Jg = _el_jacobian(p.L, p.scale, full), _el_jacobian(p.g, p.scale, full)
+    def jacobian_of(x, rows):
+        L_rows, g_rows = rows
+        # the constraint's gradient in y: mu times g's Euler-Lagrange rows
+        grad_g = mu[:-1] * _el_rows(g_rows[1:], mu)
         J = np.zeros((n - 1, n - 1))
-        J[band, band] = JL.diag - lam * Jg.diag
-        J[band[1:], band[:-1]] = JL.lower - lam * Jg.lower
-        J[band[:-1], band[1:]] = JL.upper - lam * Jg.upper
-        J[:-1, -1] = -grad_g / mu
+        # the block of F = L - lambda*g is tridiagonal
+        J[:-1, :-1] = (np.asarray(_el_jacobian(L_rows[4:], mu))
+                       - x[-1] * np.asarray(_el_jacobian(g_rows[4:], mu)))
+        J[:-1, -1] = -grad_g / mu[:-1]
         J[-1, :-1] = grad_g
         return J
 
+    residual, jacobian, jets = newton_pair([p.L, p.g], arguments, residual_of, jacobian_of)
     try:
-        sols = multi_start(residual_map, jacobian, n - 1, cfg)
+        roots = multi_start(residual, jacobian, n - 1, config or SolverConfig())
     except NoConvergence as exc:
         raise ConstraintInfeasible(str(exc)) from exc
-    candidates = []
-    for x in sols:
-        full, lam = assemble(x)
-        y = GridFunction(p.scale, full.copy())
-        F_expr = Bin("-", p.L, Bin("*", Num(float(lam)), p.g))
-        report = legendre_check(VariationalProblem(p.scale, F_expr, p.A, p.B), y)
-        candidates.append((x, ExtremalCandidate(
-            y=y,
-            residual_norm=float(np.linalg.norm(residual_map(x))),
-            legendre_ok=report.ok,
-            margins=report.margins,
-            functional_value=functional_value(p, y, expr=p.L),
-            multiplier=float(lam),
-        )))
-    candidates.sort(key=lambda pair: pair[1].functional_value)
-    best_x, best = candidates[0]
-    _reject_abnormal(constraint_grad, best_x)
-    return best
+    values = [functional_value(p, GridFunction(p.scale, assemble(x))) for x in roots]
+    best = min(range(len(roots)), key=values.__getitem__)
+    x, lam = roots[best], roots[best][-1]
+    gprob = VariationalProblem(p.scale, p.g, p.A, p.B)
+
+    def constraint_grad(x):
+        """Exact gradient of the constraint row in y: mu times g's residual."""
+        return mu[:-1] * el_residual(gprob, GridFunction(p.scale, assemble(x))).values
+
+    _reject_abnormal(constraint_grad, x)
+    with np.errstate(all="ignore"):  # as in multi_start: overflow gives inf
+        residual_norm = float(np.linalg.norm(residual(x)))
+        L_rows, g_rows = jets(x)
+    report = _legendre_report(p.scale, L_rows[4:] - lam * g_rows[4:], mu)
+    return ExtremalCandidate(y=GridFunction(p.scale, assemble(x)), residual_norm=residual_norm,
+                             legendre_ok=report.ok, margins=report.margins,
+                             functional_value=values[best], multiplier=float(lam))
 
 
 def _reject_abnormal(constraint_grad, x: np.ndarray) -> None:

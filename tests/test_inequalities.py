@@ -205,6 +205,34 @@ def test_nonlinear_outside_psi_domain_raises():
                                       lambda t, s: 10.0, spec)
 
 
+def _zero_zeta_bound(Phi):
+    # the kernel vanishes at t = rho(b) = 5 only, so zeta = 0 while the inner
+    # integrals are not: the inversions start from Psi(0)
+    g = uniform(0.0, 6.0, 1.0)
+    spec = NonlinearGrowthSpec(Phi=Phi, W=lambda x: x, Psi_x0=1.0)
+    return ineq.nonlinear_gronwall_bound(g, None, lambda t: 1.0, lambda t: 0.2,
+                                         lambda t, s: 0.0 if t == 5.0 else 0.1, spec)
+
+
+@pytest.mark.parametrize("Phi", [lambda x: x, math.sqrt], ids=["identity", "sqrt"])
+def test_nonlinear_zero_zeta_with_phi_vanishing_at_zero_raises(Phi):
+    # 1/Phi(W(s)) is not finite at s = 0, where Psi(0) is taken
+    with pytest.raises(OutsideDomPsiInverse):
+        _zero_zeta_bound(Phi)
+
+
+def test_nonlinear_zero_zeta_with_phi_positive_at_zero_is_closed_form():
+    # Phi(x) = 1 + x, W = id: Psi(x) = ln((1 + x) / 2), so Psi^-1(Psi(0) + I)
+    # = e^I - 1 and the bound is p (1 + sum_{j<i} 0.2 (e^{I_j} - 1)),
+    # with p = 1.2^i and I_j = sum_{m<j} k(t_j, t_m) Phi(p_m) Phi(0.2 m)
+    got = _zero_zeta_bound(lambda x: 1.0 + x).values
+    p = 1.2 ** np.arange(7)
+    inner = [sum(0.1 * (1.0 + p[m]) * (1.0 + 0.2 * m) for m in range(j)) if j != 5 else 0.0
+             for j in range(6)]
+    want = p * (1.0 + np.concatenate([[0.0], np.cumsum(0.2 * np.expm1(inner))]))
+    assert_allclose(got, want, rtol=1e-12)
+
+
 def test_growth_spec_validation():
     with pytest.raises(ValueError):
         NonlinearGrowthSpec(Phi=lambda u: u, W=lambda u: u, Psi_x0=0.0)

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tsvar import dsl, solvers, varcalc
+from tsvar import dsl, fracvar, solvers, varcalc
 from tsvar import timescale as tsc
 from tsvar.errors import (
     DomainError,
@@ -503,6 +504,88 @@ def test_isoperimetric_abnormal_raises():
     p = IsoperimetricProblem(g, "v^2", "v^2", 0.0, 1.0, free.functional_value)
     with pytest.raises(SingularJacobian):
         solve_isoperimetric(p, SolverConfig(starts=16, seed=3))
+
+
+def test_isoperimetric_margins_are_legendre_check_of_l_minus_lambda_g():
+    # the solver combines the Hessian rows of L and g; the textbook check
+    # compiles F = L - lambda*g as one expression
+    p = IsoperimetricProblem(_explicit_grid(3, n=11), "v^2 + 0.1*u^4 + t*u*v", "u^2 + 0.5*u*v",
+                             0.0, 1.0, 0.5)
+    cand = solve_isoperimetric(p, SolverConfig(starts=16, seed=0, box=(-2.0, 2.0)))
+    F = dsl.Bin("-", p.L, dsl.Bin("*", dsl.Num(cand.multiplier), p.g))
+    report = legendre_check(VariationalProblem(p.scale, F, p.A, p.B), cand.y)
+    assert np.array_equal(cand.margins.values, report.margins.values)
+    assert cand.legendre_ok == report.ok
+
+
+# ---------------------------------------------------------------------------
+# one Lagrangian evaluation per Newton point
+
+
+def _solve_counting_runs(monkeypatch, module, solve):
+    """solve()'s result, and calls[(name, where)] with where "inside" or
+    "outside" multi_start, for name "_run" (the eval_* wrapper), "program"
+    (runs of the programs newton_pair compiled) and "residual" (Newton's
+    residual calls)."""
+    calls = Counter()
+    where = ["outside"]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name, where[0]] += 1
+            return fn(*args)
+        return wrapper
+
+    real_program, real_multi_start = varcalc.program, module.multi_start
+
+    def inside(fn, jac, n, config):
+        where[0] = "inside"
+        try:
+            return real_multi_start(counted("residual", fn), jac, n, config)
+        finally:
+            where[0] = "outside"
+
+    monkeypatch.setattr(dsl, "_run", counted("_run", dsl._run))
+    monkeypatch.setattr(varcalc, "program",
+                        lambda e, order: counted("program", real_program(e, order)))
+    monkeypatch.setattr(module, "multi_start", inside)
+    return solve(), calls
+
+
+@pytest.mark.parametrize("module, solve, lagrangians", [
+    pytest.param(varcalc, partial(solve_el, VariationalProblem(
+        tsc.uniform(0.0, 1.0, 0.05), "0.5*v^2 + 0.25*u^4 + u*v", 0.0, 1.0),
+        SolverConfig(starts=8, seed=0, box=(-3.0, 3.0))), 1, id="classical"),
+    pytest.param(varcalc, partial(solve_isoperimetric, IsoperimetricProblem(
+        zgrid(6), "v^2", "u^2", 0.0, 0.0, 1.0),
+        SolverConfig(starts=16, seed=0, box=(-1.5, 1.5))), 2, id="isoperimetric"),
+    pytest.param(fracvar, partial(fracvar.solve_frac_el, fracvar.FracProblem(
+        fracvar.FracGrid(0.0, 1.0, 0.1), fracvar.FracOrders(0.75, 0.6),
+        "0.5*v^2 + 0.5*w^2 - u + 0.1*u^4", A=0.0, B=None),
+        SolverConfig(starts=4, seed=0, box=(0.0, 1.0))), 1, id="fractional"),
+])
+def test_newton_loop_runs_each_lagrangian_once_per_residual_call(monkeypatch, module, solve,
+                                                                 lagrangians):
+    # inside multi_start the residual runs each compiled program once and the
+    # Jacobian reads the rows it kept, never the eval_* wrapper
+    result, calls = _solve_counting_runs(monkeypatch, module, solve)
+    assert result
+    assert calls["_run", "inside"] == 0
+    assert calls["residual", "inside"] > 0
+    assert calls["program", "inside"] == lagrangians * calls["residual", "inside"]
+
+
+def test_repeated_isoperimetric_solve_compiles_no_program(monkeypatch):
+    p = IsoperimetricProblem(zgrid(6), "v^2", "u^2", 0.0, 0.0, 1.0)
+    cfg = SolverConfig(starts=16, seed=0, box=(-1.5, 1.5))
+    first = solve_isoperimetric(p, cfg)
+    compiled = []
+    compile_ = dsl._Compiler.compile
+    monkeypatch.setattr(dsl._Compiler, "compile",
+                        lambda self, e: compiled.append(e) or compile_(self, e))
+    again = solve_isoperimetric(p, cfg)
+    assert compiled == []
+    assert np.array_equal(again.margins.values, first.margins.values)
 
 
 # ---------------------------------------------------------------------------
