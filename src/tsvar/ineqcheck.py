@@ -2,14 +2,23 @@
 
 A suite is ``run(trials, seed)``: it draws every trial from one seeded stream,
 in order, and returns the number of trials whose inequality held to a 1e-10
-tolerance.  The Jensen, Hoelder, Cauchy-Schwarz and Minkowski suites make one
-``*_certify`` call per trial.  The Gronwall, comparison and 2-D Gronwall suites
-draw ``TRIAL_BLOCK`` trials at a time into zero-padded arrays, one row per
-trial, and give each block one array pass: the reference trajectory, the
-bound from the stacked kernel that also serves the public bound, and the
-pointwise check.  Padding never reaches a real entry (a zero gap adds nothing
-to a sum and multiplies a step product by 1), so every trial gets the same
-bits as the public one-trial bound would give it.
+tolerance.  Every suite draws ``TRIAL_BLOCK`` trials before it uses any of
+them.  A trial makes one ``rng.integers`` call per integer it draws (a grid's
+point count, Jensen's F) and one ``rng.random(k)`` call per run of doubles
+between two of them; the block then maps each field's raw uniforms U to its
+range once, as lo + (hi - lo) * U on zero-padded arrays with one row per
+trial.  numpy's ``rng.uniform(lo, hi, k)`` is that same expression of the
+same doubles (``tests/test_ineq_check_stream.py`` pins it), so every trial
+has the bits that one ``rng.uniform`` call per field gave it.
+
+The Jensen, Hoelder, Cauchy-Schwarz and Minkowski suites then make one
+``*_certify`` call per row, looked up on ``inequalities`` as the suite runs.
+The Gronwall, comparison and 2-D Gronwall suites give each block one array
+pass: the reference trajectory, the bound from the stacked kernel that also
+serves the public bound, and the pointwise check.  Padding never reaches a
+real entry (a zero gap adds nothing to a sum and multiplies a step product
+by 1), so every trial gets the same bits as the public one-trial bound would
+give it.
 """
 
 from __future__ import annotations
@@ -21,42 +30,151 @@ import numpy as np
 from . import inequalities
 from .timescale import KIND_EXPLICIT, GridFunction, TimeScale
 
-# Trials per array pass: a fixed block keeps memory flat in --trials and each
+# Trials per block: a fixed block keeps memory flat in --trials and each
 # stacked array small (256 x 6 x 6 floats for the 2-D suite).
 TRIAL_BLOCK = 256
 
 
-def _grid_draw(rng, n_min: int, n_max: int, step_lo: float, step_hi: float) -> tuple:
-    """(n, start, steps) of one random grid, in the stream's order."""
-    n = int(rng.integers(n_min, n_max + 1))
-    start = float(rng.uniform(-2.0, 2.0))
-    return n, start, rng.uniform(step_lo, step_hi, n - 1)
+def _upto(n: np.ndarray, width: int) -> np.ndarray:
+    """Row k sets the first n[k] of ``width`` entries."""
+    return np.arange(width) < n[:, None]
 
 
-def _random_scale(rng, n_min=3, n_max=9, step_lo=0.1, step_hi=1.0) -> TimeScale:
-    n, start, steps = _grid_draw(rng, n_min, n_max, step_lo, step_hi)
-    offsets = np.zeros(n)
-    steps.cumsum(out=offsets[1:])
-    # no suite reads kind, step or ratio, so the scale skips kind detection
-    return TimeScale(start + offsets, kind=KIND_EXPLICIT)
+def _scalar(n: np.ndarray) -> np.ndarray:
+    """The mask of a field of one double per trial."""
+    return np.ones(len(n), dtype=bool)
 
 
-def _padded(rows: list, mask: np.ndarray) -> np.ndarray:
-    """Ragged rows (each flattened in C order) stacked into zeros where mask is set."""
-    out = np.zeros(mask.shape)
-    out[mask] = np.concatenate(rows)
-    return out
+def _grid(n: np.ndarray, width: int = 9, step_lo: float = 0.1, key: str = "") -> list:
+    """The fields of a grid of n points: its start and its n - 1 steps."""
+    return [("start" + key, -2.0, 2.0, _scalar(n)),
+            ("steps" + key, step_lo, 1.0, _upto(n - 1, width - 1))]
 
 
-def _stacked_grids(grids: list, width: int) -> tuple:
-    """(mask, points) of drawn grids ``(n, start, steps)``, one trial per row of
-    ``width`` points.  A point past a grid's end repeats its last point, so the
-    padded gaps are 0."""
-    n, start, steps = zip(*grids)
-    mask = np.arange(width) < np.array(n)[:, None]
-    offsets = np.zeros(mask.shape)
-    np.cumsum(_padded(steps, mask[:, 1:]), axis=1, out=offsets[:, 1:])
-    return mask, np.array(start)[:, None] + offsets
+def _draw_block(rng, count: int, trial, layout) -> dict:
+    """``count`` trials, stacked.
+
+    ``trial(rng)`` makes one trial's generator calls in stream order and
+    returns its integers and its runs of raw doubles.  ``layout(*integers)``,
+    given one array per integer, returns the trials' point mask and the fields
+    (name, lo, hi, mask) that share out each trial's doubles in order: a field
+    takes the set entries of its row of ``mask``, in C order, and is
+    lo + (hi - lo) * U there and 0 elsewhere.  Each grid's points follow from
+    its start and steps; padded steps are 0, so a grid repeats its last point.
+    """
+    ints, runs = [], []
+    for _ in range(count):
+        drawn, doubles = trial(rng)
+        ints.append(drawn)
+        runs += doubles
+    ints = np.array(ints)
+    mask, fields = layout(*ints.T)
+    slots = np.hstack([m.reshape(count, -1) for *_, m in fields])
+    raw = np.zeros(slots.shape)
+    raw[slots] = np.concatenate(runs)
+    block, col = {"ints": ints, "mask": mask}, 0
+    for name, lo, hi, m in fields:
+        width = m.size // count
+        block[name] = (hi - lo) * raw[:, col:col + width].reshape(m.shape) + lo * m
+        col += width
+    for key in ("", "1", "2"):
+        if "steps" + key in block:
+            steps = block["steps" + key]
+            offsets = np.zeros((count, steps.shape[1] + 1))
+            np.cumsum(steps, axis=1, out=offsets[:, 1:])
+            block["points" + key] = block["start" + key][:, None] + offsets
+    return block
+
+
+def _suite(trial, layout, check):
+    """A suite whose ``check(block)`` counts the block's trials that held."""
+    def run(trials: int, seed: int) -> int:
+        rng = np.random.default_rng(seed)
+        return sum(check(_draw_block(rng, min(TRIAL_BLOCK, trials - first), trial, layout))
+                   for first in range(0, trials, TRIAL_BLOCK))
+
+    return run
+
+
+def _on_one_grid(*fields) -> tuple:
+    """(trial, layout) of a suite on one grid of 3-9 points: n, then one run of
+    the grid's n doubles and each field's (name, lo, hi, d) in order, n + d
+    doubles for d = 0 or -1 and one for d None."""
+    per_point = 1 + sum(d is not None for *_, d in fields)
+    extra = sum(1 if d is None else d for *_, d in fields)
+
+    def trial(rng) -> tuple:
+        n = int(rng.integers(3, 10))
+        return (n,), (rng.random(per_point * n + extra),)
+
+    def layout(n) -> tuple:
+        return _upto(n, 9), _grid(n) + [
+            (name, lo, hi, _scalar(n) if d is None else _upto(n + d, 9 + d))
+            for name, lo, hi, d in fields]
+
+    return trial, layout
+
+
+# ---------------------------------------------------------------------------
+# Certifier suites: one certify call per trial
+
+
+def _trials(block: dict, *keys: str):
+    """Per trial: its grid, declared explicit (no suite reads kind, step or
+    ratio), and a GridFunction on it of each field in ``keys``."""
+    for k, (row, n) in enumerate(zip(block["points"], block["ints"][:, 0].tolist())):
+        ts = TimeScale(row[:n], kind=KIND_EXPLICIT)
+        yield (ts,) + tuple(GridFunction(ts, block[key][k, :n]) for key in keys)
+
+
+_JENSEN_CATALOG = (math.exp, lambda x: x * x, abs, lambda x: x ** 4)
+
+
+def _jensen_trial(rng) -> tuple:
+    n = int(rng.integers(3, 10))
+    head = rng.random(2 * n)  # start, steps, g
+    F = int(rng.integers(len(_JENSEN_CATALOG)))
+    coin = rng.random(1)
+    weighted = coin[0] < 0.5
+    return (n, F, weighted), (head, coin, rng.random(n + 1 if weighted else 1))
+
+
+def _jensen_layout(n, F, weighted) -> tuple:
+    at = _upto(n, 9)
+    return at, _grid(n) + [("g", -2.0, 2.0, at),
+                           ("coin", 0.0, 1.0, _scalar(n)),  # the trial read it raw
+                           ("weights", 0.05, 3.0, _upto(n * weighted, 9)),
+                           ("alpha", 0.0, 1.0, _scalar(n))]
+
+
+def _jensen_check(b: dict) -> int:
+    held = 0
+    for (ts, g), (_, F, weighted), w, alpha in zip(_trials(b, "g"), b["ints"].tolist(),
+                                                   b["weights"], b["alpha"].tolist()):
+        weights = GridFunction(ts, w[:len(ts)]) if weighted else None
+        held += inequalities.jensen_certify(ts, _JENSEN_CATALOG[F], g, weights, alpha).holds
+    return held
+
+
+def _holder_check(b: dict) -> int:
+    return sum(inequalities.holder_certify(ts, f, g, h, p, alpha).holds
+               for (ts, f, g, h), p, alpha in zip(_trials(b, "f", "g", "h"),
+                                                  (1.0 + b["p"]).tolist(), b["alpha"].tolist()))
+
+
+def _cauchy_schwarz_check(b: dict) -> int:
+    return sum(inequalities.cauchy_schwarz_certify(ts, f, g, alpha).holds
+               for (ts, f, g), alpha in zip(_trials(b, "f", "g"), b["alpha"].tolist()))
+
+
+def _minkowski_check(b: dict) -> int:
+    return sum(inequalities.minkowski_certify(ts, f, g, p, alpha).holds
+               for (ts, f, g), p, alpha in zip(_trials(b, "f", "g"),
+                                               (1.0 + b["p"]).tolist(), b["alpha"].tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Bound suites: one array pass per block
 
 
 def _holds_pointwise(values: np.ndarray, bound: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -66,94 +184,14 @@ def _holds_pointwise(values: np.ndarray, bound: np.ndarray, mask: np.ndarray) ->
     return ok.reshape(len(ok), -1).all(axis=1)
 
 
-def _run_blocks(trials: int, seed: int, draw, bound_pass) -> int:
-    """Held count of a batched suite: ``draw(rng, count)`` gives a block's data
-    and ``bound_pass(block)`` its reference values and bounds."""
-    rng = np.random.default_rng(seed)
-    held = 0
-    for first in range(0, trials, TRIAL_BLOCK):
-        block = draw(rng, min(TRIAL_BLOCK, trials - first))
-        values, bounds = bound_pass(block)
-        ok = np.ones(len(values), dtype=bool)
-        for bound in bounds:
-            ok &= _holds_pointwise(values, bound, block["mask"])
-        held += int(ok.sum())
-    return held
-
-
-def _suite(trial):
-    """A suite from one certifier trial ``trial(rng) -> bool``."""
-    def run(trials: int, seed: int) -> int:
-        rng = np.random.default_rng(seed)
-        return sum(trial(rng) for _ in range(trials))
-
-    return run
-
-
-# ---------------------------------------------------------------------------
-# Certifier suites: one certify call per trial
-
-
-_JENSEN_CATALOG = (math.exp, lambda x: x * x, abs, lambda x: x ** 4)
-
-
-@_suite
-def _suite_jensen(rng) -> bool:
-    ts = _random_scale(rng)
-    g = GridFunction(ts, rng.uniform(-2.0, 2.0, len(ts)))
-    F = _JENSEN_CATALOG[int(rng.integers(len(_JENSEN_CATALOG)))]
-    weights = None
-    if rng.random() < 0.5:
-        weights = GridFunction(ts, rng.uniform(0.05, 3.0, len(ts)))
-    alpha = float(rng.random())
-    return inequalities.jensen_certify(ts, F, g, weights, alpha).holds
-
-
-@_suite
-def _suite_holder(rng) -> bool:
-    ts = _random_scale(rng)
-    f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-    g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-    h = GridFunction(ts, rng.uniform(0.0, 2.0, len(ts)))
-    p = 1.0 + float(rng.uniform(0.1, 3.0))
-    alpha = float(rng.random())
-    return inequalities.holder_certify(ts, f, g, h, p, alpha).holds
-
-
-@_suite
-def _suite_cauchy_schwarz(rng) -> bool:
-    ts = _random_scale(rng)
-    f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-    g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-    alpha = float(rng.random())
-    return inequalities.cauchy_schwarz_certify(ts, f, g, alpha).holds
-
-
-@_suite
-def _suite_minkowski(rng) -> bool:
-    ts = _random_scale(rng)
-    f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-    g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-    p = 1.0 + float(rng.uniform(0.1, 3.0))
-    alpha = float(rng.random())
-    return inequalities.minkowski_certify(ts, f, g, p, alpha).holds
-
-
-# ---------------------------------------------------------------------------
-# Bound suites: blocks of stacked trials
-
-
-def _draw_gronwall(rng, count: int) -> dict:
-    grids, a, b, slack = [], [], [], []
-    for _ in range(count):
-        grids.append(_grid_draw(rng, 3, 9, 0.1, 1.0))
-        m = grids[-1][0]
-        a.append(rng.uniform(-1.0, 2.0, m))
-        b.append(rng.uniform(0.0, 1.5, m))
-        slack.append(rng.uniform(0.0, 0.5, m))
-    mask, points = _stacked_grids(grids, 9)
-    return {"mask": mask, "points": points, "a": _padded(a, mask),
-            "b": _padded(b, mask), "slack": _padded(slack, mask)}
+def _held(block: dict, passed: tuple) -> int:
+    """Trials of a block whose reference values stay under every bound of
+    ``passed`` = (values, bounds)."""
+    values, bounds = passed
+    ok = np.ones(len(values), dtype=bool)
+    for bound in bounds:
+        ok &= _holds_pointwise(values, bound, block["mask"])
+    return int(ok.sum())
 
 
 def _gronwall_pass(block: dict) -> tuple:
@@ -171,21 +209,6 @@ def _gronwall_pass(block: dict) -> tuple:
     return u, (inequalities._gronwall_stack(mu, a, b, 0),)
 
 
-def _draw_comparison(rng, count: int) -> dict:
-    grids, p, f, y0, slack = [], [], [], [], []
-    for _ in range(count):
-        grids.append(_grid_draw(rng, 3, 9, 0.1, 1.0))
-        m = grids[-1][0]
-        p.append(rng.uniform(-0.9, 1.5, m))
-        f.append(rng.uniform(-1.0, 1.0, m))
-        y0.append(rng.uniform(-1.0, 1.0))
-        slack.append(rng.uniform(0.0, 0.5, m - 1))
-    mask, points = _stacked_grids(grids, 9)
-    return {"mask": mask, "points": points, "y0": np.array(y0),
-            "p": _padded(p, mask), "f": _padded(f, mask),
-            "slack": _padded(slack, mask[:, 1:])}
-
-
 def _comparison_pass(block: dict) -> tuple:
     """y^Delta = p y + f - slack from y0 against comparison_bound from the first point."""
     mu = np.diff(block["points"], axis=1)
@@ -197,20 +220,18 @@ def _comparison_pass(block: dict) -> tuple:
     return y, (inequalities._comparison_stack(mu, block["y0"], p, f, 0),)
 
 
-def _draw_gronwall_2d(rng, count: int) -> dict:
-    grids1, grids2, a, f, slack = [], [], [], [], []
-    for _ in range(count):
-        grids1.append(_grid_draw(rng, 3, 6, 0.2, 1.0))
-        grids2.append(_grid_draw(rng, 3, 6, 0.2, 1.0))
-        shape = (grids1[-1][0], grids2[-1][0])
-        a.append(rng.uniform(0.5, 2.0))
-        f.append(rng.uniform(0.0, 1.0, shape).ravel())
-        slack.append(rng.uniform(0.0, 0.3, shape).ravel())
-    mask1, points1 = _stacked_grids(grids1, 6)
-    mask2, points2 = _stacked_grids(grids2, 6)
-    mask = mask1[:, :, None] & mask2[:, None, :]
-    return {"mask": mask, "points1": points1, "points2": points2,
-            "a": np.array(a), "f": _padded(f, mask), "slack": _padded(slack, mask)}
+def _gronwall_2d_trial(rng) -> tuple:
+    n1 = int(rng.integers(3, 7))
+    head = rng.random(n1)  # start1, steps1
+    n2 = int(rng.integers(3, 7))
+    return (n1, n2), (head, rng.random(n2 + 1 + 2 * n1 * n2))  # start2, steps2, a, f, slack
+
+
+def _gronwall_2d_layout(n1, n2) -> tuple:
+    mask = _upto(n1, 6)[:, :, None] & _upto(n2, 6)[:, None, :]
+    return mask, (_grid(n1, 6, 0.2, "1") + _grid(n2, 6, 0.2, "2")
+                  + [("a", 0.5, 2.0, _scalar(n1)), ("f", 0.0, 1.0, mask),
+                     ("slack", 0.0, 0.3, mask)])
 
 
 def _gronwall_2d_pass(block: dict) -> tuple:
@@ -235,24 +256,22 @@ def _gronwall_2d_pass(block: dict) -> tuple:
     return u, inequalities._gronwall_2d_stack(mu1, mu2, a, f)
 
 
-def _suite_gronwall(trials: int, seed: int) -> int:
-    return _run_blocks(trials, seed, _draw_gronwall, _gronwall_pass)
+_F, _G = ("f", -3.0, 3.0, 0), ("g", -3.0, 3.0, 0)
+_P, _ALPHA = ("p", 0.1, 3.0, None), ("alpha", 0.0, 1.0, None)
 
-
-def _suite_comparison(trials: int, seed: int) -> int:
-    return _run_blocks(trials, seed, _draw_comparison, _comparison_pass)
-
-
-def _suite_gronwall_2d(trials: int, seed: int) -> int:
-    return _run_blocks(trials, seed, _draw_gronwall_2d, _gronwall_2d_pass)
-
-
+# the certifiers and the stacked passes are looked up as the suites run, so a
+# caller may wrap them
 SUITES = {
-    "jensen": _suite_jensen,
-    "holder": _suite_holder,
-    "cauchy-schwarz": _suite_cauchy_schwarz,
-    "minkowski": _suite_minkowski,
-    "gronwall": _suite_gronwall,
-    "comparison": _suite_comparison,
-    "gronwall2d": _suite_gronwall_2d,
+    "jensen": _suite(_jensen_trial, _jensen_layout, _jensen_check),
+    "holder": _suite(*_on_one_grid(_F, _G, ("h", 0.0, 2.0, 0), _P, _ALPHA), _holder_check),
+    "cauchy-schwarz": _suite(*_on_one_grid(_F, _G, _ALPHA), _cauchy_schwarz_check),
+    "minkowski": _suite(*_on_one_grid(_F, _G, _P, _ALPHA), _minkowski_check),
+    "gronwall": _suite(*_on_one_grid(("a", -1.0, 2.0, 0), ("b", 0.0, 1.5, 0),
+                                     ("slack", 0.0, 0.5, 0)),
+                       lambda b: _held(b, _gronwall_pass(b))),
+    "comparison": _suite(*_on_one_grid(("p", -0.9, 1.5, 0), ("f", -1.0, 1.0, 0),
+                                       ("y0", -1.0, 1.0, None), ("slack", 0.0, 0.5, -1)),
+                         lambda b: _held(b, _comparison_pass(b))),
+    "gronwall2d": _suite(_gronwall_2d_trial, _gronwall_2d_layout,
+                         lambda b: _held(b, _gronwall_2d_pass(b))),
 }

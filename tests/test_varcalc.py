@@ -77,6 +77,34 @@ def test_el_residual_hand_expansion():
     assert len(r.scale) == len(g) - 2  # lives on T^{kappa kappa}
 
 
+def test_el_residual_is_defined_where_only_the_hessian_is_not():
+    # L_uu = 0.75 u^-0.5 is undefined at u = 0, where L_u = 1.5 u^0.5 is 0
+    g = tsc.uniform(0.0, 1.0, 0.25)
+    p = VariationalProblem(g, "0.5*v^2 + u^1.5", 0.0, 1.0)
+    vals = np.array([0.0, 0.0, 0.5, 0.7, 1.0])
+    u, v = vals[1:], np.diff(vals) / 0.25
+    with pytest.raises(DomainError):
+        dsl.eval_jet2(p.L, g.points[:-1], u, v, 0.0)
+    r = el_residual(p, tsc.GridFunction(g, vals))
+    assert_allclose(r.values, 1.5 * np.sqrt(u[:-1]) - np.diff(v) / 0.25, rtol=1e-14)
+
+
+@pytest.mark.parametrize("L", ["0.5*v^2 + 0.25*u^4 + u*v + sin(t)*u*v^2",
+                               "exp(u)*v^2 - t*u", "sqrt(1 + v^2) + u^3",
+                               "u^2.5 + ln(1 + v^2) + cos(t*v)"])
+def test_el_residual_rows_are_the_order_2_gradient(L):
+    # el_residual evaluates L at order 1; the rows are an order-2 jet's, bit for bit
+    rng = np.random.default_rng(len(L))
+    for seed in range(5):
+        g = _explicit_grid(seed, n=int(rng.integers(3, 30)))
+        y = rng.uniform(0.1, 2.0, len(g))
+        t, u, mu = g.points[:-1], y[1:], np.diff(g.points)
+        jet = dsl.eval_jet2(dsl.parse(L), t, u, np.diff(y) / mu, 0.0)
+        want = jet.grad[0][:-1] - np.diff(jet.grad[1]) / mu[:-1]
+        got = el_residual(VariationalProblem(g, L, y[0], y[-1]), tsc.GridFunction(g, y))
+        assert np.array_equal(got.values, want)
+
+
 def test_functional_value_fraction_oracle():
     pts = [Fraction(0), Fraction(1, 2), Fraction(5, 4), Fraction(2)]
     yv = [Fraction(0), Fraction(1, 3), Fraction(-1, 2), Fraction(1)]
