@@ -1,9 +1,12 @@
 """Shared numerical routines: damped Newton, multi-start roots, quadrature.
 
-Newton solves a dense Jacobian with LAPACK and a ``Tridiagonal`` one with a
-pivoted O(n) sweep on Python floats, so the classical Euler-Lagrange system
-costs linear time and memory in the grid size.  Solvers that stay dense
-refuse grids of more than ``MAX_DENSE_POINTS`` points before they allocate.
+Newton solves a dense Jacobian with LAPACK's gesv, through the gufunc that
+``np.linalg.solve`` wraps but without its Python-side checks, and a
+``Tridiagonal`` one with a pivoted O(n) sweep on Python floats, so the
+classical Euler-Lagrange system costs linear time and memory in the grid
+size.  ``newton_solve`` sets one ``np.errstate(all="ignore")`` per solve.
+Solvers that stay dense refuse grids of more than ``MAX_DENSE_POINTS``
+points before they allocate.
 The symmetric eigenproblem goes to LAPACK through ``np.linalg.eigh``.
 """
 
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DomainError,
@@ -166,9 +170,9 @@ def _dense_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The Newton step s with J s = -r by LAPACK, or a damped least-squares step."""
     if not np.isfinite(J).all():
         raise NonFinite("Jacobian is not finite")
-    try:
-        step = np.linalg.solve(J, -r)
-    except np.linalg.LinAlgError:
+    try:  # np.linalg.solve's gufunc: NaNs for a singular J, ValueError for a non-square one
+        step = _umath_linalg.solve1(J, -r, signature="dd->d")
+    except ValueError:
         step = None
     if step is None or not np.isfinite(step).all():
         # exactly singular (e.g. a variable the residual ignores): take the
@@ -223,47 +227,46 @@ def newton_solve(
     until the 2-norm of the residual decreases; a trial point outside the
     residual's domain halves the step as well.  Raises NoConvergence if the
     iteration stalls or exceeds ``max_iter``, SingularJacobian if a linear
-    solve fails.
+    solve fails.  It runs under ``np.errstate(all="ignore")``: a non-finite
+    residual or step is rejected by value, so it never warns.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    r = np.asarray(fn(x), dtype=float)
-    if not np.isfinite(r).all():
-        raise NonFinite("residual is not finite at the initial point")
-    rnorm = math.sqrt(r @ r)  # np.linalg.norm's formula for a 1-D vector
-    for _ in range(max_iter):
+    with np.errstate(all="ignore"):
+        x = np.asarray(x0, dtype=float).copy()
+        r = np.asarray(fn(x), dtype=float)
+        if not np.isfinite(r).all():
+            raise NonFinite("residual is not finite at the initial point")
+        rnorm = math.sqrt(r @ r)  # np.linalg.norm's formula for a 1-D vector
+        for _ in range(max_iter):
+            if rnorm <= tol:
+                return x
+            J = jac(x)
+            if isinstance(J, Tridiagonal):
+                step = _tridiagonal_step(J, r)
+            else:
+                # J stays referenced through the line search, as a dense J freed
+                # here is unmapped (glibc mmaps blocks over 128 KB) and faulted
+                # back in by the next large allocation: measurably slower
+                J = np.asarray(J, dtype=float)
+                step = _dense_step(J, r)
+            for _ in range(max_halvings):
+                x_try = x + step
+                try:
+                    r_try = np.asarray(fn(x_try), dtype=float)
+                except (ArithmeticError, ValueError, DomainError):
+                    r_try = None
+                if r_try is not None:
+                    # a NaN or infinite entry makes the norm NaN or inf, and so
+                    # does a finite residual whose norm overflows: all rejected
+                    rnorm_try = math.sqrt(r_try @ r_try)
+                    if math.isfinite(rnorm_try) and (rnorm_try < rnorm or rnorm_try <= tol):
+                        x, r, rnorm = x_try, r_try, rnorm_try
+                        break
+                step *= 0.5  # exact short of underflow: x + step is x + 2^-k * step
+            else:
+                raise NoConvergence(f"line search stalled at residual norm {rnorm:.3e}")
         if rnorm <= tol:
             return x
-        J = jac(x)
-        if isinstance(J, Tridiagonal):
-            step = _tridiagonal_step(J, r)
-        else:
-            # J stays referenced through the line search, as a dense J freed
-            # here is unmapped (glibc mmaps blocks over 128 KB) and faulted
-            # back in by the next large allocation: measurably slower
-            J = np.asarray(J, dtype=float)
-            step = _dense_step(J, r)
-        lam = 1.0
-        accepted = False
-        for _ in range(max_halvings):
-            x_try = x + lam * step
-            try:
-                r_try = np.asarray(fn(x_try), dtype=float)
-            except (ArithmeticError, ValueError, DomainError):
-                r_try = None
-            if r_try is not None:
-                # a NaN or infinite entry makes the norm NaN or inf, and so
-                # does a finite residual whose norm overflows: all rejected
-                rnorm_try = math.sqrt(r_try @ r_try)
-                if math.isfinite(rnorm_try) and (rnorm_try < rnorm or rnorm_try <= tol):
-                    x, r, rnorm = x_try, r_try, rnorm_try
-                    accepted = True
-                    break
-            lam *= 0.5
-        if not accepted:
-            raise NoConvergence(f"line search stalled at residual norm {rnorm:.3e}")
-    if rnorm <= tol:
-        return x
-    raise NoConvergence(f"no convergence after {max_iter} iterations (residual {rnorm:.3e})")
+        raise NoConvergence(f"no convergence after {max_iter} iterations (residual {rnorm:.3e})")
 
 
 def multi_start(
@@ -298,10 +301,7 @@ def multi_start(
         except (NoConvergence, NonFinite, DomainError, ArithmeticError, ValueError):
             return None
 
-    # Newton rejects non-finite residuals and steps, so an overflowing trial
-    # is just a failed one, not worth a warning
-    with np.errstate(all="ignore"):
-        outcomes = [attempt(x0) for x0 in starts]
+    outcomes = [attempt(x0) for x0 in starts]
     roots = [out for out in outcomes if isinstance(out, np.ndarray)]
     # each root is compared with all kept ones at once; the first start wins
     kept = np.empty((len(roots), n_unknowns))

@@ -81,17 +81,19 @@ class TimeScale:
         pts = np.array(points, dtype=float)  # always a copy the caller cannot alias
         if pts.ndim != 1 or len(pts) < 1:
             raise ValueError("a time scale needs at least one point")
-        if not np.isfinite(pts).all():
-            raise ValueError("time scale points must be finite")
-        gaps = pts[1:] - pts[:-1]
-        if (gaps <= 0).any():
+        # strictly increasing with finite ends means finite throughout; only
+        # comparisons here, as inf - inf would warn
+        if not ((pts[1:] > pts[:-1]).all()
+                and math.isfinite(pts[0]) and math.isfinite(pts[-1])):
+            if not np.isfinite(pts).all():
+                raise ValueError("time scale points must be finite")
             raise ValueError("time scale points must be strictly increasing")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if kind == KIND_EXPLICIT:  # declared: no step or ratio is looked for
             detected, h, q = KIND_EXPLICIT, None, None
         else:
-            detected, h, q = _detect_kind(pts, gaps)
+            detected, h, q = _detect_kind(pts, pts[1:] - pts[:-1])
         if kind == "auto":
             kind = detected
         elif kind == KIND_UNIFORM and detected != KIND_UNIFORM:

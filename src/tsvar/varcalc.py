@@ -334,7 +334,7 @@ def newton_pair(exprs: Sequence[Expr], arguments: Callable,
     asks for the Jacobian only at the very x object of its latest successful
     residual call, so ``jets(x)``, and the Jacobian with it, reads the kept
     rows there and evaluates afresh elsewhere.  The programs run under the
-    caller's ``np.errstate``, which multi_start sets.
+    caller's ``np.errstate``, which newton_solve sets.
     """
     jet2, jet1 = [program(e, 2) for e in exprs], [program(e, 1) for e in exprs]
     kept = [None, None]  # [x, rows at x]

@@ -2,12 +2,20 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tsvar.errors import DomainError, NoConvergence, QuadratureFailure, RootNotBracketed
+from tsvar.errors import (
+    DomainError,
+    NoConvergence,
+    NonFinite,
+    QuadratureFailure,
+    RootNotBracketed,
+    SingularJacobian,
+)
 from tsvar import solvers
 from tsvar.solvers import (
     SolverConfig,
@@ -393,6 +401,104 @@ def test_newton_takes_the_tikhonov_step_on_an_exactly_singular_band(monkeypatch)
     assert_allclose(x, newton_solve(res, lambda x: np.asarray(band(x)), x0),
                     rtol=1e-12, atol=1e-12)
     assert_allclose(x, [1.0, 5.0, 2.0], atol=1e-9)
+
+
+def _old_dense_step(J, r):
+    """_dense_step as it was when it called np.linalg.solve."""
+    if not np.isfinite(J).all():
+        raise NonFinite("Jacobian is not finite")
+    try:
+        step = np.linalg.solve(J, -r)
+    except np.linalg.LinAlgError:
+        step = None
+    if step is None or not np.isfinite(step).all():
+        tau = 1e-12 * max(1.0, float(np.sum(J * J)))
+        try:
+            step = np.linalg.solve(J.T @ J + tau * np.eye(J.shape[1]), -J.T @ r)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(str(exc)) from exc
+        if not np.isfinite(step).all():
+            raise SingularJacobian("linear solve produced non-finite step")
+    return step
+
+
+def _guarded_dense_step(J, r):
+    with np.errstate(all="ignore"):  # as in newton_solve
+        return solvers._dense_step(J, r)
+
+
+@pytest.mark.parametrize("conditioning", ["random", "ill"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dense_step_is_bit_equal_to_np_linalg_solve(n, conditioning):
+    rng = np.random.default_rng(700 + n)
+    for _ in range(20):
+        J = rng.standard_normal((n, n))
+        if conditioning == "ill":  # singular values from 1 down to 1e-15
+            U, _, Vt = np.linalg.svd(J)
+            J = (U * np.logspace(0, -15, n)) @ Vt
+        r = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9)
+        assert _guarded_dense_step(J, r).tobytes() == np.linalg.solve(J, -r).tobytes()
+
+
+@pytest.mark.parametrize("shape", ["zero column", "repeated row", "rank one", "zero"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_dense_step_on_a_singular_jacobian_takes_the_old_tikhonov_step(n, shape):
+    rng = np.random.default_rng(800 + n)
+    J = rng.standard_normal((n, n))
+    if shape == "zero column":
+        J[:, n // 2] = 0.0
+    elif shape == "repeated row":
+        J[-1] = J[0]
+    elif shape == "rank one":
+        J = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+    else:
+        J = np.zeros((n, n))
+    r = rng.standard_normal(n)
+    assert _guarded_dense_step(J, r).tobytes() == _old_dense_step(J, r).tobytes()
+
+
+def test_dense_step_on_a_non_square_jacobian_takes_the_old_least_squares_step():
+    rng = np.random.default_rng(9)
+    J, r = rng.standard_normal((3, 4)), rng.standard_normal(3)
+    assert _guarded_dense_step(J, r).tobytes() == _old_dense_step(J, r).tobytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 1)])
+def test_dense_step_refuses_a_jacobian_that_is_not_finite(value, where):
+    J = np.eye(3)
+    J[where] = value
+    with pytest.raises(NonFinite):
+        _guarded_dense_step(J, np.ones(3))
+
+
+def test_newton_solve_on_a_singular_dense_system_does_not_warn():
+    # x1 drops out: J = [[1, 0], [2, 0]] is exactly singular at every point,
+    # so every step is gesv's NaN step followed by the Tikhonov step
+    def res(x):
+        return np.array([x[0] - 1.0, 2.0 * (x[0] - 1.0)])
+
+    def jac(x):
+        return np.array([[1.0, 0.0], [2.0, 0.0]])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = newton_solve(res, jac, [4.0, 5.0])
+    assert_allclose(x, [1.0, 5.0], atol=1e-9)
+
+
+def test_multi_start_raises_singular_jacobian_when_every_start_is_singular():
+    # x1 drops out and J^T J overflows, so the Tikhonov step is not finite
+    def res(x):
+        return np.array([x[0] - 1.0, 0.0])
+
+    def jac(x):
+        return np.array([[1e200, 0.0], [0.0, 0.0]])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularJacobian):
+            multi_start(res, jac, 2, SolverConfig(starts=5))
 
 
 def test_adaptive_simpson_known_integrals():

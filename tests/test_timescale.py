@@ -166,6 +166,64 @@ def test_declared_explicit_scale_still_checks_its_points(monkeypatch, points, me
         ts.TimeScale(points, kind="explicit")
 
 
+NOT_FINITE = "time scale points must be finite"
+NOT_INCREASING = "time scale points must be strictly increasing"
+
+
+def _old_point_check(points):
+    """TimeScale's point check as it was when it took the gaps first."""
+    pts = np.array(points, dtype=float)
+    if not np.isfinite(pts).all():
+        return NOT_FINITE
+    if (pts[1:] - pts[:-1] <= 0).any():
+        return NOT_INCREASING
+    return None
+
+
+def _message(points, kind):
+    try:
+        ts.TimeScale(points, kind=kind)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["auto", "explicit"])
+@pytest.mark.parametrize("points, message", [
+    *(pytest.param(p, NOT_FINITE, id=f"{name}-{where}")
+      for name, bad in [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]
+      for where, p in [("first", [bad, 1.0, 2.0]), ("middle", [0.0, bad, 2.0]),
+                       ("last", [0.0, 1.0, bad])]),
+    pytest.param([1.0, math.inf, math.inf], NOT_FINITE, id="inf-inf"),
+    pytest.param([math.nan], NOT_FINITE, id="one-nan"),
+    pytest.param([math.inf], NOT_FINITE, id="one-inf"),
+    pytest.param([2.0, 1.0, math.nan], NOT_FINITE, id="decreasing-and-nan"),
+    pytest.param([0.0, 1.0, 1.0], NOT_INCREASING, id="repeated"),
+    pytest.param([0.0, 2.0, 1.0], NOT_INCREASING, id="decreasing"),
+    pytest.param([1.0, 1.0], NOT_INCREASING, id="two-equal"),
+])
+def test_constructor_message_for_each_bad_point(points, message, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # comparisons only: inf - inf would warn
+        assert _message(points, kind) == message
+    assert _old_point_check(points) == message
+
+
+_point = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0]),
+                   st.floats(min_value=-1e300, max_value=1e300))
+
+
+@given(st.lists(_point, min_size=1, max_size=8), st.booleans(),
+       st.sampled_from(["auto", "explicit"]))
+@settings(max_examples=300)
+def test_constructor_accepts_exactly_the_points_the_old_check_accepts(points, order, kind):
+    if order:
+        points = sorted(points)  # mostly increasing; NaN leaves the order partial
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _message(points, kind) == _old_point_check(points)
+
+
 @pytest.mark.parametrize("args, points", [
     pytest.param((2.0, 0, 3.0), [1.0, 2.0, 4.0, 8.0], id="whole-float-kmax"),
     pytest.param((2, -2.0, 1), [0.25, 0.5, 1.0, 2.0], id="whole-float-kmin"),
