@@ -112,27 +112,24 @@ def _get(cp, section: str, key: str, default=None, required: bool = False):
 
 
 def _solver_config(cp, args) -> SolverConfig:
-    def pick(flag_value, key, fallback, conv):
-        if flag_value is not None:
-            return flag_value
-        raw = _get(cp, "solver", key) if cp is not None else None
-        return conv(raw) if raw is not None else fallback
-
-    def whole(value):
-        # "64" reads as 64.0; SolverConfig refuses any other float
-        return int(value) if isinstance(value, float) and value.is_integer() else value
-
-    starts = whole(pick(args.starts, "starts", 64, _num))
-    seed = whole(pick(args.seed, "seed", 0, _num))
-    tol = pick(args.tol, "tol", 1e-9, _num)
-    box = (-2.0, 3.0)
-    raw_box = _get(cp, "solver", "box") if cp is not None else None
+    """The solver settings a flag or the [solver] section gives, a flag first;
+    SolverConfig's defaults fill the rest."""
+    given = {}
+    for key in ("starts", "seed", "tol"):
+        value, raw = getattr(args, key), _get(cp, "solver", key)
+        if value is None and raw is not None:
+            value = _num(raw)
+            if key != "tol" and value.is_integer():
+                value = int(value)  # a whole number reads as an int: SolverConfig takes no float
+        if value is not None:
+            given[key] = value
+    raw_box = _get(cp, "solver", "box")
     if raw_box is not None:
         parts = [_num(p) for p in raw_box.split(",")]
         if len(parts) != 2:
             raise _ConfigError(f"bad solver box {raw_box!r}")
-        box = (parts[0], parts[1])
-    return SolverConfig(starts=starts, seed=seed, box=box, tol=tol)
+        given["box"] = tuple(parts)
+    return SolverConfig(**given)
 
 
 def _parse_lagrangian(text: str):
@@ -325,13 +322,11 @@ def _check(label: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _solve_frac(a, b, h, alpha, beta, lagrangian, A, B, starts, seed=0,
-                box=(-2.0, 3.0), tol=1e-9):
+def _solve_frac(a, b, h, alpha, beta, lagrangian, A, B, **solver):
     problem = fracvar.FracProblem(
         fracvar.FracGrid(a, b, h), fracvar.FracOrders(alpha, beta),
         dsl.parse(lagrangian), A=A, B=B)
-    cfg = SolverConfig(starts=starts, seed=seed, box=box, tol=tol)
-    return problem, fracvar.solve_frac_el(problem, cfg)
+    return problem, fracvar.solve_frac_el(problem, SolverConfig(**solver))
 
 
 def _repro_ex1() -> bool:

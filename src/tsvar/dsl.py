@@ -7,7 +7,8 @@ Hessian with respect to the three active variables (u, v, w), as second-order
 forward-mode jets.  Derivative entries that are structurally zero are dropped
 while compiling, and one call evaluates a whole grid of points at once.  The
 time variable t is a passive parameter: no theorem used here ever needs L_t,
-so jets simply treat any t-subexpression as a constant.
+so jets simply treat any t-subexpression as a constant.  a^b with a variable b
+has one value at all orders; orders 1 and 2 need ln a, so refuse a <= 0.
 
 Grammar (standard precedence, ^ right-associative and binding tighter than
 unary minus):
@@ -486,9 +487,12 @@ class _Compiler:
     def pow(self, a: dict, b: dict) -> dict:
         x, c = a.get(0, 0.0), b.get(0, 0.0)
         if self.order and b.keys() - {0}:
-            # variable exponent: a^b = exp(b ln a)
+            # variable exponent: the derivatives come from a^b = exp(b ln a),
+            # the value is order 0's own, so it does not depend on the order
             self.check(x, "<=", "power with variable exponent needs positive base")
-            return self.function("exp", self.product(b, self.function("ln", a)))
+            jet = self.function("exp", self.product(b, self.function("ln", a)))
+            jet[0] = f"{self.emit('_power({}, {}, 0)', x, c)}[0]"
+            return jet
         if not isinstance(c, float):
             parts = self.emit(f"_power({{}}, {{}}, {self.order})", x, c)
             return self.chain(a, f"{parts}[0]", lambda: f"{parts}[1]", lambda: f"{parts}[2]")

@@ -26,8 +26,8 @@ The solver's Newton pair and candidate reports come from ``varcalc``'s
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -36,7 +36,7 @@ from .dsl import HESS_INDEX, Expr, ensure_expr, eval_grad, eval_jet2, eval_value
 from .errors import InvalidAlpha, OffDomain, OrderNotPositive
 from .solvers import SolverConfig, multi_start, refuse_dense_beyond_cap
 from .special import gamma_fn, h_factorial
-from .timescale import MAX_POINTS, GridFunction, TimeScale, uniform
+from .timescale import GridFunction, TimeScale, _uniform_steps, uniform
 from .varcalc import LegendreReport, extremal_candidates, newton_pair
 
 # ---------------------------------------------------------------------------
@@ -45,31 +45,29 @@ from .varcalc import LegendreReport, extremal_candidates, newton_pair
 
 @dataclass(frozen=True)
 class FracGrid:
-    """Uniform grid {a, a+h, ..., b} used by the fractional operators."""
+    """Uniform grid {a, a+h, ..., b} of at least 2 steps, checked as
+    ``timescale.uniform`` checks it; its scale is built once, on first use."""
 
     a: float
     b: float
     h: float
+    n_steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("step h must be positive")
-        steps = (self.b - self.a) / self.h
-        if not abs(steps) < MAX_POINTS - 1:  # before round(), which fails on inf and nan
-            raise ValueError(f"(b-a)/h = {steps} would exceed {MAX_POINTS} grid points")
-        k = round(steps)
-        if k < 2 or abs(steps - k) > 1e-9 * max(1.0, abs(steps)):
-            raise ValueError(f"(b-a)/h = {steps} must be an integer >= 2")
+        steps = _uniform_steps(self.a, self.b, self.h)
+        if steps < 2:
+            raise ValueError(f"(b-a)/h = {steps} must be at least 2")
+        object.__setattr__(self, "n_steps", steps)
 
-    @property
-    def n_steps(self) -> int:
-        return round((self.b - self.a) / self.h)
-
-    def scale(self) -> TimeScale:
+    @cached_property
+    def _scale(self) -> TimeScale:
         return uniform(self.a, self.b, self.h)
 
+    def scale(self) -> TimeScale:
+        return self._scale
+
     def points(self) -> np.ndarray:
-        return self.scale().points
+        return self._scale.points
 
 
 @dataclass(frozen=True)
@@ -78,10 +76,8 @@ class FracOrders:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise InvalidAlpha(f"alpha = {self.alpha} must be in (0, 1]")
-        if not (0.0 < self.beta <= 1.0):
-            raise InvalidAlpha(f"beta = {self.beta} must be in (0, 1]")
+        _check_alpha(self.alpha)
+        _check_alpha(self.beta, "beta")
 
     @property
     def gamma(self) -> float:
@@ -188,9 +184,9 @@ def _diff_maps(alpha: float, beta: float, h: float, n: int):
     return V, W
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float, name: str = "alpha") -> None:
     if not (0.0 < alpha <= 1.0):
-        raise InvalidAlpha(f"alpha = {alpha} must be in (0, 1]")
+        raise InvalidAlpha(f"{name} = {alpha} must be in (0, 1]")
 
 
 def left_frac_diff(f: GridFunction, alpha: float) -> GridFunction:

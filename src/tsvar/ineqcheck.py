@@ -1,15 +1,16 @@
 """Randomized certification suites for the dynamic inequalities (``tsvar ineq-check``).
 
 A suite is ``run(trials, seed)``: it draws every trial from one seeded stream,
-in order, and returns the number of trials whose inequality held to a 1e-10
-tolerance.  Every suite draws ``TRIAL_BLOCK`` trials before it uses any of
-them.  A trial makes one ``rng.integers`` call per integer it draws (a grid's
-point count, Jensen's F) and one ``rng.random(k)`` call per run of doubles
-between two of them; the block then maps each field's raw uniforms U to its
-range once, as lo + (hi - lo) * U on zero-padded arrays with one row per
-trial.  numpy's ``rng.uniform(lo, hi, k)`` is that same expression of the
-same doubles (``tests/test_ineq_check_stream.py`` pins it), so every trial
-has the bits that one ``rng.uniform`` call per field gave it.
+in order, and returns the number of trials whose inequality held to the
+certifiers' tolerance, ``inequalities._CERT_TOL``.  Every suite draws
+``TRIAL_BLOCK`` trials before it uses any of them.  A trial makes one
+``rng.integers`` call per integer it draws (a grid's point count, Jensen's F)
+and one ``rng.random(k)`` call per run of doubles between two of them; the
+block then maps each field's raw uniforms U to its range once, as
+lo + (hi - lo) * U on zero-padded arrays with one row per trial.  numpy's
+``rng.uniform(lo, hi, k)`` is that same expression of the same doubles
+(``tests/test_ineq_check_stream.py`` pins it), so every trial has the bits
+that one ``rng.uniform`` call per field gave it.
 
 The Jensen, Hoelder, Cauchy-Schwarz and Minkowski suites then make one
 ``*_certify`` call per row, looked up on ``inequalities`` as the suite runs.
@@ -179,7 +180,7 @@ def _minkowski_check(b: dict) -> int:
 
 def _holds_pointwise(values: np.ndarray, bound: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per trial (row): values <= bound to the tolerance at every real entry."""
-    tol = 1e-10 * np.maximum(1.0, np.abs(bound))
+    tol = inequalities._CERT_TOL * np.maximum(1.0, np.abs(bound))
     ok = (values <= bound + tol) | ~mask
     return ok.reshape(len(ok), -1).all(axis=1)
 

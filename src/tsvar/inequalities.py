@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    InvalidAlpha,
     InvalidExponent,
     NoConvergence,
     NonFinite,
@@ -31,9 +30,9 @@ from .errors import (
     ZeroWeightMass,
 )
 from .solvers import adaptive_simpson
-from .timescale import GridFunction, TimeScale, values_on
+from .timescale import GridFunction, TimeScale, _diamond_sum, values_on
 
-_CERT_TOL = 1e-10
+_CERT_TOL = 1e-10  # lhs <= rhs + _CERT_TOL * max(1, |rhs|) holds; ineqcheck reads it too
 
 
 @dataclass(frozen=True)
@@ -252,20 +251,7 @@ def nonlinear_gronwall_bound(ts: TimeScale, u_data, a_fn, f_fn,
 
 
 # ---------------------------------------------------------------------------
-# Diamond-alpha integrals and certifiers
-
-
-def _diamond_gaps(ts: TimeScale, alpha: float) -> np.ndarray:
-    """The gaps mu of ts for diamond-alpha integrals; alpha must lie in [0, 1]."""
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidAlpha(f"alpha = {alpha} must lie in [0, 1]")
-    pts = ts.points
-    return pts[1:] - pts[:-1]
-
-
-def _diamond(mu: np.ndarray, vals: np.ndarray, alpha: float) -> float:
-    """Diamond-alpha integral of vals over the grid whose gaps are mu."""
-    return alpha * float(mu @ vals[:-1]) + (1.0 - alpha) * float(mu @ vals[1:])
+# Diamond-alpha certifiers
 
 
 def jensen_certify(ts: TimeScale, F: Callable[[float], float], g,
@@ -273,13 +259,13 @@ def jensen_certify(ts: TimeScale, F: Callable[[float], float], g,
     """F(weighted diamond-alpha mean of g) vs weighted mean of F(g)."""
     gv = values_on(ts, g)
     hv = np.ones(len(ts)) if weights is None else np.abs(values_on(ts, weights))
-    mu = _diamond_gaps(ts, alpha)
-    mass = _diamond(mu, hv, alpha)
+    mu = ts.points[1:] - ts.points[:-1]
+    mass = _diamond_sum(mu, hv, alpha)
     if mass <= 0.0:
         raise ZeroWeightMass("the diamond-alpha integral of |weights| must be positive")
-    mean = _diamond(mu, hv * gv, alpha) / mass
+    mean = _diamond_sum(mu, hv * gv, alpha) / mass
     lhs = F(mean)
-    rhs = _diamond(mu, hv * np.array([F(x) for x in gv]), alpha) / mass
+    rhs = _diamond_sum(mu, hv * np.array([F(x) for x in gv]), alpha) / mass
     return _report(lhs, rhs)
 
 
@@ -292,10 +278,10 @@ def holder_certify(ts: TimeScale, f, g, h_weights=None, p: float = 2.0,
     fv = np.abs(values_on(ts, f))
     gv = np.abs(values_on(ts, g))
     hv = np.ones(len(ts)) if h_weights is None else np.abs(values_on(ts, h_weights))
-    mu = _diamond_gaps(ts, alpha)
-    lhs = _diamond(mu, hv * fv * gv, alpha)
-    rhs = (_diamond(mu, hv * fv**p, alpha) ** (1.0 / p)
-           * _diamond(mu, hv * gv**q, alpha) ** (1.0 / q))
+    mu = ts.points[1:] - ts.points[:-1]
+    lhs = _diamond_sum(mu, hv * fv * gv, alpha)
+    rhs = (_diamond_sum(mu, hv * fv**p, alpha) ** (1.0 / p)
+           * _diamond_sum(mu, hv * gv**q, alpha) ** (1.0 / q))
     return _report(lhs, rhs)
 
 
@@ -310,10 +296,10 @@ def minkowski_certify(ts: TimeScale, f, g, p: float = 2.0,
         raise InvalidExponent(f"p = {p} must exceed 1")
     fv = values_on(ts, f)
     gv = values_on(ts, g)
-    mu = _diamond_gaps(ts, alpha)
-    lhs = _diamond(mu, np.abs(fv + gv) ** p, alpha) ** (1.0 / p)
-    rhs = (_diamond(mu, np.abs(fv) ** p, alpha) ** (1.0 / p)
-           + _diamond(mu, np.abs(gv) ** p, alpha) ** (1.0 / p))
+    mu = ts.points[1:] - ts.points[:-1]
+    lhs = _diamond_sum(mu, np.abs(fv + gv) ** p, alpha) ** (1.0 / p)
+    rhs = (_diamond_sum(mu, np.abs(fv) ** p, alpha) ** (1.0 / p)
+           + _diamond_sum(mu, np.abs(gv) ** p, alpha) ** (1.0 / p))
     return _report(lhs, rhs)
 
 

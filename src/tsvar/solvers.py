@@ -37,6 +37,9 @@ MAX_DENSE_POINTS = 2001
 # multi_start keeps a root only if it differs from every earlier one by more
 # than this in the max norm
 DEDUP_TOL = 1e-6
+# newton_solve's limits: Newton iterations per solve, step halvings per iteration
+MAX_ITER = 200
+MAX_HALVINGS = 30
 
 
 def refuse_dense_beyond_cap(n_points: int, solver: str) -> None:
@@ -212,9 +215,7 @@ def newton_solve(
     fn: Callable[[np.ndarray], np.ndarray],
     jac: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
-    tol: float = 1e-9,
-    max_iter: int = 200,
-    max_halvings: int = 30,
+    tol: float = SolverConfig.tol,
 ) -> np.ndarray:
     """Damped Newton iteration on a square residual system.
 
@@ -223,10 +224,10 @@ def newton_solve(
     turns into a dense matrix, whose step goes to LAPACK.  Newton calls
     it only with the very object ``x`` of its latest ``fn`` call, and only
     when that call returned a finite residual, so ``fn`` may keep work for
-    ``jac`` to reuse.  Steps are backtracked (halving, up to ``max_halvings``)
+    ``jac`` to reuse.  Steps are backtracked (halving, up to ``MAX_HALVINGS``)
     until the 2-norm of the residual decreases; a trial point outside the
     residual's domain halves the step as well.  Raises NoConvergence if the
-    iteration stalls or exceeds ``max_iter``, SingularJacobian if a linear
+    iteration stalls or exceeds ``MAX_ITER``, SingularJacobian if a linear
     solve fails.  It runs under ``np.errstate(all="ignore")``: a non-finite
     residual or step is rejected by value, so it never warns.
     """
@@ -236,7 +237,7 @@ def newton_solve(
         if not np.isfinite(r).all():
             raise NonFinite("residual is not finite at the initial point")
         rnorm = math.sqrt(r @ r)  # np.linalg.norm's formula for a 1-D vector
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             if rnorm <= tol:
                 return x
             J = jac(x)
@@ -248,7 +249,7 @@ def newton_solve(
                 # back in by the next large allocation: measurably slower
                 J = np.asarray(J, dtype=float)
                 step = _dense_step(J, r)
-            for _ in range(max_halvings):
+            for _ in range(MAX_HALVINGS):
                 x_try = x + step
                 try:
                     r_try = np.asarray(fn(x_try), dtype=float)
@@ -266,7 +267,7 @@ def newton_solve(
                 raise NoConvergence(f"line search stalled at residual norm {rnorm:.3e}")
         if rnorm <= tol:
             return x
-        raise NoConvergence(f"no convergence after {max_iter} iterations (residual {rnorm:.3e})")
+        raise NoConvergence(f"no convergence after {MAX_ITER} iterations (residual {rnorm:.3e})")
 
 
 def multi_start(
@@ -293,16 +294,14 @@ def multi_start(
     lo, hi = cfg.box
     starts = rng.uniform(lo, hi, size=(cfg.starts, n_unknowns))
 
-    def attempt(x0):
+    roots, singular = [], False
+    for x0 in starts:
         try:
-            return newton_solve(fn, jac, x0, tol=cfg.tol)
+            roots.append(newton_solve(fn, jac, x0, tol=cfg.tol))
         except SingularJacobian:
-            return "singular"
+            singular = True
         except (NoConvergence, NonFinite, DomainError, ArithmeticError, ValueError):
-            return None
-
-    outcomes = [attempt(x0) for x0 in starts]
-    roots = [out for out in outcomes if isinstance(out, np.ndarray)]
+            pass
     # each root is compared with all kept ones at once; the first start wins
     kept = np.empty((len(roots), n_unknowns))
     solutions = []
@@ -312,7 +311,7 @@ def multi_start(
         kept[len(solutions)] = x
         solutions.append(x)
     if not solutions:
-        if any(isinstance(out, str) for out in outcomes):
+        if singular:
             raise SingularJacobian("all starts failed; at least one Jacobian was singular")
         raise NoConvergence("no start converged")
     return solutions
@@ -356,9 +355,9 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     return sign * rec(a, b, fa, fm, fb, whole, tol, max_depth)
 
 
-def invert_increasing(G: Callable[[float], float], target: float,
-                      lo: float = 0.0, tol: float = 1e-13) -> float:
-    """Solve G(x) = target for increasing G on [lo, inf)."""
+def invert_increasing(G: Callable[[float], float], target: float) -> float:
+    """Solve G(x) = target for increasing G on [0, inf), to 1e-13 relative."""
+    lo, tol = 0.0, 1e-13
     g_lo = G(lo)
     if g_lo > target + 1e-15:
         raise RootNotBracketed(f"G({lo}) = {g_lo} already exceeds target {target}")

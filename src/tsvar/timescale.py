@@ -31,16 +31,18 @@ _EPS = float(np.finfo(float).eps)
 MAX_POINTS = 10_000_000  # grid builders refuse more points before allocating any
 
 
+def _spacing_slack(h, first, last):
+    """How far a gap of a uniform scale on [first, last] may stray from its step h:
+    1e-12 relative, plus the rounding of points of size |t|, about eps*|t| each."""
+    return _REL_KIND_TOL * max(abs(h), 1e-300) + 4.0 * _EPS * max(-first, last)
+
+
 def _detect_kind(points: np.ndarray, gaps: np.ndarray):
     """Return (kind, step, ratio) detected from raw points and their gaps."""
     if len(points) < 2:
         return KIND_EXPLICIT, None, None
     h = gaps[0]
-    # a gap between points of size |t| carries about eps*|t| of rounding, which
-    # outweighs the relative tolerance on a fine grid far from the origin; the
-    # points increase, so max(-t_0, t_last) is the largest |t|
-    if np.abs(gaps - h).max() <= (_REL_KIND_TOL * max(abs(h), 1e-300)
-                                  + 4.0 * _EPS * max(-points[0], points[-1])):
+    if np.abs(gaps - h).max() <= _spacing_slack(h, points[0], points[-1]):
         return KIND_UNIFORM, float(h), None
     if points[0] > 0:
         if float(points[-1]) / float(points[0]) < math.inf:  # no ratio can overflow
@@ -92,8 +94,11 @@ class TimeScale:
         object.__setattr__(self, "points", pts)
         if kind == KIND_EXPLICIT:  # declared: no step or ratio is looked for
             detected, h, q = KIND_EXPLICIT, None, None
-        else:
+        elif float(pts[-1]) - float(pts[0]) < math.inf:  # no gap can overflow
             detected, h, q = _detect_kind(pts, pts[1:] - pts[:-1])
+        else:  # rare, so only here pay for np.errstate; an infinite gap fails as NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                detected, h, q = _detect_kind(pts, pts[1:] - pts[:-1])
         if kind == "auto":
             kind = detected
         elif kind == KIND_UNIFORM and detected != KIND_UNIFORM:
@@ -189,8 +194,10 @@ class TimeScale:
         return None
 
 
-def uniform(a: float, b: float, h: float) -> TimeScale:
-    """Uniform scale {a, a+h, ..., b}; (b-a)/h must be a positive integer."""
+def _uniform_steps(a: float, b: float, h: float) -> int:
+    """The step count of ``uniform(a, b, h)``, checked without allocating: h > 0,
+    (b-a)/h a positive integer to 1e-9 relative and below MAX_POINTS, and the
+    last gap, up to b, within the kind check's slack of the first."""
     if h <= 0:
         raise ValueError("step h must be positive")
     n = (b - a) / h
@@ -199,7 +206,16 @@ def uniform(a: float, b: float, h: float) -> TimeScale:
     n_int = round(n)
     if n_int < 1 or abs(n - n_int) > 1e-9 * max(1.0, abs(n)):
         raise ValueError(f"(b-a)/h = {n} is not a positive integer")
-    pts = a + h * np.arange(n_int + 1)
+    a, b, h = float(a), float(b), float(h)  # uniform's float64 arithmetic
+    first, last = (a + h) - a, b - (a + h * (n_int - 1))
+    if n_int > 1 and not abs(last - first) <= _spacing_slack(first, a, b):
+        raise ValueError(f"b = {b} is not a + {n_int}*h up to rounding")
+    return n_int
+
+
+def uniform(a: float, b: float, h: float) -> TimeScale:
+    """Uniform scale {a, a+h, ..., b}; (b-a)/h must be a positive integer."""
+    pts = a + h * np.arange(_uniform_steps(a, b, h) + 1)
     pts[-1] = b  # kill accumulated rounding at the right endpoint
     return TimeScale(pts, kind=KIND_UNIFORM)
 
@@ -357,32 +373,31 @@ def higher_delta_derivative(f: GridFunction, n: int) -> GridFunction:
 
 def delta_integral(f: GridFunction, a: float, b: float) -> float:
     """Delta integral over [a, b): sum of mu(t) f(t); a > b flips the sign."""
-    ts = f.scale
-    ia, ib = ts.index(a), ts.index(b)
-    if ia > ib:
-        return -delta_integral(f, b, a)
-    pts = ts.points
-    mu_vals = pts[ia + 1 : ib + 1] - pts[ia:ib]
-    return float(np.dot(mu_vals, f.values[ia:ib]))
+    return diamond_integral(f, a, b, 1.0)
 
 
 def nabla_integral(f: GridFunction, a: float, b: float) -> float:
     """Nabla integral over (a, b]: sum of nu(t) f(t); a > b flips the sign."""
-    ts = f.scale
-    ia, ib = ts.index(a), ts.index(b)
-    if ia > ib:
-        return -nabla_integral(f, b, a)
-    pts = ts.points
-    nu_vals = pts[ia + 1 : ib + 1] - pts[ia:ib]
-    return float(np.dot(nu_vals, f.values[ia + 1 : ib + 1]))
+    return diamond_integral(f, a, b, 0.0)
+
+
+def _diamond_sum(mu: np.ndarray, values: np.ndarray, alpha: float) -> float:
+    """alpha * sum mu f(t) + (1-alpha) * sum mu f(sigma(t)) over a grid's gaps mu and
+    values f; at alpha 1 or 0 the other sum, and the end value only it reads, stay out."""
+    if 0.0 < alpha < 1.0:
+        return alpha * float(mu @ values[:-1]) + (1.0 - alpha) * float(mu @ values[1:])
+    if alpha == 1.0:
+        return float(mu @ values[:-1])
+    if alpha == 0.0:
+        return float(mu @ values[1:])
+    raise InvalidAlpha(f"alpha = {alpha} must lie in [0, 1]")
 
 
 def diamond_integral(f: GridFunction, a: float, b: float, alpha: float) -> float:
-    """Diamond-alpha integral: alpha*delta + (1-alpha)*nabla."""
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
-    if alpha == 1.0:
-        return delta_integral(f, a, b)
-    if alpha == 0.0:
-        return nabla_integral(f, a, b)
-    return alpha * delta_integral(f, a, b) + (1.0 - alpha) * nabla_integral(f, a, b)
+    """Diamond-alpha integral alpha*delta + (1-alpha)*nabla over [a, b]; a > b flips it."""
+    ts = f.scale
+    ia, ib = ts.index(a), ts.index(b)
+    if ia > ib:
+        return -diamond_integral(f, b, a, alpha)
+    pts = ts.points
+    return _diamond_sum(pts[ia + 1 : ib + 1] - pts[ia:ib], f.values[ia : ib + 1], alpha)

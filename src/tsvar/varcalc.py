@@ -101,9 +101,6 @@ class QuadraticLagrangian:
     def value(self, x: np.ndarray) -> float:
         return float(x @ self.quad @ x + self.lin @ x)
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self.quad @ x + self.lin
-
 
 @dataclass(frozen=True)
 class HigherOrderProblem:
@@ -575,7 +572,8 @@ def direct_solve_power(ts: TimeScale, phi: Callable[[float], float],
         return adaptive_simpson(phi, 0.0, x)
 
     C = G(B) / (b - a)
-    y = np.array([invert_increasing(G, C * (t - a)) for t in ts.points])
+    # G(y(b)) = C (b - a) = G(B), so y(b) is B itself, without an inversion
+    y = np.array([invert_increasing(G, C * (t - a)) for t in ts.points[:-1]] + [B])
     F = (b - a) * math.pow(C, alpha_exp)
     kind = "max" if 0.0 < alpha_exp < 1.0 else "min"
     return DirectResult(GridFunction(ts, y), float(F), kind)

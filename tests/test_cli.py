@@ -1,6 +1,9 @@
 """End-to-end runs of the command-line front end via main(argv)."""
 
+import argparse
+import configparser
 import contextlib
+import dataclasses
 import io
 import math
 import tempfile
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tsvar import cli
+from tsvar.solvers import SolverConfig
 
 
 def run_cli(argv):
@@ -328,6 +332,29 @@ def test_solver_flag_overrides_config(tmp_path, capsys):
                     "--starts", "0"])
     assert code == 2
     assert "starts = 0" in capsys.readouterr().err
+
+
+def _solver_config(section: str, starts=None, seed=None, tol=None):
+    cp = configparser.ConfigParser()
+    cp.read_string("[solver]\n" + section)
+    return cli._solver_config(cp, argparse.Namespace(starts=starts, seed=seed, tol=tol))
+
+
+def test_an_empty_solver_section_gives_the_library_defaults():
+    assert _solver_config("") == SolverConfig()
+
+
+def test_the_cli_takes_each_unset_solver_setting_from_solver_config(monkeypatch):
+    @dataclasses.dataclass
+    class Other(SolverConfig):
+        starts: int = 7
+        seed: int = 3
+        box: tuple = (-1.0, 1.0)
+        tol: float = 1e-6
+
+    monkeypatch.setattr(cli, "SolverConfig", Other)
+    assert _solver_config("") == Other()
+    assert _solver_config("seed = 5\nstarts = 9", starts=2) == Other(starts=2, seed=5)
 
 
 @pytest.mark.parametrize("setting", [

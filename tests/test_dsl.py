@@ -240,6 +240,27 @@ def test_jet2_value_and_gradient_rows_equal_eval_grad(text):
     assert np.array_equal(jet.grad, grad[1:])
 
 
+@pytest.mark.parametrize("text", ["u^v", "u^(v*w)", "(1+u)^(v+t)", "exp(u)^v", "u^(2*v)/v"])
+def test_variable_exponent_value_does_not_depend_on_the_order(text):
+    # orders 1 and 2 take their derivative rows from exp(v ln u), but their
+    # value row is order 0's u^v, bit for bit
+    e = dsl.parse(text)
+    rng = np.random.default_rng(0)
+    u, v, w = rng.uniform(0.1, 3.0, 1000), rng.uniform(-2.5, 2.5, 1000), rng.uniform(-1.0, 1.0, 1000)
+    value = dsl.eval_value(e, 0.3, u, v, w)
+    assert np.array_equal(dsl.eval_grad(e, 0.3, u, v, w)[0], value)
+    assert np.array_equal(dsl.eval_jet2(e, 0.3, u, v, w).value, value)
+
+
+def test_variable_exponent_derivatives_need_a_positive_base():
+    # d/dv u^v = u^v ln u: order 0 gives (-2)^2, orders 1 and 2 refuse the base
+    e = dsl.parse("u^v")
+    assert dsl.eval_value(e, 0.0, -2.0, 2.0, 0.0) == 4.0
+    for order in (dsl.eval_grad, dsl.eval_jet2):
+        with pytest.raises(DomainError, match="positive base"):
+            order(e, 0.0, -2.0, 2.0, 0.0)
+
+
 @pytest.mark.parametrize("text", PARITY_CASES)
 def test_program_is_the_one_evaluator_behind_eval(text):
     # fracvar's Newton loop runs the compiled programs directly

@@ -6,10 +6,11 @@ implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from tsvar import dsl, fracvar, solvers, special
@@ -787,6 +788,54 @@ def test_grid_and_order_validation():
         FracOrders(0.0, 0.5)
     with pytest.raises(InvalidAlpha):
         FracOrders(0.5, 1.2)
+
+
+def test_frac_grid_builds_its_scale_once():
+    grid = FracGrid(0.0, 1.0, 0.25)
+    assert grid.scale() is grid.scale()
+    assert grid.points() is grid.scale().points
+
+
+def test_frac_grid_allocates_no_points_before_its_scale_is_asked_for():
+    # its scale would take 40 MB of points and peak near 200 MB while built
+    tracemalloc.start()
+    try:
+        grid = FracGrid(0.0, 5_000_000.0, 1.0)
+        assert grid.n_steps == 5_000_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _uniform_or_none(a, b, h):
+    try:
+        return tsc.uniform(a, b, h)
+    except ValueError:
+        return None
+
+
+# Ends within 1e3 and steps of at least 1e-3 keep every step far above the
+# rounding of the points.  A step at that rounding level can still pass
+# FracGrid and fail uniform's point check: FracGrid(1e16, 1e16 + 2, 0.5).
+@given(st.floats(-1e3, 1e3),
+       st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.0, -0.5, math.nan, math.inf])),
+       st.integers(-2, 40), st.one_of(st.just(0.0), st.floats(-1e-8, 1e-8)),
+       st.one_of(st.floats(-1e3, 1e3), st.sampled_from([math.inf, math.nan])), st.booleans())
+@example(a=0.0, h=1.0, n=2, stretch=1e-10, other_b=0.0, on_lattice=True)
+def test_frac_grid_accepts_exactly_the_uniform_grids_of_at_least_3_points(
+        a, h, n, stretch, other_b, on_lattice):
+    b = a + n * h * (1.0 + stretch) if on_lattice else other_b
+    scale = _uniform_or_none(a, b, h)
+    try:
+        grid = FracGrid(a, b, h)
+    except ValueError:
+        assert scale is None or len(scale) < 3
+    else:
+        assert scale is not None and len(scale) >= 3
+        assert grid.n_steps == len(scale) - 1
+        assert grid.scale().points.tobytes() == scale.points.tobytes()
+        assert grid.scale().step == scale.step
 
 
 @given(st.integers(0, 2 ** 32 - 1))

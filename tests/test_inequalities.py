@@ -304,6 +304,19 @@ def test_jensen_errors():
         ineq.jensen_certify(g, lambda x: x * x, lambda t: 1.0, alpha=1.5)
 
 
+@pytest.mark.parametrize("alpha, end", [(1.0, -1), (0.0, 0)], ids=["delta", "nabla"])
+def test_certifiers_leave_out_the_end_their_alpha_does_not_read(alpha, end):
+    # the delta sum never reads f(b) and the nabla sum never reads f(a)
+    g = uniform(0.0, 3.0, 1.0)
+    fv = np.array([1.0, 2.0, 0.5, 1.5])
+    fv[end] = math.inf
+    f = GridFunction(g, fv)
+    for rep in (ineq.holder_certify(g, f, lambda t: 1.0, alpha=alpha),
+                ineq.minkowski_certify(g, f, lambda t: 1.0, alpha=alpha),
+                ineq.jensen_certify(g, lambda x: x * x, f, alpha=alpha)):
+        assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs) and rep.holds
+
+
 def test_holder_power_mean_reduction():
     g = uniform(0.0, 4.0, 0.5)
     rng = np.random.default_rng(2)

@@ -1,6 +1,7 @@
 """Newton, multi-start, quadrature, inversion, and the Jacobi eigensolver."""
 
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -52,7 +53,7 @@ def test_newton_reports_stall():
     # residual bounded away from zero
     with pytest.raises(NoConvergence):
         newton_solve(lambda x: np.array([x[0] ** 2 + 1.0]),
-                     lambda x: np.array([[2.0 * x[0]]]), [3.0], max_iter=60)
+                     lambda x: np.array([[2.0 * x[0]]]), [3.0])
 
 
 def test_newton_halves_steps_that_leave_the_domain():
@@ -177,6 +178,18 @@ def test_solver_config_has_only_the_validated_fields():
     # every field is checked in __post_init__; Newton's iteration limits and
     # the dedup distance are fixed in solvers, not per config
     assert [f.name for f in dataclasses.fields(SolverConfig)] == ["starts", "seed", "box", "tol"]
+
+
+def test_solver_entry_points_take_no_other_parameters():
+    # Newton's limits are solvers.MAX_ITER and MAX_HALVINGS and the inversion
+    # fixes its own start and tolerance: no per-call knob that no caller sets
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(newton_solve) == ["fn", "jac", "x0", "tol"]
+    assert inspect.signature(newton_solve).parameters["tol"].default == SolverConfig.tol
+    assert names(multi_start) == ["fn", "jac", "n_unknowns", "config"]
+    assert names(invert_increasing) == ["G", "target"]
 
 
 @pytest.mark.parametrize("starts, n_unknowns", [(10**7 + 1, 1), (10**6, 11), (10**30, 3)])

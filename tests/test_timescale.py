@@ -224,6 +224,32 @@ def test_constructor_accepts_exactly_the_points_the_old_check_accepts(points, or
         assert _message(points, kind) == _old_point_check(points)
 
 
+@pytest.mark.parametrize("points", [
+    pytest.param([-1e308, 1e308], id="one-gap"),
+    pytest.param([-1.7e308, 1e308, 1.7e308], id="first-gap"),
+])
+@pytest.mark.parametrize("kind, message", [
+    ("auto", None),
+    ("uniform", "not uniformly spaced"),
+    ("geometric", "not in geometric progression"),
+])
+def test_a_gap_beyond_the_float_range_is_not_uniform(points, kind, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the gap overflows: no RuntimeWarning
+        if message is None:
+            assert ts.TimeScale(points, kind=kind).kind == "explicit"
+        else:
+            with pytest.raises(ValueError, match=message):
+                ts.TimeScale(points, kind=kind)
+
+
+def test_a_span_beyond_the_float_range_with_finite_gaps_stays_uniform():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = ts.TimeScale([-1e308, 0.0, 1e308])
+    assert (g.kind, g.step) == ("uniform", 1e308)
+
+
 @pytest.mark.parametrize("args, points", [
     pytest.param((2.0, 0, 3.0), [1.0, 2.0, 4.0, 8.0], id="whole-float-kmax"),
     pytest.param((2, -2.0, 1), [0.25, 0.5, 1.0, 2.0], id="whole-float-kmin"),
@@ -411,6 +437,26 @@ def test_fundamental_theorem_telescopes(points, seed):
     padded = ts.GridFunction(g, np.append(np.asarray(df.values), 0.0))
     lhs = ts.delta_integral(padded, points[0], points[-1])
     assert lhs == pytest.approx(f.values[-1] - f.values[0], rel=1e-10, abs=1e-10)
+
+
+@given(grids, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(0, 2 ** 32 - 1))
+def test_diamond_integral_is_the_alpha_blend_of_both_sums(points, alpha, seed):
+    g = ts.TimeScale(points)
+    f = ts.GridFunction(g, np.random.default_rng(seed).uniform(-5, 5, len(g)))
+    mu = np.diff(g.points)
+    blend = alpha * float(mu @ f.values[:-1]) + (1.0 - alpha) * float(mu @ f.values[1:])
+    assert ts.diamond_integral(f, points[0], points[-1], alpha) == blend
+    assert ts.diamond_integral(f, points[-1], points[0], alpha) == -blend
+
+
+def test_diamond_integral_at_alpha_one_or_zero_leaves_out_the_unused_end():
+    # the delta sum never reads f(b) and the nabla sum never reads f(a)
+    g = ts.explicit(0.0, 1.0, 3.0, 4.0)
+    f = ts.GridFunction(g, [1.0, -2.0, 3.0, math.inf])
+    assert ts.diamond_integral(f, 0.0, 4.0, 1.0) == 1.0 - 4.0 + 3.0
+    f = ts.GridFunction(g, [math.inf, -2.0, 3.0, 5.0])
+    assert ts.diamond_integral(f, 0.0, 4.0, 0.0) == -2.0 + 6.0 + 5.0
 
 
 @given(grids, st.integers(0, 2 ** 32 - 1))

@@ -730,6 +730,13 @@ def test_direct_power_curved_phi_and_max_case():
         direct_solve_power(g, phi, 2.0, -1.0)
 
 
+@pytest.mark.parametrize("phi", [lambda s: 1.0 + s * s, lambda s: s], ids=["1+x^2", "x"])
+def test_direct_power_ends_exactly_at_B(phi):
+    # C = G(B) / (b - a) makes G(y(b)) = G(B): y(b) is B, not a bisection's 1e-13 of it
+    out = direct_solve_power(tsc.uniform(0.0, 1.0, 0.01), phi, 2.0, 3.0)
+    assert out.y.values[-1] == 3.0
+
+
 def test_direct_exp_constant_phi():
     g = tsc.uniform(0.0, 2.0, 0.5)
     B = 3.0
