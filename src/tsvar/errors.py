@@ -59,7 +59,8 @@ class QuadratureFailure(TsvarError):
 
 
 class RootNotBracketed(TsvarError):
-    """Root finder could not bracket the target value."""
+    """The integral inverter cannot reach its target: the integrand is negative or
+    not finite at an iterate, or the integral never gets there."""
 
 
 class NonFinite(TsvarError):

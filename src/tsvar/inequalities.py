@@ -23,13 +23,13 @@ import numpy as np
 
 from .errors import (
     InvalidExponent,
-    NoConvergence,
     NonFinite,
     NonRegressive,
     OutsideDomPsiInverse,
+    RootNotBracketed,
     ZeroWeightMass,
 )
-from .solvers import adaptive_simpson
+from .solvers import adaptive_simpson, invert_integral
 from .timescale import GridFunction, TimeScale, _diamond_sum, values_on
 
 _CERT_TOL = 1e-10  # lhs <= rhs + _CERT_TOL * max(1, |rhs|) holds; ineqcheck reads it too
@@ -194,58 +194,28 @@ def nonlinear_gronwall_bound(ts: TimeScale, u_data, a_fn, f_fn,
             pos /= 2.0
         return acc + adaptive_simpson(integrand, pos, x)
 
-    def Psi_inv(target: float, x: float, val: float) -> tuple:
-        """(root, x', Psi(x')): Psi(root) = target, from a point x with Psi(x) = val.
-
-        Safeguarded Newton: Psi' = 1/Phi(W(x)) > 0, and each step accumulates
-        Psi from the last point by one quadrature.  Before the root is
-        bracketed a step at most doubles or halves x; after, a step that
-        leaves the bracket bisects it.  x' is the last point whose Psi is
-        known, where the next inversion starts.
-        """
-        lo, hi = 0.0, math.inf
-        stall = 0
-        for _ in range(2500):  # doubling from 1e-300 past 1e300 takes 2,000
-            step = (target - val) * spec.Phi(spec.W(x))
-            if abs(step) <= 1e-13 * max(1.0, abs(x)):
-                return x + step, x, val
-            if step > 0.0:
-                lo, nxt = x, min(x + step, 2.0 * x)
-            else:
-                hi, nxt = x, max(x + step, 0.5 * x)
-            if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
-            if nxt > 1e300 or nxt < 1e-300:
-                raise OutsideDomPsiInverse(f"Psi never reaches {target}")
-            piece = adaptive_simpson(integrand, x, nxt)
-            if abs(piece) <= 1e-16 * max(1.0, abs(target)):
-                stall += 1
-                if stall >= 64:
-                    raise OutsideDomPsiInverse(
-                        f"Psi plateaus below its inversion target {target}")
-            else:
-                stall = 0
-            x, val = nxt, val + piece
-        raise NoConvergence(f"Psi^-1({target}) did not converge")
-
     # F[m] = integral of f over [a, t_m); inner_j = int_a^{s_j} k(s_j,tau) Phi(p) Phi(F)
     # and w[j] = W(Psi^-1(Psi(zeta) + inner_j)) depend on j alone
     F = np.concatenate([[0.0], np.cumsum(mu * f[:-1])])
     phi_pF = [spec.Phi(p[m]) * spec.Phi(F[m]) for m in range(n - 2)]
-    psi_zeta = None
-    w = np.zeros(n - 1)
+    inner = []
     for j in range(n - 1):
-        inner = 0.0
+        inner_j = 0.0
         for m in range(j):
-            inner += mu[m] * kernel(pts[j], pts[m]) * phi_pF[m]
-        if zeta == 0.0 and inner == 0.0:
-            continue  # zero-kernel collapse: no growth contribution
-        if psi_zeta is None:
+            inner_j += mu[m] * kernel(pts[j], pts[m]) * phi_pF[m]
+        inner.append(inner_j)
+    # a zero kernel collapses w[j] to 0: no growth contribution
+    live = [j for j in range(n - 1) if zeta != 0.0 or inner[j] != 0.0]
+    w = np.zeros(n - 1)
+    if live:
+        try:  # a Psi that diverges (e.g. at 0 for Phi(W(s)) = s) or never reaches a target
             psi_zeta = Psi(zeta)
-            # each inversion starts from the last point of the one before
+            # Psi' = 1/Phi(W) > 0: walk Psi^-1 from zeta, or from x0 where Psi is 0
             x, val = (zeta, psi_zeta) if zeta > 0.0 else (spec.Psi_x0, 0.0)
-        root, x, val = Psi_inv(psi_zeta + inner, x, val)
-        w[j] = spec.W(root)
+            roots = invert_integral(integrand, [psi_zeta + inner[j] for j in live], x, val)
+        except (NonFinite, RootNotBracketed) as exc:
+            raise OutsideDomPsiInverse(f"Psi^-1 is not defined here: {exc}") from exc
+        w[live] = [spec.W(root) for root in roots]
     acc = np.concatenate([[0.0], np.cumsum(mu * f[:-1] * w)])
     return GridFunction(ts, p * a + p * acc)
 

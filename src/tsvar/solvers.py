@@ -318,12 +318,16 @@ def multi_start(
 
 
 # ---------------------------------------------------------------------------
-# Quadrature and inversion (used by the continuous reference solutions)
+# Quadrature and the one integral inverter (direct_solve_power's G^-1 and
+# nonlinear_gronwall_bound's Psi^-1)
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = 1e-10, max_depth: int = 50) -> float:
-    """Adaptive Simpson integration of a smooth scalar function."""
+    """Adaptive Simpson integration of a smooth scalar function.
+
+    Raises NonFinite at the first estimate that is not finite.
+    """
     if a == b:
         return 0.0
 
@@ -339,6 +343,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
         delta = left + right - whole
+        if not math.isfinite(delta):  # NaN would never pass the test below
+            raise NonFinite(f"adaptive Simpson estimate is not finite on [{x0}, {x2}]")
         if abs(delta) <= 15.0 * eps or (x2 - x0) < 1e-14:
             return left + right + delta / 15.0
         if depth <= 0:
@@ -355,33 +361,54 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     return sign * rec(a, b, fa, fm, fb, whole, tol, max_depth)
 
 
-def invert_increasing(G: Callable[[float], float], target: float) -> float:
-    """Solve G(x) = target for increasing G on [0, inf), to 1e-13 relative."""
-    lo, tol = 0.0, 1e-13
-    g_lo = G(lo)
-    if g_lo > target + 1e-15:
-        raise RootNotBracketed(f"G({lo}) = {g_lo} already exceeds target {target}")
-    if abs(g_lo - target) <= tol * max(1.0, abs(target)):
-        return lo
-    span = 1.0
-    hi = lo + span
-    for _ in range(200):
-        if G(hi) >= target:
-            break
-        span *= 2.0
-        hi = lo + span
-    else:
-        raise RootNotBracketed(f"could not bracket target {target} for inversion")
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if G(mid) < target:
-            a = mid
+def invert_integral(g: Callable[[float], float], targets: Sequence[float],
+                    x: float, G: float) -> list:
+    """Roots of G(root) = target, one per target in turn, where G' = g > 0 and G(x) = G.
+
+    Safeguarded Newton: each step adds one ``adaptive_simpson`` piece of g
+    from the last point, and each inversion starts where the one before
+    stopped.  Before the root is bracketed a step at most doubles or halves
+    x (from x = 0 it goes at most to 1); after, a step that leaves the
+    bracket bisects it.  Raises RootNotBracketed where g is negative or not
+    finite at an iterate, where G plateaus below a target, or where the walk
+    leaves (1e-300, 1e300); NoConvergence after 2,500 steps for one target.
+    """
+    roots = []
+    for target in targets:
+        lo, hi = 0.0, math.inf
+        stall = 0
+        for _ in range(2500):  # doubling from 1e-300 past 1e300 takes 2,000
+            slope = g(x)
+            if not 0.0 <= slope < math.inf:
+                raise RootNotBracketed(f"g({x}) = {slope} is negative or not finite")
+            if target == G:
+                roots.append(x)
+                break
+            # g(x) = 0 (as at 0 for g(s) = s) steps as far as the cap allows
+            step = (target - G) / slope if slope else math.copysign(math.inf, target - G)
+            if abs(step) <= 1e-13 * max(1.0, abs(x)):
+                roots.append(x + step)
+                break
+            if step > 0.0:
+                lo, nxt = x, min(x + step, 2.0 * x or 1.0)
+            else:
+                hi, nxt = x, max(x + step, 0.5 * x)
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if nxt > 1e300 or nxt < 1e-300:
+                raise RootNotBracketed(f"the integral never reaches {target}")
+            piece = adaptive_simpson(g, x, nxt)
+            if abs(piece) <= 1e-16 * max(1.0, abs(target)):
+                stall += 1
+                if stall >= 64:
+                    raise RootNotBracketed(
+                        f"the integral plateaus below its inversion target {target}")
+            else:
+                stall = 0
+            x, G = nxt, G + piece
         else:
-            b = mid
-        if b - a <= tol * max(1.0, abs(b)):
-            break
-    return 0.5 * (a + b)
+            raise NoConvergence(f"the inversion for target {target} did not converge")
+    return roots
 
 
 def jacobi_eigh(A: np.ndarray):

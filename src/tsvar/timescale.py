@@ -195,14 +195,17 @@ class TimeScale:
 
 
 def _uniform_steps(a: float, b: float, h: float) -> int:
-    """The step count of ``uniform(a, b, h)``, checked without allocating: h > 0,
-    (b-a)/h a positive integer to 1e-9 relative and below MAX_POINTS, and the
-    last gap, up to b, within the kind check's slack of the first."""
+    """The step count of ``uniform(a, b, h)``, checked without allocating: h > 0
+    and above the rounding of the points, (b-a)/h a positive integer to 1e-9
+    relative and below MAX_POINTS, and the last gap, up to b, within the kind
+    check's slack of the first."""
     if h <= 0:
         raise ValueError("step h must be positive")
     n = (b - a) / h
     if not abs(n) < MAX_POINTS - 1:  # before round(), which fails on inf and nan
         raise ValueError(f"(b-a)/h = {n} would exceed {MAX_POINTS} grid points")
+    if h <= 4.0 * _EPS * max(abs(a), abs(b)):  # the slack below would be at least h
+        raise ValueError(f"step h = {h} is at the rounding level of the points")
     n_int = round(n)
     if n_int < 1 or abs(n - n_int) > 1e-9 * max(1.0, abs(n)):
         raise ValueError(f"(b-a)/h = {n} is not a positive integer")

@@ -48,7 +48,7 @@ from .solvers import (
     SolverConfig,
     Tridiagonal,
     adaptive_simpson,
-    invert_increasing,
+    invert_integral,
     jacobi_eigh,
     multi_start,
     refuse_dense_beyond_cap,
@@ -568,12 +568,10 @@ def direct_solve_power(ts: TimeScale, phi: Callable[[float], float],
         raise DomainError("right boundary value B must be positive")
     a, b = ts.points[0], ts.points[-1]
 
-    def G(x):
-        return adaptive_simpson(phi, 0.0, x)
-
-    C = G(B) / (b - a)
+    C = adaptive_simpson(phi, 0.0, B) / (b - a)
     # G(y(b)) = C (b - a) = G(B), so y(b) is B itself, without an inversion
-    y = np.array([invert_increasing(G, C * (t - a)) for t in ts.points[:-1]] + [B])
+    y = np.array(invert_integral(phi, [C * (t - a) for t in ts.points[:-1]], 0.0, 0.0)
+                 + [B])
     F = (b - a) * math.pow(C, alpha_exp)
     kind = "max" if 0.0 < alpha_exp < 1.0 else "min"
     return DirectResult(GridFunction(ts, y), float(F), kind)

@@ -815,16 +815,21 @@ def _uniform_or_none(a, b, h):
         return None
 
 
-# Ends within 1e3 and steps of at least 1e-3 keep every step far above the
-# rounding of the points.  A step at that rounding level can still pass
-# FracGrid and fail uniform's point check: FracGrid(1e16, 1e16 + 2, 0.5).
-@given(st.floats(-1e3, 1e3),
+# Steps of at least 1e-3 on ends within 1e3 stay far above the rounding of the
+# points; a step given in quarter ulps of a sits at that rounding level, where
+# both refuse a step within 4 eps of the larger end (FracGrid(1e16, 1e16 + 2,
+# 0.5) used to pass and then fail uniform's point check).
+@given(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300)),
        st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.0, -0.5, math.nan, math.inf])),
        st.integers(-2, 40), st.one_of(st.just(0.0), st.floats(-1e-8, 1e-8)),
-       st.one_of(st.floats(-1e3, 1e3), st.sampled_from([math.inf, math.nan])), st.booleans())
-@example(a=0.0, h=1.0, n=2, stretch=1e-10, other_b=0.0, on_lattice=True)
+       st.one_of(st.floats(-1e3, 1e3), st.sampled_from([math.inf, math.nan])), st.booleans(),
+       st.one_of(st.none(), st.integers(1, 256)))
+@example(a=0.0, h=1.0, n=2, stretch=1e-10, other_b=0.0, on_lattice=True, quarter_ulps=None)
+@example(a=1e16, h=0.5, n=4, stretch=0.0, other_b=0.0, on_lattice=True, quarter_ulps=None)
 def test_frac_grid_accepts_exactly_the_uniform_grids_of_at_least_3_points(
-        a, h, n, stretch, other_b, on_lattice):
+        a, h, n, stretch, other_b, on_lattice, quarter_ulps):
+    if quarter_ulps is not None:
+        h = quarter_ulps / 4.0 * math.ulp(a)
     b = a + n * h * (1.0 + stretch) if on_lattice else other_b
     scale = _uniform_or_none(a, b, h)
     try:

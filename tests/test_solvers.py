@@ -1,4 +1,4 @@
-"""Newton, multi-start, quadrature, inversion, and the Jacobi eigensolver."""
+"""Newton, multi-start, quadrature, the integral inverter, and the Jacobi eigensolver."""
 
 import dataclasses
 import inspect
@@ -22,7 +22,7 @@ from tsvar.solvers import (
     SolverConfig,
     Tridiagonal,
     adaptive_simpson,
-    invert_increasing,
+    invert_integral,
     jacobi_eigh,
     multi_start,
     newton_solve,
@@ -181,15 +181,15 @@ def test_solver_config_has_only_the_validated_fields():
 
 
 def test_solver_entry_points_take_no_other_parameters():
-    # Newton's limits are solvers.MAX_ITER and MAX_HALVINGS and the inversion
-    # fixes its own start and tolerance: no per-call knob that no caller sets
+    # Newton's limits are solvers.MAX_ITER and MAX_HALVINGS and the inverter
+    # fixes its own tolerance and guards: no per-call knob that no caller sets
     def names(fn):
         return list(inspect.signature(fn).parameters)
 
     assert names(newton_solve) == ["fn", "jac", "x0", "tol"]
     assert inspect.signature(newton_solve).parameters["tol"].default == SolverConfig.tol
     assert names(multi_start) == ["fn", "jac", "n_unknowns", "config"]
-    assert names(invert_increasing) == ["G", "target"]
+    assert names(invert_integral) == ["g", "targets", "x", "G"]
 
 
 @pytest.mark.parametrize("starts, n_unknowns", [(10**7 + 1, 1), (10**6, 11), (10**30, 3)])
@@ -537,13 +537,55 @@ def test_adaptive_simpson_depth_limit():
         adaptive_simpson(nasty, 0.0, 1.0, tol=1e-15, max_depth=8)
 
 
-def test_invert_increasing():
-    g = lambda x: x ** 3 + x
+def test_adaptive_simpson_refuses_a_non_finite_estimate():
+    # a NaN estimate never meets the tolerance: without the check the
+    # recursion runs to its width floor, about 2^47 evaluations
+    calls = [0]
+
+    def nan_after_a_while(x):
+        calls[0] += 1
+        if calls[0] > 10**5:
+            raise AssertionError("adaptive Simpson kept refining a non-finite estimate")
+        return math.nan if x > 0.3 else 1.0
+
+    with pytest.raises(NonFinite):
+        adaptive_simpson(nan_after_a_while, 0.0, 3.0)
+    with pytest.raises(NonFinite):
+        adaptive_simpson(lambda x: math.inf, 1.0, 0.0)
+
+
+def _cubic(x):  # G(x) = x^3 + x, the integral of g(x) = 3x^2 + 1 from 0
+    return x ** 3 + x
+
+
+def _cubic_slope(x):
+    return 3.0 * x * x + 1.0
+
+
+def test_invert_integral():
     for target in (0.0, 0.5, 10.0, 1234.5):
-        x = invert_increasing(g, target)
-        assert g(x) == pytest.approx(target, rel=1e-10, abs=1e-10)
+        [x] = invert_integral(_cubic_slope, [target], 0.0, 0.0)
+        assert _cubic(x) == pytest.approx(target, rel=1e-10, abs=1e-10)
     with pytest.raises(RootNotBracketed):
-        invert_increasing(g, -1.0)  # below G(lo)
+        invert_integral(_cubic_slope, [-1.0], 0.0, 0.0)  # below the start
+
+
+def test_invert_integral_walks_its_targets_in_turn():
+    # each inversion starts where the one before stopped, in either direction
+    targets = [0.5, 10.0, 1234.5, 3.0, 3.0]
+    roots = invert_integral(_cubic_slope, targets, 0.0, 0.0)
+    assert len(roots) == len(targets)
+    assert_allclose([_cubic(x) for x in roots], targets, rtol=1e-12)
+    # from a later start (1, G(1) = 2) the same roots come back
+    assert_allclose(invert_integral(_cubic_slope, targets, 1.0, 2.0), roots, rtol=1e-13)
+
+
+@pytest.mark.parametrize("slope", [lambda x: math.nan, lambda x: 1.0 - x], ids=["nan", "1-x"])
+def test_invert_integral_refuses_a_negative_or_non_finite_integrand(slope):
+    # 1 - x is positive at the start but turns negative before G reaches 5;
+    # a negative start is covered by the direct power method's tests
+    with pytest.raises(RootNotBracketed):
+        invert_integral(slope, [0.25, 5.0], 0.0, 0.0)
 
 
 def test_jacobi_eigh_matches_lapack():

@@ -19,8 +19,10 @@ from tsvar.errors import (
     HypothesisHViolated,
     InvalidExponent,
     NoConvergence,
+    NonFinite,
     NonPositivePhi,
     PreconditionViolated,
+    RootNotBracketed,
     SingularJacobian,
 )
 from tsvar.solvers import MAX_DENSE_POINTS, SolverConfig, multi_start
@@ -735,6 +737,59 @@ def test_direct_power_ends_exactly_at_B(phi):
     # C = G(B) / (b - a) makes G(y(b)) = G(B): y(b) is B, not a bisection's 1e-13 of it
     out = direct_solve_power(tsc.uniform(0.0, 1.0, 0.01), phi, 2.0, 3.0)
     assert out.y.values[-1] == 3.0
+
+
+@pytest.mark.parametrize("n", [101, 1001])
+@pytest.mark.parametrize("phi, G_of_B, G_inv", [
+    (lambda s: s, 4.5, lambda u: math.sqrt(2.0 * u)),  # G = x^2/2, y = 3 sqrt(t)
+    (math.exp, math.expm1(3.0), math.log1p),           # G = e^x - 1, y = ln(1 + (e^3 - 1) t)
+], ids=["x", "exp"])
+def test_direct_power_matches_the_closed_form_inverse(phi, G_of_B, G_inv, n):
+    # B = 3 on [0, 1]: y(t) = G^-1(G(B) t)
+    g = tsc.uniform(0.0, 1.0, 1.0 / (n - 1))
+    out = direct_solve_power(g, phi, 2.0, 3.0)
+    exact = np.array([G_inv(G_of_B * t) for t in g.points])
+    assert_allclose(out.y.values, exact, rtol=5e-14, atol=0.0)
+
+
+def test_direct_power_quadrature_budget(monkeypatch):
+    # one quadrature piece per Newton step of one walk over the grid, not a
+    # bisection that integrates from 0 on every probe (47,672 calls here)
+    calls = [0]
+    simpson = solvers.adaptive_simpson
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return simpson(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "adaptive_simpson", counting)
+    monkeypatch.setattr(varcalc, "adaptive_simpson", counting)
+    direct_solve_power(tsc.uniform(0.0, 1.0, 0.001), math.exp, 2.0, 3.0)
+    assert 0 < calls[0] <= 3000
+
+
+def test_direct_power_refuses_a_non_finite_phi():
+    calls = [0]
+
+    def nan_phi(x):
+        calls[0] += 1
+        if calls[0] > 10**5:
+            raise AssertionError("the quadrature kept refining a NaN")
+        return math.nan
+
+    g = tsc.uniform(0.0, 1.0, 0.25)
+    with pytest.raises(NonFinite):
+        direct_solve_power(g, nan_phi, 2.0, 3.0)
+    calls[0] = 0
+    with pytest.raises(NonFinite):
+        power_functional(g, nan_phi, 2.0, tsc.GridFunction(g, [0.0, 1.0, 2.0, 2.5, 3.0]))
+
+
+@pytest.mark.parametrize("phi", [lambda s: s - 1.0, lambda s: -1.0], ids=["x-1", "-1"])
+def test_direct_power_refuses_a_negative_phi(phi):
+    # G is not increasing, so G^-1 is not defined
+    with pytest.raises(RootNotBracketed):
+        direct_solve_power(tsc.uniform(0.0, 1.0, 0.25), phi, 2.0, 3.0)
 
 
 def test_direct_exp_constant_phi():
