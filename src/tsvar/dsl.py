@@ -558,14 +558,18 @@ class _Compiler:
 
     def compile(self, e: Expr):
         root = _fold(e, self.visit)
-        body = self.lines + [f"out = _zeros(({(1, 4, 10)[self.order]},) + shape)"]
+        n_rows = (1, 4, 10)[self.order]
+        body = self.lines + [f"out = _zeros(({n_rows},) + shape)"]
         body += [f"out[{k}] = {self.src(x)}" for k, x in sorted(root.items())]
         source = "def program(t, u, v, w, shape):\n" + "".join(
             f"    {line}\n" for line in body) + "    return out\n"
         namespace = {"_np": np, "_zeros": np.zeros, "_count": np.count_nonzero,
                      "_fail": _fail, "_power": _power, **self.consts}
         exec(compile(source, "<tsvar.dsl>", "exec"), namespace)
-        return namespace["program"]
+        run = namespace["program"]
+        run.rows = tuple(None if isinstance(x, str) else x
+                         for x in (root.get(k, 0.0) for k in range(n_rows)))
+        return run
 
 
 # id(expression) -> its programs by order; an entry leaves with its expression.
@@ -582,6 +586,11 @@ def program(e: Expr, order: int):
     ``eval_*`` functions do, but runs under the caller's ``np.errstate``: a
     caller that wants overflow to give inf silently, as they do, sets
     ``np.errstate(all="ignore")`` itself.
+
+    Its ``rows`` attribute tells, row by row and without evaluating, what the
+    compiler knows: a float for a row that is the same at every point (0.0
+    for a structurally zero row, one the program never writes; the compiler
+    drops every other zero), None for a row that varies with (t, u, v, w).
     """
     programs = _PROGRAMS.get(id(e))
     if programs is None:

@@ -17,8 +17,9 @@ with w_{-alpha}, the Grunwald-Letnikov weights (Lubich, SIAM J. Math. Anal. 17,
 1986), divided by h^alpha; it equals the difference of the sums.  The sums,
 the differences, the summation-by-parts correction, the solver's operators and
 every row of its stationarity system are assembled from these cached weight
-vectors.  Only the Legendre check still evaluates its kernels through
-h_factorial; the tests cross-check the weights against the textbook kernels.
+vectors; the Legendre check steps its kernels from one h_factorial by
+Gamma(x + 1) = x Gamma(x).  The tests cross-check both against the textbook
+kernels.
 The solver's Newton pair and candidate reports come from ``varcalc``'s
 ``newton_pair`` and ``extremal_candidates``, shared with the classical solvers.
 """
@@ -32,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dsl import HESS_INDEX, Expr, ensure_expr, eval_grad, eval_jet2, eval_value
+from .dsl import HESS_INDEX, Expr, ensure_expr, eval_grad, eval_jet2, eval_value, program
 from .errors import InvalidAlpha, OffDomain, OrderNotPositive
 from .solvers import SolverConfig, multi_start, refuse_dense_beyond_cap
 from .special import gamma_fn, h_factorial
@@ -297,6 +298,15 @@ def natural_bc_residuals(p: FracProblem, y: GridFunction):
                  for row in _natural_bc_rows(p))
 
 
+def _legendre_kernel(nu: float, h: float, m: int) -> np.ndarray:
+    """((d + nu) h)_h^(nu - 2) for d = 0 .. m - 1, which is h^(nu - 2)
+    Gamma(d + nu + 1) / Gamma(d + 3): h_factorial at d = 0, then each entry
+    from the one before by Gamma(x + 1) = x Gamma(x), a factor (d + nu + 1) / (d + 3)."""
+    d = np.arange(m - 1)
+    return np.cumprod(np.concatenate(([h_factorial(nu * h, nu - 2.0, h)],
+                                      (d + nu + 1.0) / (d + 3.0))))
+
+
 def legendre_frac_check(p: FracProblem, y: GridFunction) -> LegendreReport:
     """Second-order (Legendre) margins on T^{kappa kappa}; verdict >= -1e-8."""
     h = p.grid.h
@@ -308,12 +318,10 @@ def legendre_frac_check(p: FracProblem, y: GridFunction) -> LegendreReport:
 
     if nu != 0.0:
         cw = nu * (1.0 - nu) / gamma_fn(nu + 1.0)
-        kern_w = np.array([h_factorial((d + nu) * h, nu - 2.0, h)
-                           for d in range(m)])  # d = (t_j - sigma(t_i))/h
+        kern_w = _legendre_kernel(nu, h, m)  # d = (t_j - sigma(t_i))/h
     if gamma != 0.0:
         cv = gamma * (gamma - 1.0) / gamma_fn(gamma + 1.0)
-        kern_v = np.array([h_factorial((d + gamma) * h, gamma - 2.0, h)
-                           for d in range(m)])  # d = (t_i - sigma(sigma(t_j)))/h
+        kern_v = _legendre_kernel(gamma, h, m)  # d = (t_i - sigma(sigma(t_j)))/h
 
     margins = (h * h * Huu[:-1]
                + 2.0 * math.pow(h, gamma + 1.0) * Huv[:-1]
@@ -337,6 +345,46 @@ def legendre_frac_check(p: FracProblem, y: GridFunction) -> LegendreReport:
 
 # ---------------------------------------------------------------------------
 # Solver
+
+
+def _jacobian_assembler(structure, C: np.ndarray, A_unknown: np.ndarray):
+    """``newton_pair``'s ``jacobian_of(x, rows)`` for the fractional system:
+    J = C . blockdiag(per-point Hessians) . A_unknown from the Lagrangian's
+    jet rows ``rows[0]`` (``dsl.program(L, 2)``'s ten rows at the m points).
+
+    ``structure`` is that program's ``rows`` attribute: a float for a row
+    that is the same at every point, None for one that varies.  Where a
+    Hessian entry other than L_uu varies, each step takes the stacked product;
+    the constant entries ride along at no extra cost.  Otherwise J is K plus
+    a varying L_uu.  K = C . blockdiag(constant entries) . A_unknown is
+    formed here once, one product per nonzero constant entry.  L_uu is an
+    index update: u_p = y_{p+1}, so L_uu[p] enters with coefficient C[r, 3p]
+    at each nonzero (r, p) of C's u-columns, in the column of the unknown
+    y_{p+1}.
+    """
+    m, _, n = A_unknown.shape
+    hessian = 4 + HESS_INDEX  # rows of the jet holding each Hessian entry
+    if None in structure[5:]:
+        return lambda x, rows: C @ (rows[0].T[:, hessian] @ A_unknown).reshape(3 * m, n)
+    K = np.zeros((C.shape[0], n))
+    for (a, b), k in np.ndenumerate(hessian):
+        if structure[k]:  # a nonzero constant; a varying L_uu reads None
+            K += structure[k] * (C[:, a::3] @ A_unknown[:, b])
+    if structure[4] is not None:
+        return lambda x, rows: K.copy()
+    col = np.full(m, -1)  # the unknown that u_p reads, -1 at a fixed end
+    p_read, c_read = np.nonzero(A_unknown[:, 0])
+    col[p_read] = c_read
+    r, q = np.nonzero(C[:, 0::3])
+    r, q = r[col[q] >= 0], q[col[q] >= 0]
+    c, coef = col[q], C[r, 3 * q]
+
+    def jacobian_of(x, rows):
+        J = K.copy()
+        J[r, c] += coef * rows[0][4, q]
+        return J
+
+    return jacobian_of
 
 
 def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list:
@@ -369,7 +417,8 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     # Row k of the system is C_k . (L_u, L_v, L_w) in the same layout.  The
     # interior rows of C are the columns of A, because h * residual is the
     # gradient of the functional; free ends add their natural-BC coefficient
-    # rows.  So the Jacobian is C . blockdiag(per-point Hessians) . A.
+    # rows.  So the Jacobian is C . blockdiag(per-point Hessians) . A, which
+    # _jacobian_assembler splits by the Lagrangian's structure.
     A = np.zeros((m, 3, N))
     A[np.arange(m), 0, np.arange(1, N)] = 1.0
     A[:, 1], A[:, 2] = _diff_maps(alpha, beta, h, N)
@@ -378,11 +427,10 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     ends = [np.stack(row, axis=1).ravel() for row in _natural_bc_rows(p) if row is not None]
     C = np.vstack([A[:, 1:N - 1].T, *ends]) if ends else A[:, 1:N - 1].T
     t = pts[:-1]
-    hessian = 4 + HESS_INDEX  # rows of the jet holding each Hessian entry
     residual, jacobian, _ = newton_pair(
         [p.L], lambda x: (t, *(A @ assemble(x)).reshape(m, 3).T),
         lambda x, rows: C @ rows[0][1:4].T.ravel(),
-        lambda x, rows: C @ (rows[0].T[:, hessian] @ A_unknown).reshape(3 * m, n_unknowns))
+        _jacobian_assembler(program(p.L, 2).rows, C, A_unknown))
     roots = multi_start(residual, jacobian, n_unknowns, config or SolverConfig())
 
     def textbook_residual(y):

@@ -184,12 +184,13 @@ def nonlinear_gronwall_bound(ts: TimeScale, u_data, a_fn, f_fn,
 
     def Psi(x: float) -> float:
         # accumulate octave by octave: a single sweep over [x0, x] can span
-        # hundreds of decades and exhaust the quadrature recursion depth
+        # hundreds of decades and exhaust the quadrature recursion depth.  No
+        # octave walk reaches 0: Psi(0) walks down to 1, then sweeps [0, pos].
         acc, pos = 0.0, spec.Psi_x0
         while pos < x / 2.0:
             acc += adaptive_simpson(integrand, pos, 2.0 * pos)
             pos *= 2.0
-        while pos > 2.0 * x:
+        while pos > (2.0 * x if x else 1.0):
             acc += adaptive_simpson(integrand, pos, pos / 2.0)
             pos /= 2.0
         return acc + adaptive_simpson(integrand, pos, x)

@@ -274,6 +274,30 @@ def test_program_is_the_one_evaluator_behind_eval(text):
     assert np.array_equal(rows[1], np.vstack([jet.value, jet.grad, jet.hess]))
 
 
+@pytest.mark.parametrize("text", PARITY_CASES + [
+    "0.5*v^2 + 0.5*w^2 - u + 0.1*u^4", "v^3 + 1*w^2", "u*v + v*w + exp(u)*w^2",
+    "t*v^2 + u^2", "2.5 - pi", "t", "u*v*w"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_program_rows_report_what_is_known_without_evaluating(text, order):
+    # fracvar forms the constant Hessian blocks once per solve from these rows
+    run = dsl.program(dsl.parse(text), order)
+    points = np.random.default_rng(8).uniform(0.0, 1.5, (4, 25))
+    with np.errstate(all="ignore"):
+        out = run(*points, (25,))
+    assert len(run.rows) == out.shape[0]
+    for row, known in zip(out, run.rows):
+        if known is None:  # varies with (t, u, v, w): not one value at random points
+            assert np.ptp(row) > 0.0
+        else:  # a constant row, 0.0 for a structurally zero one
+            assert np.all(row == known)
+
+
+def test_program_rows_of_a_lagrangian_with_t_in_its_hessian():
+    rows = dsl.program(dsl.parse("t*v^2 + u^2"), 2).rows
+    # value, L_u, L_v, L_w; then uu, uv, uw, vv = 2t, vw, ww
+    assert rows == (None, None, None, 0.0, 2.0, 0.0, 0.0, None, 0.0, 0.0)
+
+
 def test_hessian_index_map_places_every_pair_of_gradient_rows():
     for k, (i, j) in enumerate(dsl._PAIRS):
         assert dsl.HESS_INDEX[i - 1, j - 1] == dsl.HESS_INDEX[j - 1, i - 1] == k

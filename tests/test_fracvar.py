@@ -7,6 +7,7 @@ implementation.
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -459,6 +460,30 @@ def test_legendre_frac_margins_match_double_loop(orders, h):
     assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("nu", [0.1, 0.25, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("h", [0.25, 0.01, 0.0005])
+def test_legendre_kernels_match_the_h_factorial_per_entry(nu, h):
+    m = 2001
+    kern = fracvar._legendre_kernel(nu, h, m)
+    assert kern.shape == (m,)
+    # h_factorial itself takes the Gamma quotient up to (d + nu) = 30 and
+    # the difference of two log-Gammas beyond, which carries rounding of
+    # about eps |lgamma(d + 3)| (near 5e-12 relative at d = 2000)
+    ref = np.array([h_factorial((d + nu) * h, nu - 2.0, h) for d in range(m)])
+    own = 1e-12 + 4.0 * np.finfo(float).eps * np.array([math.lgamma(d + 3.0) for d in range(m)])
+    assert_allclose(kern[:30], ref[:30], rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(kern / ref - 1.0) <= own)
+    # so every entry is also held to rtol 1e-12 against the exact product
+    # Gamma(d + nu + 1) / Gamma(d + 3) = (Gamma(nu + 1) / 2) prod_{k<d} (k + nu + 1) / (k + 3)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ratio, exact = Decimal(1), [1.0]
+        for k in range(m - 1):
+            ratio *= (k + Decimal(nu) + 1) / (k + 3)
+            exact.append(float(ratio))
+    assert_allclose(kern, kern[0] * np.array(exact), rtol=1e-12, atol=0.0)
+
+
 EX3A_ROWS = [
     (-0.5511786, 0.0515282, 0.5133134, False),
     (0.2669091, 0.4878808, 0.7151924, True),
@@ -570,15 +595,41 @@ def test_solve_frac_el_domain_error_fails_single_starts():
         assert c.residual_norm <= 1e-9
 
 
-def _reference_pair(p):
-    """solve_frac_el's Newton pair without the jet hand-off: the residual
-    evaluates the gradient, the Jacobian evaluates the jet anew; both apply
-    the stationarity matrix C to every row, free-end rows included."""
-    pts, h = p.grid.points(), p.grid.h
-    N = pts.size
+def _stationarity_maps(p):
+    """(A, A_unknown, C, lo, n) of solve_frac_el, built apart from it: A maps y
+    to the point-major (u, v, w) rows, C maps the per-point partials to the
+    system's rows, and the n unknowns are y_lo .. y_{lo+n-1}."""
+    N, h = p.grid.points().size, p.grid.h
     m = N - 1
     lo = 0 if p.A is None else 1
     n = (N - 2) + int(p.A is None) + int(p.B is None)
+    A = np.zeros((m, 3, N))
+    A[np.arange(m), 0, np.arange(1, N)] = 1.0
+    A[:, 1], A[:, 2] = fracvar._diff_maps(p.orders.alpha, p.orders.beta, h, N)
+    A_unknown = A[:, :, lo:lo + n]
+    A = A.reshape(3 * m, N)
+    ends = [np.stack(row, axis=1).ravel()
+            for row in fracvar._natural_bc_rows(p) if row is not None]
+    C = np.vstack([A[:, 1:N - 1].T, *ends]) if ends else A[:, 1:N - 1].T
+    return A, A_unknown, C, lo, n
+
+
+def _jet_rows(L, args):
+    """The ten rows of L's order-2 program, from a fresh eval_jet2."""
+    jet = dsl.eval_jet2(L, *args)
+    return np.vstack([jet.value, jet.grad, jet.hess])
+
+
+def _reference_pair(p):
+    """solve_frac_el's Newton pair without the jet hand-off: the residual
+    evaluates the gradient, the Jacobian evaluates the jet anew; both apply
+    the stationarity matrix C to every row, free-end rows included, and the
+    Jacobian is assembled by the solver's helper (its own oracle test checks
+    the helper against the dense C . blockdiag(H) . A)."""
+    pts = p.grid.points()
+    N = pts.size
+    m = N - 1
+    A, A_unknown, C, lo, n = _stationarity_maps(p)
     fixed = np.zeros(N)
     fixed[0] = 0.0 if p.A is None else p.A
     fixed[-1] = 0.0 if p.B is None else p.B
@@ -588,26 +639,44 @@ def _reference_pair(p):
         full[lo:lo + n] = x
         return full
 
-    A = np.zeros((m, 3, N))
-    A[np.arange(m), 0, np.arange(1, N)] = 1.0
-    A[:, 1], A[:, 2] = fracvar._diff_maps(p.orders.alpha, p.orders.beta, h, N)
-    A_unknown = A[:, :, lo:lo + n]
-    A = A.reshape(3 * m, N)
-    ends = [np.stack(row, axis=1).ravel()
-            for row in fracvar._natural_bc_rows(p) if row is not None]
-    C = np.vstack([A[:, 1:N - 1].T, *ends]) if ends else A[:, 1:N - 1].T
-
     def arguments(x):
         return (pts[:-1], *(A @ assemble(x)).reshape(m, 3).T)
 
     def residual(x):
         return C @ dsl.eval_grad(p.L, *arguments(x))[1:].T.ravel()
 
+    assembled = fracvar._jacobian_assembler(dsl.program(p.L, 2).rows, C, A_unknown)
+
     def jacobian(x):
-        H = dsl.eval_jet2(p.L, *arguments(x)).hess_matrix().transpose(2, 0, 1)
-        return C @ (H @ A_unknown).reshape(3 * m, n)
+        return assembled(x, [_jet_rows(p.L, arguments(x))])
 
     return residual, jacobian, n
+
+
+@pytest.mark.parametrize("L", [
+    "0.5*v^2 + 0.5*w^2",  # every Hessian entry constant
+    "0.5*v^2 + 0.5*w^2 - u + 0.1*u^4",  # only L_uu varies
+    "v^3 + 1*w^2",
+    "v^3",
+    "u^2 + v^2",
+    "u*v + v*w + exp(u)*w^2",
+    "t*v^2 + u^2",  # an entry that depends on t varies
+])
+@pytest.mark.parametrize("A, B", [(0.0, 1.0), (None, 1.0), (0.0, None), (None, None)],
+                         ids=["fixed", "free_left", "free_right", "both_free"])
+@pytest.mark.parametrize("N", [5, 26, 201])
+def test_jacobian_assembler_matches_the_dense_product(L, A, B, N):
+    p = FracProblem(FracGrid(0.0, 1.0, 1.0 / (N - 1)), FracOrders(0.75, 0.6), L, A=A, B=B)
+    _, A_unknown, C, _, _ = _stationarity_maps(p)
+    y = GridFunction(p.grid.scale(), np.random.default_rng(N).uniform(-1.0, 1.0, N))
+    rows = _jet_rows(p.L, fracvar._arg_arrays(p, y))
+    dense = C @ (rows[4:].T[:, dsl.HESS_INDEX] @ A_unknown).reshape(C.shape[1], -1)
+    structure = dsl.program(p.L, 2).rows
+    got = fracvar._jacobian_assembler(structure, C, A_unknown)(None, [rows])
+    assert got.shape == dense.shape
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+    if None in structure[5:]:  # an entry besides L_uu varies: the plain product, bit for bit
+        assert np.array_equal(got, dense)
 
 
 def _capture_pair(monkeypatch, p):

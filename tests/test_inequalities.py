@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from tsvar import inequalities as ineq
+from tsvar import solvers
 from tsvar.errors import (
     InvalidAlpha,
     InvalidExponent,
@@ -205,11 +206,11 @@ def test_nonlinear_outside_psi_domain_raises():
                                       lambda t, s: 10.0, spec)
 
 
-def _zero_zeta_bound(Phi):
+def _zero_zeta_bound(Phi, Psi_x0=1.0):
     # the kernel vanishes at t = rho(b) = 5 only, so zeta = 0 while the inner
     # integrals are not: the inversions start from Psi(0)
     g = uniform(0.0, 6.0, 1.0)
-    spec = NonlinearGrowthSpec(Phi=Phi, W=lambda x: x, Psi_x0=1.0)
+    spec = NonlinearGrowthSpec(Phi=Phi, W=lambda x: x, Psi_x0=Psi_x0)
     return ineq.nonlinear_gronwall_bound(g, None, lambda t: 1.0, lambda t: 0.2,
                                          lambda t, s: 0.0 if t == 5.0 else 0.1, spec)
 
@@ -230,6 +231,32 @@ def test_nonlinear_zero_zeta_with_phi_positive_at_zero_is_closed_form():
     inner = [sum(0.1 * (1.0 + p[m]) * (1.0 + 0.2 * m) for m in range(j)) if j != 5 else 0.0
              for j in range(6)]
     want = p * (1.0 + np.concatenate([[0.0], np.cumsum(0.2 * np.expm1(inner))]))
+    assert_allclose(got, want, rtol=1e-12)
+
+
+def test_nonlinear_zero_zeta_takes_psi_of_zero_in_one_quadrature(monkeypatch):
+    # an octave walk from x0 = 1 down to 0 would make one quadrature per
+    # octave until pos underflows, over a thousand of them
+    calls = [0]
+    simpson = solvers.adaptive_simpson
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return simpson(*args, **kwargs)
+
+    # Psi integrates in inequalities, the inversion steps in solvers
+    monkeypatch.setattr(ineq, "adaptive_simpson", counting)
+    monkeypatch.setattr(solvers, "adaptive_simpson", counting)
+    _zero_zeta_bound(lambda x: 1.0 + x)
+    assert 0 < calls[0] <= 40
+
+
+@pytest.mark.parametrize("Psi_x0", [1e-3, 1e12])
+def test_nonlinear_zero_zeta_bound_does_not_depend_on_psi_x0(Psi_x0):
+    # Psi^-1(Psi(0) + I) is the same for every lower limit x0; from x0 = 1e12
+    # a single sweep down to 0 would exhaust the quadrature recursion depth
+    want = _zero_zeta_bound(lambda x: 1.0 + x).values
+    got = _zero_zeta_bound(lambda x: 1.0 + x, Psi_x0).values
     assert_allclose(got, want, rtol=1e-12)
 
 
