@@ -178,11 +178,11 @@ def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1]
 
 
-def _diff_maps(alpha: float, beta: float, h: float, n: int):
-    """(n - 1) x n Toeplitz matrices (V, W) of _left_diff_values / _right_diff_values."""
-    V = math.pow(h, -alpha) * _lower_toeplitz(_weights(-alpha, n))[1:]
-    W = math.pow(h, -beta) * _lower_toeplitz(_weights(-beta, n)).T[:-1]
-    return V, W
+def _diff_maps(alpha: float, beta: float, h: float, n: int, out=(None, None)):
+    """(n - 1) x n Toeplitz matrices (V, W) of _left_diff_values / _right_diff_values,
+    written into the arrays ``out`` when given."""
+    return (np.multiply(math.pow(h, -alpha), _lower_toeplitz(_weights(-alpha, n))[1:], out=out[0]),
+            np.multiply(math.pow(h, -beta), _lower_toeplitz(_weights(-beta, n)).T[:-1], out=out[1]))
 
 
 def _check_alpha(alpha: float, name: str = "alpha") -> None:
@@ -347,44 +347,73 @@ def legendre_frac_check(p: FracProblem, y: GridFunction) -> LegendreReport:
 # Solver
 
 
-def _jacobian_assembler(structure, C: np.ndarray, A_unknown: np.ndarray):
-    """``newton_pair``'s ``jacobian_of(x, rows)`` for the fractional system:
-    J = C . blockdiag(per-point Hessians) . A_unknown from the Lagrangian's
-    jet rows ``rows[0]`` (``dsl.program(L, 2)``'s ten rows at the m points).
+def _newton_maps(structure, p: FracProblem, lo: int, hi: int):
+    """(A, residual_of, jacobian_of) for the fractional system with unknowns
+    y_lo .. y_{hi-1}: A, of shape (m, 3, N), stacks the maps y -> (u, v, w)
+    point by point (u_j = y_{j+1}, v and w from _diff_maps); the other two
+    are ``newton_pair``'s maps of the jet rows ``rows[0]``.
 
-    ``structure`` is that program's ``rows`` attribute: a float for a row
-    that is the same at every point, None for one that varies.  Where a
-    Hessian entry other than L_uu varies, each step takes the stacked product;
-    the constant entries ride along at no extra cost.  Otherwise J is K plus
-    a varying L_uu.  K = C . blockdiag(constant entries) . A_unknown is
-    formed here once, one product per nonzero constant entry.  L_uu is an
-    index update: u_p = y_{p+1}, so L_uu[p] enters with coefficient C[r, 3p]
-    at each nonzero (r, p) of C's u-columns, in the column of the unknown
-    y_{p+1}.
+    As h * residual is the gradient of the functional, the system's rows
+    apply A's columns of y_1 .. y_{N-2}, then of a free left end, then of a
+    free right end, to the partials (L_u, L_v, L_w), the end rows times h;
+    J is those rows . blockdiag(per-point Hessians) . A's unknown columns.
+    ``structure``, the ``rows`` of ``dsl.program(L, 2)``, reads a float for
+    a row that is constant and None for one that varies.  Where a Hessian
+    entry other than L_uu varies, both maps apply the stacked row matrix C,
+    its free-end rows from ``_natural_bc_rows``.  Otherwise J is K, the
+    constant entries' part formed here once into one n x n buffer, plus L_uu
+    written where u_q = y_{q+1} enters (coefficient 1, h on a free right
+    end's row).  Every call returns that buffer: a returned Jacobian is
+    valid until the next call.
     """
-    m, _, n = A_unknown.shape
+    h, N = p.grid.h, p.grid.n_steps + 1
+    m, n = N - 1, hi - lo
     hessian = 4 + HESS_INDEX  # rows of the jet holding each Hessian entry
-    if None in structure[5:]:
-        return lambda x, rows: C @ (rows[0].T[:, hessian] @ A_unknown).reshape(3 * m, n)
-    K = np.zeros((C.shape[0], n))
+    product = None in structure[5:]
+    # J shares A's allocation: as two blocks, they and a threaded OpenBLAS's
+    # level-3 work buffer outgrow the heap top that glibc keeps mapped (twice
+    # the largest block it has unmapped), and each solve faults it in again
+    block = np.zeros(3 * m * N + (0 if product else n * n))
+    A = block[:3 * m * N].reshape(m, 3, N)
+    A[np.arange(m), 0, np.arange(1, N)] = 1.0
+    _diff_maps(p.orders.alpha, p.orders.beta, h, N, out=(A[:, 1], A[:, 2]))
+    A_unknown = A[:, :, lo:hi]
+    if product:
+        flat = A.reshape(3 * m, N)
+        ends = [np.stack(row, axis=1).ravel() for row in _natural_bc_rows(p) if row is not None]
+        C = np.vstack([flat[:, 1:N - 1].T, *ends]) if ends else flat[:, 1:N - 1].T
+        return (A, lambda x, rows: C @ rows[0][1:4].T.ravel(),
+                lambda x, rows: C @ (rows[0].T[:, hessian] @ A_unknown).reshape(3 * m, n))
+    # the columns of A that the rows read: the unknowns' own, copied in a new
+    # order only at a free left end
+    A_rows = A_unknown if p.A is not None else A[:, :, np.r_[1:N - 1, 0, N - 1:hi]]
+    R = A_rows.reshape(3 * m, n).T
+
+    def residual_of(x, rows):
+        r = R @ rows[0][1:4].T.ravel()
+        r[N - 2:] *= h
+        return r
+
+    J, term = block[3 * m * N:].reshape(n, n), np.empty((n, n))
     for (a, b), k in np.ndenumerate(hessian):
         if structure[k]:  # a nonzero constant; a varying L_uu reads None
-            K += structure[k] * (C[:, a::3] @ A_unknown[:, b])
+            np.matmul(A_rows[:, a].T, A_unknown[:, b], out=term)
+            term *= structure[k]
+            J += term
+    J[N - 2:] *= h
     if structure[4] is not None:
-        return lambda x, rows: K.copy()
-    col = np.full(m, -1)  # the unknown that u_p reads, -1 at a fixed end
-    p_read, c_read = np.nonzero(A_unknown[:, 0])
-    col[p_read] = c_read
-    r, q = np.nonzero(C[:, 0::3])
-    r, q = r[col[q] >= 0], q[col[q] >= 0]
-    c, coef = col[q], C[r, 3 * q]
+        return A, residual_of, lambda x, rows: J
+    flat_J = J.reshape(-1)
+    at = np.arange(N - 2 + (p.B is None)) * (n + 1) + 1 - lo  # J[q, q + 1 - lo], flat
+    at[N - 2:] = n * n - 1  # a free right end's row is the last
+    coef = np.where(np.arange(at.size) < N - 2, 1.0, h)
+    K_at = flat_J[at]
 
     def jacobian_of(x, rows):
-        J = K.copy()
-        J[r, c] += coef * rows[0][4, q]
+        flat_J[at] = K_at + coef * rows[0][4, :at.size]
         return J
 
-    return jacobian_of
+    return A, residual_of, jacobian_of
 
 
 def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list:
@@ -397,10 +426,8 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     refuse_dense_beyond_cap(p.grid.n_steps + 1, "fractional solver")
     scale = p.grid.scale()
     pts = scale.points
-    h = p.grid.h
     N = pts.size
     m = N - 1
-    alpha, beta = p.orders.alpha, p.orders.beta
     lo, hi = int(p.A is not None), N - int(p.B is not None)  # the unknowns are y_lo .. y_{hi-1}
     n_unknowns = hi - lo
     fixed = np.zeros(N)
@@ -412,29 +439,19 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
         full[lo:hi] = x
         return full
 
-    # A stacks the maps y -> (u, v, w) on T^kappa, point by point: row 3j + a
-    # gives argument a at t_j, with u_j = y_{j+1} and (v, w) from _diff_maps.
-    # Row k of the system is C_k . (L_u, L_v, L_w) in the same layout.  The
-    # interior rows of C are the columns of A, because h * residual is the
-    # gradient of the functional; free ends add their natural-BC coefficient
-    # rows.  So the Jacobian is C . blockdiag(per-point Hessians) . A, which
-    # _jacobian_assembler splits by the Lagrangian's structure.
-    A = np.zeros((m, 3, N))
-    A[np.arange(m), 0, np.arange(1, N)] = 1.0
-    A[:, 1], A[:, 2] = _diff_maps(alpha, beta, h, N)
-    A_unknown = A[:, :, lo:hi]
+    # A stacks the maps y -> (u, v, w) point by point.  Since h * residual is
+    # the gradient of the functional, the system's rows are A's columns read
+    # transposed, with the free-end rows scaled by h in place; _newton_maps
+    # builds A and both maps by the Lagrangian's structure
+    A, residual_of, jacobian_of = _newton_maps(program(p.L, 2).rows, p, lo, hi)
     A = A.reshape(3 * m, N)
-    ends = [np.stack(row, axis=1).ravel() for row in _natural_bc_rows(p) if row is not None]
-    C = np.vstack([A[:, 1:N - 1].T, *ends]) if ends else A[:, 1:N - 1].T
     t = pts[:-1]
     residual, jacobian, _ = newton_pair(
-        [p.L], lambda x: (t, *(A @ assemble(x)).reshape(m, 3).T),
-        lambda x, rows: C @ rows[0][1:4].T.ravel(),
-        _jacobian_assembler(program(p.L, 2).rows, C, A_unknown))
+        [p.L], lambda x: (t, *(A @ assemble(x)).reshape(m, 3).T), residual_of, jacobian_of)
     roots = multi_start(residual, jacobian, n_unknowns, config or SolverConfig())
 
     def textbook_residual(y):
-        # the textbook system, evaluated apart from C: an independent check of it
+        # the textbook system, evaluated apart from the row maps: an independent check of them
         natural = [r for r in natural_bc_residuals(p, y) if r is not None]
         return np.concatenate([el_residual_frac(p, y).values, natural])
 

@@ -244,9 +244,8 @@ def newton_solve(
             if isinstance(J, Tridiagonal):
                 step = _tridiagonal_step(J, r)
             else:
-                # J stays referenced through the line search, as a dense J freed
-                # here is unmapped (glibc mmaps blocks over 128 KB) and faulted
-                # back in by the next large allocation: measurably slower
+                # a dense J may be a buffer that the next jac call rewrites (the
+                # fractional solver's is), so it serves this step only
                 J = np.asarray(J, dtype=float)
                 step = _dense_step(J, r)
             for _ in range(MAX_HALVINGS):

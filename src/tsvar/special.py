@@ -11,6 +11,8 @@ follows the convention that division at a pole yields zero: whenever the
 denominator gamma argument is a non-positive integer the whole expression is
 0, which is exactly what the falling-product form gives for integer orders.
 A pole in the numerator alone has no sanctioned value and raises DomainError.
+Past |x/h| = 30 the Gamma quotient is taken in logs: by Stirling's series
+where both arguments exceed 30, else as a difference of log|Gamma|s.
 """
 
 from __future__ import annotations
@@ -45,6 +47,18 @@ def log_abs_gamma(x: float):
     return math.lgamma(x), sign
 
 
+def _log_gamma_ratio(a: float, y: float) -> float:
+    """log Gamma(a) - log Gamma(b), b = a - y, for a, b > 30 by Stirling's
+    series, without the rounding of two large log-Gammas: with the series'
+    tail S(x) = 1/(12x) - 1/(360x^3) + 1/(1260x^5) - 1/(1680x^7), it is
+    (b - 1/2) log1p(y / b) + y log a - y + S(a) - S(b)."""
+    def tail(x):
+        r = 1.0 / (x * x)
+        return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x
+    b = a - y
+    return (b - 0.5) * math.log1p(y / b) + y * math.log(a) - y + tail(a) - tail(b)
+
+
 def h_factorial(x: float, y: float, h: float) -> float:
     """The h-factorial x_h^(y) = h^y Gamma(x/h+1) / Gamma(x/h+1-y).
 
@@ -62,6 +76,8 @@ def h_factorial(x: float, y: float, h: float) -> float:
         raise DomainError(
             f"h_factorial numerator gamma pole at {num_arg} (x={x}, y={y}, h={h})"
         )
+    if z > 30.0 and den_arg > 30.0:
+        return math.exp(y * math.log(h) + _log_gamma_ratio(num_arg, y))
     if abs(z) > 30.0:
         ln, sn = log_abs_gamma(num_arg)
         ld, sd = log_abs_gamma(den_arg)
