@@ -353,18 +353,19 @@ def _newton_maps(structure, p: FracProblem, lo: int, hi: int):
     point by point (u_j = y_{j+1}, v and w from _diff_maps); the other two
     are ``newton_pair``'s maps of the jet rows ``rows[0]``.
 
-    As h * residual is the gradient of the functional, the system's rows
-    apply A's columns of y_1 .. y_{N-2}, then of a free left end, then of a
-    free right end, to the partials (L_u, L_v, L_w), the end rows times h;
-    J is those rows . blockdiag(per-point Hessians) . A's unknown columns.
-    ``structure``, the ``rows`` of ``dsl.program(L, 2)``, reads a float for
-    a row that is constant and None for one that varies.  Where a Hessian
-    entry other than L_uu varies, both maps apply the stacked row matrix C,
-    its free-end rows from ``_natural_bc_rows``.  Otherwise J is K, the
-    constant entries' part formed here once into one n x n buffer, plus L_uu
-    written where u_q = y_{q+1} enters (coefficient 1, h on a free right
-    end's row).  Every call returns that buffer: a returned Jacobian is
-    valid until the next call.
+    As h * residual is the gradient of the functional, the system has one row
+    per unknown, in their order: each applies the unknown's column of A to
+    the partials (L_u, L_v, L_w), a free end's row (the first at a free left
+    end, the last at a free right end) times h; J is those rows .
+    blockdiag(per-point Hessians) . A's unknown columns.  ``structure``, the
+    ``rows`` of ``dsl.program(L, 2)``, reads a float for a row that is
+    constant and None for one that varies.  Where a Hessian entry other than
+    L_uu varies, both maps apply the stacked row matrix C, its free-end rows
+    from ``_natural_bc_rows``.  Otherwise J is K, the constant entries' part
+    formed here once into one n x n buffer, plus L_uu written on the diagonal
+    where u_q = y_{q+1} enters (coefficient 1, h on a free right end's row).
+    Every call returns that buffer: a returned Jacobian is valid until the
+    next call.
     """
     h, N = p.grid.h, p.grid.n_steps + 1
     m, n = N - 1, hi - lo
@@ -379,38 +380,37 @@ def _newton_maps(structure, p: FracProblem, lo: int, hi: int):
     _diff_maps(p.orders.alpha, p.orders.beta, h, N, out=(A[:, 1], A[:, 2]))
     A_unknown = A[:, :, lo:hi]
     if product:
-        flat = A.reshape(3 * m, N)
-        ends = [np.stack(row, axis=1).ravel() for row in _natural_bc_rows(p) if row is not None]
-        C = np.vstack([flat[:, 1:N - 1].T, *ends]) if ends else flat[:, 1:N - 1].T
+        left, right = ([] if row is None else [np.stack(row, axis=1).ravel()]
+                       for row in _natural_bc_rows(p))
+        C = A.reshape(3 * m, N)[:, 1:N - 1].T
+        C = np.vstack([*left, C, *right]) if left or right else C
+        at = hessian[None] * m + np.arange(m)[:, None, None]  # rows[0][hessian, j], flat
         return (A, lambda x, rows: C @ rows[0][1:4].T.ravel(),
-                lambda x, rows: C @ (rows[0].T[:, hessian] @ A_unknown).reshape(3 * m, n))
-    # the columns of A that the rows read: the unknowns' own, copied in a new
-    # order only at a free left end
-    A_rows = A_unknown if p.A is not None else A[:, :, np.r_[1:N - 1, 0, N - 1:hi]]
-    R = A_rows.reshape(3 * m, n).T
+                lambda x, rows: C @ (rows[0].take(at) @ A_unknown).reshape(3 * m, n))
+    R = A_unknown.reshape(3 * m, n).T
+    row_scale = np.ones(n)
+    row_scale[[i for i, end in ((0, p.A), (n - 1, p.B)) if end is None]] = h
 
     def residual_of(x, rows):
         r = R @ rows[0][1:4].T.ravel()
-        r[N - 2:] *= h
+        r *= row_scale
         return r
 
     J, term = block[3 * m * N:].reshape(n, n), np.empty((n, n))
     for (a, b), k in np.ndenumerate(hessian):
         if structure[k]:  # a nonzero constant; a varying L_uu reads None
-            np.matmul(A_rows[:, a].T, A_unknown[:, b], out=term)
+            np.matmul(A_unknown[:, a].T, A_unknown[:, b], out=term)
             term *= structure[k]
             J += term
-    J[N - 2:] *= h
+    J *= row_scale[:, None]
     if structure[4] is not None:
         return A, residual_of, lambda x, rows: J
-    flat_J = J.reshape(-1)
-    at = np.arange(N - 2 + (p.B is None)) * (n + 1) + 1 - lo  # J[q, q + 1 - lo], flat
-    at[N - 2:] = n * n - 1  # a free right end's row is the last
-    coef = np.where(np.arange(at.size) < N - 2, 1.0, h)
-    K_at = flat_J[at]
+    # the diagonal from the row of y_1: L_uu[q] at u_q = y_{q+1}, row q + 1 - lo
+    diagonal = J.reshape(-1)[(1 - lo) * (n + 1)::n + 1]
+    K_diagonal, coef = diagonal.copy(), row_scale[1 - lo:]
 
     def jacobian_of(x, rows):
-        flat_J[at] = K_at + coef * rows[0][4, :at.size]
+        diagonal[:] = K_diagonal + coef * rows[0][4, :coef.size]
         return J
 
     return A, residual_of, jacobian_of
@@ -430,24 +430,29 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
     m = N - 1
     lo, hi = int(p.A is not None), N - int(p.B is not None)  # the unknowns are y_lo .. y_{hi-1}
     n_unknowns = hi - lo
-    fixed = np.zeros(N)
-    fixed[0] = 0.0 if p.A is None else p.A
-    fixed[-1] = 0.0 if p.B is None else p.B
+    full = np.zeros(N)  # y: the fixed ends, and the unknowns last written
+    full[0] = 0.0 if p.A is None else p.A
+    full[-1] = 0.0 if p.B is None else p.B
 
     def assemble(x):
-        full = fixed.copy()
         full[lo:hi] = x
-        return full
+        return full.copy()
 
     # A stacks the maps y -> (u, v, w) point by point.  Since h * residual is
     # the gradient of the functional, the system's rows are A's columns read
-    # transposed, with the free-end rows scaled by h in place; _newton_maps
-    # builds A and both maps by the Lagrangian's structure
+    # transposed, with the free-end rows scaled by h; _newton_maps builds A
+    # and both maps by the Lagrangian's structure
     A, residual_of, jacobian_of = _newton_maps(program(p.L, 2).rows, p, lo, hi)
     A = A.reshape(3 * m, N)
-    t = pts[:-1]
-    residual, jacobian, _ = newton_pair(
-        [p.L], lambda x: (t, *(A @ assemble(x)).reshape(m, 3).T), residual_of, jacobian_of)
+    uvw = np.empty(3 * m)
+    args = (pts[:-1], *uvw.reshape(m, 3).T)  # views, built once, of the buffer each call fills
+
+    def arguments(x):
+        full[lo:hi] = x
+        np.matmul(A, full, out=uvw)
+        return args
+
+    residual, jacobian, _ = newton_pair([p.L], arguments, residual_of, jacobian_of)
     roots = multi_start(residual, jacobian, n_unknowns, config or SolverConfig())
 
     def textbook_residual(y):

@@ -5,6 +5,10 @@ Newton solves a dense Jacobian with LAPACK's gesv, through the gufunc that
 ``Tridiagonal`` one with a pivoted O(n) sweep on Python floats, so the
 classical Euler-Lagrange system costs linear time and memory in the grid
 size.  ``newton_solve`` sets one ``np.errstate(all="ignore")`` per solve.
+Its finiteness checks (the residual at the start, each Jacobian and step)
+count the finite entries with ``np.count_nonzero``, which runs in C, where
+``ndarray.all`` goes through numpy's Python-level reductions: on the 3 to
+12 entries of a small system the check takes half the time.
 Solvers that stay dense refuse grids of more than ``MAX_DENSE_POINTS``
 points before they allocate.
 The symmetric eigenproblem goes to LAPACK through ``np.linalg.eigh``.
@@ -169,15 +173,22 @@ def tikhonov_tridiagonal(T: Tridiagonal, r: np.ndarray, tau: float) -> np.ndarra
     return np.array(s[:n])
 
 
+def _finite(a: np.ndarray) -> bool:
+    """True when every entry of ``a`` is finite."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def _dense_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The Newton step s with J s = -r by LAPACK, or a damped least-squares step."""
-    if not np.isfinite(J).all():
+    # checked before the solve: LAPACK can return a finite step for a J
+    # that is not finite, e.g. diag(inf, 1, 1)
+    if not _finite(J):
         raise NonFinite("Jacobian is not finite")
     try:  # np.linalg.solve's gufunc: NaNs for a singular J, ValueError for a non-square one
         step = _umath_linalg.solve1(J, -r, signature="dd->d")
     except ValueError:
         step = None
-    if step is None or not np.isfinite(step).all():
+    if step is None or not _finite(step):
         # exactly singular (e.g. a variable the residual ignores): take the
         # minimum-norm Gauss-Newton step with a whisper of Tikhonov damping
         tau = 1e-12 * max(1.0, float(np.sum(J * J)))
@@ -185,28 +196,27 @@ def _dense_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
             step = np.linalg.solve(J.T @ J + tau * np.eye(J.shape[1]), -J.T @ r)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
-        if not np.isfinite(step).all():
+        if not _finite(step):
             raise SingularJacobian("linear solve produced non-finite step")
     return step
 
 
 def _tridiagonal_step(T: Tridiagonal, r: np.ndarray) -> np.ndarray:
     """``_dense_step`` for a tridiagonal J, with both solves O(n) sweeps."""
-    if not (np.isfinite(T.diag).all() and np.isfinite(T.lower).all()
-            and np.isfinite(T.upper).all()):
+    if not (_finite(T.diag) and _finite(T.lower) and _finite(T.upper)):
         raise NonFinite("Jacobian is not finite")
     try:
         step = solve_tridiagonal(T, -r)
     except ZeroDivisionError:  # a zero pivot: T is singular
         step = None
-    if step is None or not np.isfinite(step).all():
+    if step is None or not _finite(step):
         tau = 1e-12 * max(1.0, float(T.diag @ T.diag + T.lower @ T.lower
                                      + T.upper @ T.upper))
         try:
             step = tikhonov_tridiagonal(T, r, tau)
         except ZeroDivisionError as exc:
             raise SingularJacobian("zero pivot in the Tikhonov sweep") from exc
-        if not np.isfinite(step).all():
+        if not _finite(step):
             raise SingularJacobian("linear solve produced non-finite step")
     return step
 
@@ -234,7 +244,7 @@ def newton_solve(
     with np.errstate(all="ignore"):
         x = np.asarray(x0, dtype=float).copy()
         r = np.asarray(fn(x), dtype=float)
-        if not np.isfinite(r).all():
+        if not _finite(r):
             raise NonFinite("residual is not finite at the initial point")
         rnorm = math.sqrt(r @ r)  # np.linalg.norm's formula for a 1-D vector
         for _ in range(MAX_ITER):
@@ -301,14 +311,14 @@ def multi_start(
             singular = True
         except (NoConvergence, NonFinite, DomainError, ArithmeticError, ValueError):
             pass
-    # each root is compared with all kept ones at once; the first start wins
-    kept = np.empty((len(roots), n_unknowns))
+    # in start order, each kept root drops every later root within DEDUP_TOL
+    # in one array operation; written as ~(dist < tol), a NaN distance drops none
+    stacked, alive = np.array(roots), np.ones(len(roots), dtype=bool)
     solutions = []
-    for x in roots:
-        if solutions and (np.abs(kept[:len(solutions)] - x).max(axis=1) < DEDUP_TOL).any():
-            continue
-        kept[len(solutions)] = x
-        solutions.append(x)
+    for i, x in enumerate(roots):
+        if alive[i]:
+            solutions.append(x)
+            alive[i + 1:] &= ~(np.abs(stacked[i + 1:] - x).max(axis=1) < DEDUP_TOL)
     if not solutions:
         if singular:
             raise SingularJacobian("all starts failed; at least one Jacobian was singular")

@@ -326,8 +326,10 @@ def newton_pair(exprs: Sequence[Expr], arguments: Callable,
     ``arguments(x)`` gives the expressions' (t, u, v, w) at the unknowns x,
     t spanning the grid; ``residual_of(x, rows)`` and ``jacobian_of(x, rows)``
     build the system from each expression's ``dsl.program`` rows at x.  The
-    residual runs each order-2 program once per point and keeps the rows (it
-    runs order 1 and keeps none where a Hessian raises DomainError).  Newton
+    arguments, and a Jacobian, may be views of a per-solve buffer, valid
+    until the next call (the fractional solver's are).  The residual runs
+    each order-2 program once per point and keeps the rows (it runs order 1
+    and keeps none where a Hessian raises DomainError).  Newton
     asks for the Jacobian only at the very x object of its latest successful
     residual call, so ``jets(x)``, and the Jacobian with it, reads the kept
     rows there and evaluates afresh elsewhere.  The programs run under the

@@ -596,8 +596,9 @@ def test_solve_frac_el_domain_error_fails_single_starts():
 def _stationarity_maps(p):
     """(A, A_unknown, C, lo, n) of solve_frac_el, built apart from it: A, of
     shape (m, 3, N), maps y to the point-major (u, v, w) rows, C maps the
-    per-point partials to the system's rows (the free-end rows from
-    _natural_bc_rows), and the n unknowns are y_lo .. y_{lo+n-1}."""
+    per-point partials to the system's rows, one per unknown in their order
+    (the free-end rows from _natural_bc_rows), and the n unknowns are
+    y_lo .. y_{lo+n-1}."""
     N, h = p.grid.points().size, p.grid.h
     m = N - 1
     lo = 0 if p.A is None else 1
@@ -605,10 +606,10 @@ def _stationarity_maps(p):
     A = np.zeros((m, 3, N))
     A[np.arange(m), 0, np.arange(1, N)] = 1.0
     A[:, 1], A[:, 2] = fracvar._diff_maps(p.orders.alpha, p.orders.beta, h, N)
-    ends = [np.stack(row, axis=1).ravel()
-            for row in fracvar._natural_bc_rows(p) if row is not None]
+    left, right = ([] if row is None else [np.stack(row, axis=1).ravel()]
+                   for row in fracvar._natural_bc_rows(p))
     interior = A.reshape(3 * m, N)[:, 1:N - 1].T
-    C = np.vstack([interior, *ends]) if ends else interior
+    C = np.vstack([*left, interior, *right]) if left or right else interior
     return A, A[:, :, lo:lo + n], C, lo, n
 
 
@@ -784,6 +785,29 @@ def test_newton_runs_match_the_fresh_jacobian_pair(monkeypatch, p, starts, box, 
     assert records[0] == records[1]
 
 
+def test_newton_pairs_of_two_solves_share_no_buffer(monkeypatch):
+    # each solve fills its own y, (u, v, w) and Jacobian buffers: the pairs
+    # of a product-path and a K-path problem on one grid, with other orders
+    # and ends, evaluated in turn give bit for bit what each gives alone and
+    # keep what they returned
+    grid = FracGrid(0.0, 1.0, 0.25)
+    problems = [FracProblem(grid, FracOrders(0.8, 0.5), "v^3 + 1*w^2", A=0.0, B=1.0),
+                FracProblem(grid, FracOrders(0.75, 0.6), QUARTIC, A=0.5, B=2.0)]
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 2, 3))  # [call, problem]
+    alone = []
+    for k, p in enumerate(problems):
+        fn, jac = _capture_pair(monkeypatch, p)
+        alone.append([(fn(x).copy(), jac(x).copy()) for x in points[:, k]])
+    pairs = [_capture_pair(monkeypatch, p) for p in problems]
+    for i, xs in enumerate(points):
+        r = [fn(x) for (fn, _), x in zip(pairs, xs)]
+        for fresh in (False, True):  # the Jacobian from the residual's jet, then anew
+            J = [jac(x.copy() if fresh else x) for (_, jac), x in zip(pairs, xs)]
+            for k in range(2):
+                assert np.array_equal(r[k], alone[k][i][0])
+                assert np.array_equal(J[k], alone[k][i][1])
+
+
 def test_solve_frac_el_overflowing_starts_leak_no_warning():
     # exp(v^2) overflows at most starts in (-30, 30); pytest turns a
     # RuntimeWarning into an error, so the solve must keep every one inside
@@ -908,13 +932,10 @@ def test_frac_grid_allocates_no_points_before_its_scale_is_asked_for():
     assert peak < 1_000_000
 
 
-def test_fixed_end_quartic_at_801_points_peaks_under_28_mb():
-    # the stack A of the maps y -> (u, v, w) takes 15.4 MB and each n x n
-    # matrix 5.1 MB; a stacked row matrix, a fresh Jacobian per Newton step
-    # or a temporary per product of the constant part would push the peak
-    # past 28 MB (30.8 MB with all three)
-    p = FracProblem(FracGrid(0.0, 1.0, 1.0 / 800), FracOrders(0.75, 0.6), QUARTIC,
-                    A=0.0, B=1.0)
+def _quartic_801_peak(A, B):
+    """The tracemalloc peak, in bytes, of a one-start quartic solve at 801
+    points, whose one candidate is checked."""
+    p = FracProblem(FracGrid(0.0, 1.0, 1.0 / 800), FracOrders(0.75, 0.6), QUARTIC, A=A, B=B)
     tracemalloc.start()
     try:
         cands = solve_frac_el(p, SolverConfig(starts=1, seed=0, box=(0.0, 1.0)))
@@ -922,7 +943,22 @@ def test_fixed_end_quartic_at_801_points_peaks_under_28_mb():
     finally:
         tracemalloc.stop()
     assert len(cands) == 1 and cands[0].residual_norm <= 1e-8
-    assert peak < 28_000_000
+    return peak
+
+
+def test_fixed_end_quartic_at_801_points_peaks_under_28_mb():
+    # the stack A of the maps y -> (u, v, w) takes 15.4 MB and each n x n
+    # matrix 5.1 MB; a stacked row matrix, a fresh Jacobian per Newton step
+    # or a temporary per product of the constant part would push the peak
+    # past 28 MB (30.8 MB with all three)
+    assert _quartic_801_peak(0.0, 1.0) < 28_000_000
+
+
+def test_free_left_quartic_at_801_points_peaks_under_28_mb():
+    # the rows follow the unknowns, so the Newton maps read A's unknown
+    # columns as a view; reordering them to put the left end's row after the
+    # interior copied all of A (41.0 MB)
+    assert _quartic_801_peak(None, 1.0) < 28_000_000
 
 
 def _uniform_or_none(a, b, h):

@@ -202,6 +202,45 @@ def test_multi_start_refuses_a_start_table_beyond_its_cap(monkeypatch, starts, n
         multi_start(never, never, n_unknowns, SolverConfig(starts=starts))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 2])
+def test_newton_refuses_a_residual_that_is_not_finite_at_the_start(value, where):
+    def res(x):
+        r = x - 1.0
+        r[where] = value
+        return r
+
+    def jac(x):
+        raise AssertionError("no Jacobian is asked for at a non-finite start")
+
+    with pytest.raises(NonFinite, match="initial point"):
+        newton_solve(res, jac, [0.5, 2.0, -1.0])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_multi_start_starts_with_a_non_finite_residual_fail_alone(value):
+    # the residual is poisoned right of 2 (a third of the box): those starts
+    # raise NonFinite, and every other start still reaches the root 1 in one step
+    def res(x):
+        return np.where(x > 2.0, value, x - 1.0)
+
+    def jac(x):
+        return np.eye(x.size)
+
+    cfg = SolverConfig(starts=30, seed=4, box=(-3.0, 3.0))
+    starts = np.random.default_rng(cfg.seed).uniform(*cfg.box, size=(cfg.starts, 2))
+    poisoned = (starts > 2.0).any(axis=1)
+    assert 0 < poisoned.sum() < cfg.starts
+    for x0 in starts[poisoned]:
+        with pytest.raises(NonFinite):
+            newton_solve(res, jac, x0)
+    roots = multi_start(res, jac, 2, cfg)
+    assert len(roots) == 1
+    assert_allclose(roots[0], [1.0, 1.0], rtol=0, atol=1e-12)
+    with pytest.raises(NoConvergence, match="no start converged"):
+        multi_start(res, jac, 2, SolverConfig(starts=4, box=(2.5, 3.0)))
+
+
 def test_multi_start_all_domain_failures_raise_no_convergence():
     def res(x):
         raise DomainError("nowhere defined")
