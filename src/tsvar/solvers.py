@@ -44,6 +44,9 @@ DEDUP_TOL = 1e-6
 # newton_solve's limits: Newton iterations per solve, step halvings per iteration
 MAX_ITER = 200
 MAX_HALVINGS = 30
+# adaptive_simpson's limits: the error tolerance on the whole interval, halving depth
+SIMPSON_TOL = 1e-10
+SIMPSON_MAX_DEPTH = 50
 
 
 def refuse_dense_beyond_cap(n_points: int, solver: str) -> None:
@@ -331,11 +334,11 @@ def multi_start(
 # nonlinear_gronwall_bound's Psi^-1)
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-10, max_depth: int = 50) -> float:
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Simpson integration of a smooth scalar function.
 
-    Raises NonFinite at the first estimate that is not finite.
+    Raises NonFinite at the first estimate that is not finite, QuadratureFailure
+    where SIMPSON_TOL is not met within SIMPSON_MAX_DEPTH halvings.
     """
     if a == b:
         return 0.0
@@ -367,7 +370,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         sign = -1.0
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = simpson(a, b, fa, fm, fb)
-    return sign * rec(a, b, fa, fm, fb, whole, tol, max_depth)
+    return sign * rec(a, b, fa, fm, fb, whole, SIMPSON_TOL, SIMPSON_MAX_DEPTH)
 
 
 def invert_integral(g: Callable[[float], float], targets: Sequence[float],

@@ -12,7 +12,8 @@ denominator gamma argument is a non-positive integer the whole expression is
 0, which is exactly what the falling-product form gives for integer orders.
 A pole in the numerator alone has no sanctioned value and raises DomainError.
 Past |x/h| = 30 the Gamma quotient is taken in logs: by Stirling's series
-where both arguments exceed 30, else as a difference of log|Gamma|s.
+where both arguments exceed 30 or, reflected, both are below -29, else as a
+difference of log|Gamma|s.
 """
 
 from __future__ import annotations
@@ -78,6 +79,13 @@ def h_factorial(x: float, y: float, h: float) -> float:
         )
     if z > 30.0 and den_arg > 30.0:
         return math.exp(y * math.log(h) + _log_gamma_ratio(num_arg, y))
+    if z < -30.0 and y - z > 30.0:
+        # reflected: Gamma(y - z) / Gamma(-z) * sin(pi (z - y)) / sin(pi z), each
+        # sine of its argument reduced exactly into [-1/2, 1/2]
+        r, k = z - round(z), round(y)
+        s = r - (y - k)
+        return ((-1.0) ** (k + round(s)) * math.sin(math.pi * (s - round(s)))
+                / math.sin(math.pi * r) * math.exp(y * math.log(h) + _log_gamma_ratio(y - z, y)))
     if abs(z) > 30.0:
         ln, sn = log_abs_gamma(num_arg)
         ld, sd = log_abs_gamma(den_arg)

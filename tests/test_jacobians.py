@@ -189,8 +189,27 @@ def test_higher_order_jacobian_matches_forward_differences(monkeypatch):
     check_at_random_points(rows, lambda x: seen["A"], n, seed=37)
 
 
+def central_hessian(fn, x):
+    """Central-difference Hessian of the scalar fn at x, with steps
+    eps^(1/4) * max(1, |x_i|): truncation and rounding both of order eps^(1/2)."""
+    x = np.asarray(x, dtype=float)
+    steps = np.finfo(float).eps ** 0.25 * np.maximum(1.0, np.abs(x))
+    H = np.empty((x.size, x.size))
+    for i in range(x.size):
+        for j in range(x.size):
+            total = 0.0
+            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                z = x.copy()
+                z[i] += si * steps[i]
+                z[j] += sj * steps[j]
+                total += si * sj * fn(z)
+            H[i, j] = total / (4.0 * steps[i] * steps[j])
+    return H
+
+
 def test_constraint_gradient_matches_forward_differences(monkeypatch):
-    """The exact constraint gradient the abnormality check probes with."""
+    """The abnormality check's c and diag(mu) J_g at the root are the gradient
+    and Hessian of the Newton residual's constraint row in the interior values."""
     seen = {}
     real_multi_start, real_reject = varcalc.multi_start, varcalc._reject_abnormal
 
@@ -198,15 +217,21 @@ def test_constraint_gradient_matches_forward_differences(monkeypatch):
         seen["fn"] = fn
         return real_multi_start(fn, jac, n, config)
 
-    def spy_reject(constraint_grad, x):
-        seen.update(grad=constraint_grad, x=x)
-        return real_reject(constraint_grad, x)
+    def spy_reject(g, grad, hess, x):
+        seen.update(grad=grad, hess=hess, x=x)
+        return real_reject(g, grad, hess, x)
 
     monkeypatch.setattr(varcalc, "multi_start", spy_multi_start)
     monkeypatch.setattr(varcalc, "_reject_abnormal", spy_reject)
-    p = IsoperimetricProblem(tsc.uniform(0.0, 6.0, 1.0), "v^2", "u^2", 0.0, 0.0, 1.0)
-    solve_isoperimetric(p, SolverConfig(starts=48, seed=0, box=(-1.5, 1.5)))
-    rng = np.random.default_rng(41)
-    for x in (seen["x"], seen["x"] + 0.1 * rng.standard_normal(seen["x"].size)):
-        constraint_row = central_jacobian(seen["fn"], x)[-1, :-1]
-        assert_close(seen["grad"](x), constraint_row)
+    for p in (IsoperimetricProblem(tsc.uniform(0.0, 6.0, 1.0), "v^2", "u^2", 0.0, 0.0, 1.0),
+              # g's Hessian rows vary, so diag(mu) J_g changes with y
+              IsoperimetricProblem(_explicit_grid(4), CLASSICAL_L, "u^2 + 0.5*u*v + cos(v)",
+                                   0.0, 1.0, 2.0)):
+        solve_isoperimetric(p, SolverConfig(starts=16, seed=0, box=(-2.0, 2.0)))
+        x = seen["x"]
+
+        def constraint_row(y):
+            return float(seen["fn"](np.append(y, x[-1]))[-1])
+
+        assert_close(seen["grad"], central_jacobian(seen["fn"], x)[-1, :-1])
+        assert_close(seen["hess"], central_hessian(constraint_row, x[:-1]))

@@ -181,8 +181,9 @@ def test_solver_config_has_only_the_validated_fields():
 
 
 def test_solver_entry_points_take_no_other_parameters():
-    # Newton's limits are solvers.MAX_ITER and MAX_HALVINGS and the inverter
-    # fixes its own tolerance and guards: no per-call knob that no caller sets
+    # Newton's limits are solvers.MAX_ITER and MAX_HALVINGS, Simpson's
+    # SIMPSON_TOL and SIMPSON_MAX_DEPTH, and the inverter fixes its own
+    # tolerance and guards: no per-call knob that no caller sets
     def names(fn):
         return list(inspect.signature(fn).parameters)
 
@@ -190,6 +191,7 @@ def test_solver_entry_points_take_no_other_parameters():
     assert inspect.signature(newton_solve).parameters["tol"].default == SolverConfig.tol
     assert names(multi_start) == ["fn", "jac", "n_unknowns", "config"]
     assert names(invert_integral) == ["g", "targets", "x", "G"]
+    assert names(adaptive_simpson) == ["f", "a", "b"]
 
 
 @pytest.mark.parametrize("starts, n_unknowns", [(10**7 + 1, 1), (10**6, 11), (10**30, 3)])
@@ -568,12 +570,14 @@ def test_adaptive_simpson_handles_mild_singularity():
     assert val == pytest.approx(2.0, abs=5e-4)
 
 
-def test_adaptive_simpson_depth_limit():
+def test_adaptive_simpson_depth_limit(monkeypatch):
     def nasty(x):
         return 1.0 if x < 0.5 else -1.0  # jump keeps refinement alive
 
+    monkeypatch.setattr(solvers, "SIMPSON_TOL", 1e-15)
+    monkeypatch.setattr(solvers, "SIMPSON_MAX_DEPTH", 8)
     with pytest.raises(QuadratureFailure):
-        adaptive_simpson(nasty, 0.0, 1.0, tol=1e-15, max_depth=8)
+        adaptive_simpson(nasty, 0.0, 1.0)
 
 
 def test_adaptive_simpson_refuses_a_non_finite_estimate():

@@ -138,6 +138,19 @@ def test_h_factorial_large_argument_uses_logs():
     assert direct == pytest.approx(step, rel=1e-10)
 
 
+@pytest.mark.parametrize("h", [1.0, 0.25, 0.0005])
+def test_h_factorial_below_minus_thirty_against_exact_quotients(h):
+    # x/h < -30 takes the reflected Stirling branch; with z = x/h the quotient
+    # Gamma(z + 1) / Gamma(z + 1 - y) is z at y = 1 and 1 / prod_{i<=k} (z + i)
+    # at y = -k.  A difference of two lgamma values of about 1e4 erred by 4e-12.
+    for x in np.random.default_rng(25).uniform(-2000.0, -34.0, 200) * h:
+        z = x / h
+        assert h_factorial(x, 1.0, h) == pytest.approx(z * h, rel=1e-14)
+        for k in (1, 2, 3):
+            expect = h ** -k / math.prod(z + i for i in range(1, k + 1))
+            assert h_factorial(x, -float(k), h) == pytest.approx(expect, rel=1e-14)
+
+
 def test_generalized_polynomial_first_orders():
     g = tsc.explicit(0.0, 1.0, 3.0, 4.0, 5.0)
     for t in g.points:

@@ -536,6 +536,38 @@ def test_isoperimetric_abnormal_raises():
         solve_isoperimetric(p, SolverConfig(starts=16, seed=3))
 
 
+@pytest.mark.parametrize("grid", [zgrid(5), tsc.geometric(1.5, 0, 7), _explicit_grid(5, n=9)],
+                         ids=["uniform", "geometric", "explicit"])
+def test_isoperimetric_t_dependent_null_constraint_reduces_to_unconstrained(grid):
+    # sum of mu (t y^Delta + y^sigma) telescopes to b y(b) - a y(a): g = t*v + u
+    # is affine, and at l = b B - a A every admissible y meets the constraint
+    (a, b), (A, B) = grid.points[[0, -1]], (0.5, 1.0)
+    p = IsoperimetricProblem(grid, "0.5*v^2 - u", "t*v + u", A, B, b * B - a * A)
+    cand = solve_isoperimetric(p, SolverConfig(starts=16, seed=1))
+    base = el_residual(VariationalProblem(grid, "0.5*v^2 - u", A, B), cand.y)
+    assert np.linalg.norm(base.values) <= 1e-9
+
+
+def test_isoperimetric_cubic_constraint_at_zero_data_is_abnormal():
+    # y = 0 meets sum(mu y^3) = 0, where the gradient 3 mu y^2 vanishes, and so
+    # does g's Hessian 6 mu y: lambda is not identified (Newton ends at y ~ 1e-9,
+    # lambda ~ 9e7), and g is not affine, so no null-constraint exemption applies
+    p = IsoperimetricProblem(zgrid(5), "v^2", "u^3", 0.0, 0.0, 0.0)
+    with pytest.raises(SingularJacobian):
+        solve_isoperimetric(p, SolverConfig(starts=16, seed=0))
+
+
+def test_isoperimetric_solve_draws_only_the_starts(monkeypatch):
+    # the abnormality check reads the rows kept at the root: no random probe
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: made.append(args) or default_rng(*args))
+    p = IsoperimetricProblem(zgrid(6), "v^2", "u^2", 0.0, 0.0, 1.0)
+    solve_isoperimetric(p, SolverConfig(starts=16, seed=0, box=(-1.5, 1.5)))
+    assert made == [(0,)]
+
+
 def test_isoperimetric_margins_are_legendre_check_of_l_minus_lambda_g():
     # the solver combines the Hessian rows of L and g; the textbook check
     # compiles F = L - lambda*g as one expression
