@@ -1,25 +1,21 @@
 """Randomized certification suites for the dynamic inequalities (``tsvar ineq-check``).
 
-A suite is ``run(trials, seed)``: it draws every trial from one seeded stream,
-in order, and returns the number of trials whose inequality held to the
-certifiers' tolerance, ``inequalities._CERT_TOL``.  Every suite draws
-``TRIAL_BLOCK`` trials before it uses any of them.  A trial makes one
-``rng.integers`` call per integer it draws (a grid's point count, Jensen's F)
-and one ``rng.random(k)`` call per run of doubles between two of them; the
-block then maps each field's raw uniforms U to its range once, as
-lo + (hi - lo) * U on zero-padded arrays with one row per trial.  numpy's
-``rng.uniform(lo, hi, k)`` is that same expression of the same doubles
-(``tests/test_ineq_check_stream.py`` pins it), so every trial has the bits
-that one ``rng.uniform`` call per field gave it.
+A suite is ``run(trials, seed)``: it draws ``TRIAL_BLOCK`` trials at a time
+from one seeded generator and returns how many held to the certifiers'
+tolerance, ``inequalities._CERT_TOL``.  A block is a dict of arrays, one row
+per trial, filled by one generator call per field: ``rng.integers`` for each
+integer (a grid's point count, Jensen's F) and ``rng.uniform`` for each field
+of doubles, times the trials' mask so that padding is 0.  A grid is its start
+plus the running sum of its padded steps.  The instances a seed gives depend
+on the block size.
 
-The Jensen, Hoelder, Cauchy-Schwarz and Minkowski suites then make one
-``*_certify`` call per row, looked up on ``inequalities`` as the suite runs.
+The Jensen, Hoelder, Cauchy-Schwarz and Minkowski suites make one
+``*_certify`` call per trial, looked up on ``inequalities`` as the suite runs.
 The Gronwall, comparison and 2-D Gronwall suites give each block one array
-pass: the reference trajectory, the bound from the stacked kernel that also
-serves the public bound, and the pointwise check.  Padding never reaches a
-real entry (a zero gap adds nothing to a sum and multiplies a step product
-by 1), so every trial gets the same bits as the public one-trial bound would
-give it.
+pass: the reference trajectory, the stacked kernel that also serves the
+public bound, and the pointwise check.  Padding never reaches a real entry (a
+zero gap adds nothing to a sum and multiplies a step product by 1), so each
+trial gets the bits the public one-trial bound would give it.
 """
 
 from __future__ import annotations
@@ -41,79 +37,40 @@ def _upto(n: np.ndarray, width: int) -> np.ndarray:
     return np.arange(width) < n[:, None]
 
 
-def _scalar(n: np.ndarray) -> np.ndarray:
-    """The mask of a field of one double per trial."""
-    return np.ones(len(n), dtype=bool)
+def _grid(rng, count: int, width: int, step_lo: float, key: str = "") -> dict:
+    """``count`` grids of 3 to ``width`` points, starts in [-2, 2) and steps in
+    [step_lo, 1): each grid's point count n, start, padded steps and points."""
+    n = rng.integers(3, width + 1, count)
+    start = rng.uniform(-2.0, 2.0, count)
+    steps = rng.uniform(step_lo, 1.0, (count, width - 1)) * _upto(n - 1, width - 1)
+    offsets = np.cumsum(np.pad(steps, ((0, 0), (1, 0))), axis=1)  # 0 + step is the step
+    return {"n" + key: n, "start" + key: start, "steps" + key: steps,
+            "points" + key: start[:, None] + offsets}
 
 
-def _grid(n: np.ndarray, width: int = 9, step_lo: float = 0.1, key: str = "") -> list:
-    """The fields of a grid of n points: its start and its n - 1 steps."""
-    return [("start" + key, -2.0, 2.0, _scalar(n)),
-            ("steps" + key, step_lo, 1.0, _upto(n - 1, width - 1))]
+def _on_one_grid(**fields):
+    """The draw of a suite on one grid of 3-9 points with fields name=(lo, hi, d):
+    d = 0 or -1 gives each trial n + d entries, d None one double."""
+    def draw(rng, count: int) -> dict:
+        block = _grid(rng, count, 9, 0.1)
+        n = block["n"]
+        block["mask"] = _upto(n, 9)
+        for name, (lo, hi, d) in fields.items():
+            block[name] = (rng.uniform(lo, hi, count) if d is None
+                           else rng.uniform(lo, hi, (count, 9 + d)) * _upto(n + d, 9 + d))
+        return block
+
+    return draw
 
 
-def _draw_block(rng, count: int, trial, layout) -> dict:
-    """``count`` trials, stacked.
-
-    ``trial(rng)`` makes one trial's generator calls in stream order and
-    returns its integers and its runs of raw doubles.  ``layout(*integers)``,
-    given one array per integer, returns the trials' point mask and the fields
-    (name, lo, hi, mask) that share out each trial's doubles in order: a field
-    takes the set entries of its row of ``mask``, in C order, and is
-    lo + (hi - lo) * U there and 0 elsewhere.  Each grid's points follow from
-    its start and steps; padded steps are 0, so a grid repeats its last point.
-    """
-    ints, runs = [], []
-    for _ in range(count):
-        drawn, doubles = trial(rng)
-        ints.append(drawn)
-        runs += doubles
-    ints = np.array(ints)
-    mask, fields = layout(*ints.T)
-    slots = np.hstack([m.reshape(count, -1) for *_, m in fields])
-    raw = np.zeros(slots.shape)
-    raw[slots] = np.concatenate(runs)
-    block, col = {"ints": ints, "mask": mask}, 0
-    for name, lo, hi, m in fields:
-        width = m.size // count
-        block[name] = (hi - lo) * raw[:, col:col + width].reshape(m.shape) + lo * m
-        col += width
-    for key in ("", "1", "2"):
-        if "steps" + key in block:
-            steps = block["steps" + key]
-            offsets = np.zeros((count, steps.shape[1] + 1))
-            np.cumsum(steps, axis=1, out=offsets[:, 1:])
-            block["points" + key] = block["start" + key][:, None] + offsets
-    return block
-
-
-def _suite(trial, layout, check):
+def _suite(draw, check):
     """A suite whose ``check(block)`` counts the block's trials that held."""
     def run(trials: int, seed: int) -> int:
         rng = np.random.default_rng(seed)
-        return sum(check(_draw_block(rng, min(TRIAL_BLOCK, trials - first), trial, layout))
+        return sum(check(draw(rng, min(TRIAL_BLOCK, trials - first)))
                    for first in range(0, trials, TRIAL_BLOCK))
 
     return run
-
-
-def _on_one_grid(*fields) -> tuple:
-    """(trial, layout) of a suite on one grid of 3-9 points: n, then one run of
-    the grid's n doubles and each field's (name, lo, hi, d) in order, n + d
-    doubles for d = 0 or -1 and one for d None."""
-    per_point = 1 + sum(d is not None for *_, d in fields)
-    extra = sum(1 if d is None else d for *_, d in fields)
-
-    def trial(rng) -> tuple:
-        n = int(rng.integers(3, 10))
-        return (n,), (rng.random(per_point * n + extra),)
-
-    def layout(n) -> tuple:
-        return _upto(n, 9), _grid(n) + [
-            (name, lo, hi, _scalar(n) if d is None else _upto(n + d, 9 + d))
-            for name, lo, hi, d in fields]
-
-    return trial, layout
 
 
 # ---------------------------------------------------------------------------
@@ -123,55 +80,41 @@ def _on_one_grid(*fields) -> tuple:
 def _trials(block: dict, *keys: str):
     """Per trial: its grid, declared explicit (no suite reads kind, step or
     ratio), and a GridFunction on it of each field in ``keys``."""
-    for k, (row, n) in enumerate(zip(block["points"], block["ints"][:, 0].tolist())):
+    for k, (row, n) in enumerate(zip(block["points"], block["n"].tolist())):
         ts = TimeScale(row[:n], kind=KIND_EXPLICIT)
         yield (ts,) + tuple(GridFunction(ts, block[key][k, :n]) for key in keys)
 
 
 _JENSEN_CATALOG = (math.exp, lambda x: x * x, abs, lambda x: x ** 4)
+_jensen_fields = _on_one_grid(g=(-2.0, 2.0, 0), weights=(0.05, 3.0, 0), alpha=(0.0, 1.0, None))
 
 
-def _jensen_trial(rng) -> tuple:
-    n = int(rng.integers(3, 10))
-    head = rng.random(2 * n)  # start, steps, g
-    F = int(rng.integers(len(_JENSEN_CATALOG)))
-    coin = rng.random(1)
-    weighted = coin[0] < 0.5
-    return (n, F, weighted), (head, coin, rng.random(n + 1 if weighted else 1))
-
-
-def _jensen_layout(n, F, weighted) -> tuple:
-    at = _upto(n, 9)
-    return at, _grid(n) + [("g", -2.0, 2.0, at),
-                           ("coin", 0.0, 1.0, _scalar(n)),  # the trial read it raw
-                           ("weights", 0.05, 3.0, _upto(n * weighted, 9)),
-                           ("alpha", 0.0, 1.0, _scalar(n))]
+def _jensen_draw(rng, count: int) -> dict:
+    """Jensen's trials: F indexes the catalog, and about half carry weights."""
+    block = _jensen_fields(rng, count)
+    block["F"] = rng.integers(0, len(_JENSEN_CATALOG), count)
+    block["weighted"] = rng.uniform(0.0, 1.0, count) < 0.5
+    block["weights"] *= block["weighted"][:, None]
+    return block
 
 
 def _jensen_check(b: dict) -> int:
-    held = 0
-    for (ts, g), (_, F, weighted), w, alpha in zip(_trials(b, "g"), b["ints"].tolist(),
-                                                   b["weights"], b["alpha"].tolist()):
-        weights = GridFunction(ts, w[:len(ts)]) if weighted else None
-        held += inequalities.jensen_certify(ts, _JENSEN_CATALOG[F], g, weights, alpha).holds
-    return held
+    rows = zip(_trials(b, "g", "weights"), b["F"].tolist(), b["weighted"].tolist(),
+               b["alpha"].tolist())
+    certify = inequalities.jensen_certify
+    return sum(certify(ts, _JENSEN_CATALOG[F], g, w if weighted else None, alpha).holds
+               for (ts, g, w), F, weighted, alpha in rows)
 
 
-def _holder_check(b: dict) -> int:
-    return sum(inequalities.holder_certify(ts, f, g, h, p, alpha).holds
-               for (ts, f, g, h), p, alpha in zip(_trials(b, "f", "g", "h"),
-                                                  (1.0 + b["p"]).tolist(), b["alpha"].tolist()))
+def _certifies(name: str, functions: tuple, scalars: tuple):
+    """The check of one ``inequalities.<name>(ts, *functions, *scalars)`` call per
+    trial, its grid functions and scalars read from the block by key."""
+    def check(b: dict) -> int:
+        certify = getattr(inequalities, name)
+        rows = zip(_trials(b, *functions), *(b[key].tolist() for key in scalars))
+        return sum(certify(*grid, *args).holds for grid, *args in rows)
 
-
-def _cauchy_schwarz_check(b: dict) -> int:
-    return sum(inequalities.cauchy_schwarz_certify(ts, f, g, alpha).holds
-               for (ts, f, g), alpha in zip(_trials(b, "f", "g"), b["alpha"].tolist()))
-
-
-def _minkowski_check(b: dict) -> int:
-    return sum(inequalities.minkowski_certify(ts, f, g, p, alpha).holds
-               for (ts, f, g), p, alpha in zip(_trials(b, "f", "g"),
-                                               (1.0 + b["p"]).tolist(), b["alpha"].tolist()))
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +164,14 @@ def _comparison_pass(block: dict) -> tuple:
     return y, (inequalities._comparison_stack(mu, block["y0"], p, f, 0),)
 
 
-def _gronwall_2d_trial(rng) -> tuple:
-    n1 = int(rng.integers(3, 7))
-    head = rng.random(n1)  # start1, steps1
-    n2 = int(rng.integers(3, 7))
-    return (n1, n2), (head, rng.random(n2 + 1 + 2 * n1 * n2))  # start2, steps2, a, f, slack
-
-
-def _gronwall_2d_layout(n1, n2) -> tuple:
-    mask = _upto(n1, 6)[:, :, None] & _upto(n2, 6)[:, None, :]
-    return mask, (_grid(n1, 6, 0.2, "1") + _grid(n2, 6, 0.2, "2")
-                  + [("a", 0.5, 2.0, _scalar(n1)), ("f", 0.0, 1.0, mask),
-                     ("slack", 0.0, 0.3, mask)])
+def _gronwall_2d_draw(rng, count: int) -> dict:
+    """Two grids of 3-6 points with steps in [0.2, 1), a constant a and f, slack on both."""
+    block = {**_grid(rng, count, 6, 0.2, "1"), **_grid(rng, count, 6, 0.2, "2")}
+    block["mask"] = mask = _upto(block["n1"], 6)[:, :, None] & _upto(block["n2"], 6)[:, None, :]
+    block["a"] = rng.uniform(0.5, 2.0, count)
+    block["f"] = rng.uniform(0.0, 1.0, mask.shape) * mask
+    block["slack"] = rng.uniform(0.0, 0.3, mask.shape) * mask
+    return block
 
 
 def _gronwall_2d_pass(block: dict) -> tuple:
@@ -257,22 +196,23 @@ def _gronwall_2d_pass(block: dict) -> tuple:
     return u, inequalities._gronwall_2d_stack(mu1, mu2, a, f)
 
 
-_F, _G = ("f", -3.0, 3.0, 0), ("g", -3.0, 3.0, 0)
-_P, _ALPHA = ("p", 0.1, 3.0, None), ("alpha", 0.0, 1.0, None)
+_FG = {"f": (-3.0, 3.0, 0), "g": (-3.0, 3.0, 0)}
+_P, _ALPHA = (1.1, 4.0, None), (0.0, 1.0, None)
 
 # the certifiers and the stacked passes are looked up as the suites run, so a
 # caller may wrap them
 SUITES = {
-    "jensen": _suite(_jensen_trial, _jensen_layout, _jensen_check),
-    "holder": _suite(*_on_one_grid(_F, _G, ("h", 0.0, 2.0, 0), _P, _ALPHA), _holder_check),
-    "cauchy-schwarz": _suite(*_on_one_grid(_F, _G, _ALPHA), _cauchy_schwarz_check),
-    "minkowski": _suite(*_on_one_grid(_F, _G, _P, _ALPHA), _minkowski_check),
-    "gronwall": _suite(*_on_one_grid(("a", -1.0, 2.0, 0), ("b", 0.0, 1.5, 0),
-                                     ("slack", 0.0, 0.5, 0)),
+    "jensen": _suite(_jensen_draw, _jensen_check),
+    "holder": _suite(_on_one_grid(**_FG, h=(0.0, 2.0, 0), p=_P, alpha=_ALPHA),
+                     _certifies("holder_certify", ("f", "g", "h"), ("p", "alpha"))),
+    "cauchy-schwarz": _suite(_on_one_grid(**_FG, alpha=_ALPHA),
+                             _certifies("cauchy_schwarz_certify", ("f", "g"), ("alpha",))),
+    "minkowski": _suite(_on_one_grid(**_FG, p=_P, alpha=_ALPHA),
+                        _certifies("minkowski_certify", ("f", "g"), ("p", "alpha"))),
+    "gronwall": _suite(_on_one_grid(a=(-1.0, 2.0, 0), b=(0.0, 1.5, 0), slack=(0.0, 0.5, 0)),
                        lambda b: _held(b, _gronwall_pass(b))),
-    "comparison": _suite(*_on_one_grid(("p", -0.9, 1.5, 0), ("f", -1.0, 1.0, 0),
-                                       ("y0", -1.0, 1.0, None), ("slack", 0.0, 0.5, -1)),
+    "comparison": _suite(_on_one_grid(p=(-0.9, 1.5, 0), f=(-1.0, 1.0, 0), y0=(-1.0, 1.0, None),
+                                      slack=(0.0, 0.5, -1)),
                          lambda b: _held(b, _comparison_pass(b))),
-    "gronwall2d": _suite(_gronwall_2d_trial, _gronwall_2d_layout,
-                         lambda b: _held(b, _gronwall_2d_pass(b))),
+    "gronwall2d": _suite(_gronwall_2d_draw, lambda b: _held(b, _gronwall_2d_pass(b))),
 }

@@ -410,13 +410,9 @@ def invert_integral(g: Callable[[float], float], targets: Sequence[float],
             if nxt > 1e300 or nxt < 1e-300:
                 raise RootNotBracketed(f"the integral never reaches {target}")
             piece = adaptive_simpson(g, x, nxt)
-            if abs(piece) <= 1e-16 * max(1.0, abs(target)):
-                stall += 1
-                if stall >= 64:
-                    raise RootNotBracketed(
-                        f"the integral plateaus below its inversion target {target}")
-            else:
-                stall = 0
+            stall = stall + 1 if G + piece == G else 0  # G stopped growing in floating point
+            if stall >= 64:
+                raise RootNotBracketed(f"the integral plateaus below its inversion target {target}")
             x, G = nxt, G + piece
         else:
             raise NoConvergence(f"the inversion for target {target} did not converge")

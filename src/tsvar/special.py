@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonRegressive, Pole
+from .errors import DomainError, NonFinite, NonRegressive, Pole
 from .timescale import TimeScale, values_on
 
 _POLE_TOL = 1e-9
@@ -64,7 +64,7 @@ def h_factorial(x: float, y: float, h: float) -> float:
     """The h-factorial x_h^(y) = h^y Gamma(x/h+1) / Gamma(x/h+1-y).
 
     Denominator pole => 0 (the paper's division convention); numerator-only
-    pole => DomainError.
+    pole => DomainError; a quotient beyond the float range => NonFinite.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -77,20 +77,28 @@ def h_factorial(x: float, y: float, h: float) -> float:
         raise DomainError(
             f"h_factorial numerator gamma pole at {num_arg} (x={x}, y={y}, h={h})"
         )
-    if z > 30.0 and den_arg > 30.0:
-        return math.exp(y * math.log(h) + _log_gamma_ratio(num_arg, y))
-    if z < -30.0 and y - z > 30.0:
-        # reflected: Gamma(y - z) / Gamma(-z) * sin(pi (z - y)) / sin(pi z), each
-        # sine of its argument reduced exactly into [-1/2, 1/2]
-        r, k = z - round(z), round(y)
-        s = r - (y - k)
-        return ((-1.0) ** (k + round(s)) * math.sin(math.pi * (s - round(s)))
-                / math.sin(math.pi * r) * math.exp(y * math.log(h) + _log_gamma_ratio(y - z, y)))
-    if abs(z) > 30.0:
-        ln, sn = log_abs_gamma(num_arg)
-        ld, sd = log_abs_gamma(den_arg)
-        return sn * sd * math.exp(y * math.log(h) + ln - ld)
-    return h**y * gamma_fn(num_arg) / gamma_fn(den_arg)
+    try:  # math.exp, math.gamma and ** raise OverflowError past the float range
+        if z > 30.0 and den_arg > 30.0:
+            value = math.exp(y * math.log(h) + _log_gamma_ratio(num_arg, y))
+        elif z < -30.0 and y - z > 30.0:
+            # reflected: Gamma(y - z) / Gamma(-z) * sin(pi (z - y)) / sin(pi z), each
+            # sine of its argument reduced exactly into [-1/2, 1/2]
+            r, k = z - round(z), round(y)
+            s = r - (y - k)
+            value = ((-1.0) ** (k + round(s)) * math.sin(math.pi * (s - round(s)))
+                     / math.sin(math.pi * r)
+                     * math.exp(y * math.log(h) + _log_gamma_ratio(y - z, y)))
+        elif abs(z) > 30.0:
+            ln, sn = log_abs_gamma(num_arg)
+            ld, sd = log_abs_gamma(den_arg)
+            value = sn * sd * math.exp(y * math.log(h) + ln - ld)
+        else:
+            value = h**y * gamma_fn(num_arg) / gamma_fn(den_arg)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFinite(f"h_factorial({x}, {y}, {h}) is not finite in floating point")
+    return value
 
 
 def generalized_polynomial_H(ts: TimeScale, k: int, t: float, s: float) -> float:

@@ -359,15 +359,17 @@ def extremal_candidates(roots: list, ts: TimeScale, assemble: Callable,
                         residual: Callable, legendre: Callable, value: Callable) -> list:
     """ExtremalCandidates at multi_start's roots x, sorted by functional value:
     at y = GridFunction(ts, assemble(x)), the norm of the textbook residual
-    array ``residual(y)`` (overflow gives inf, as in multi_start), the
-    LegendreReport ``legendre(y)`` and the functional ``value(y)``."""
+    array ``residual(y)``, the LegendreReport ``legendre(y)`` and the
+    functional ``value(y)``, under one errstate (overflow gives inf, as in
+    multi_start; NonFinite where a value is not finite)."""
     out = []
-    for y in (GridFunction(ts, assemble(x)) for x in roots):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for y in (GridFunction(ts, assemble(x)) for x in roots):
             norm = float(np.linalg.norm(residual(y)))
-        report = legendre(y)
-        out.append(ExtremalCandidate(y=y, residual_norm=norm, legendre_ok=report.ok,
-                                     margins=report.margins, functional_value=value(y)))
+            report = legendre(y)
+            out.append(ExtremalCandidate(y=y, residual_norm=norm, legendre_ok=report.ok,
+                                         margins=report.margins,
+                                         functional_value=_finite_functional(lambda: value(y))))
     return sorted(out, key=lambda c: c.functional_value)
 
 
@@ -424,9 +426,10 @@ def solve_isoperimetric(p: IsoperimetricProblem,
                         config: Optional[SolverConfig] = None) -> ExtremalCandidate:
     """Stationarity of F = L - lambda*g plus the constraint row; lambda unknown.
 
-    Reports the root of least functional value.  The bordered Jacobian (F's
-    tridiagonal block, lambda's column, the constraint row) is one dense matrix
-    per solve: more than ``solvers.MAX_DENSE_POINTS`` points raise ValueError.
+    Reports the root of least functional value (NonFinite where a root's value
+    is not finite).  The bordered Jacobian (F's tridiagonal block, lambda's
+    column, the constraint row) is one dense matrix per solve: more than
+    ``solvers.MAX_DENSE_POINTS`` points raise ValueError.
     """
     n = len(p.scale)
     refuse_dense_beyond_cap(n, "isoperimetric solver")
@@ -454,16 +457,17 @@ def solve_isoperimetric(p: IsoperimetricProblem,
         roots = multi_start(residual, jacobian, n - 1, config or SolverConfig())
     except NoConvergence as exc:
         raise ConstraintInfeasible(str(exc)) from exc
-    values = [functional_value(p, GridFunction(p.scale, assemble(x))) for x in roots]
-    best = min(range(len(roots)), key=values.__getitem__)
-    x, lam = roots[best], roots[best][-1]
     with np.errstate(all="ignore"):  # as in multi_start: overflow gives inf
+        values = [_finite_functional(
+            lambda: functional_value(p, GridFunction(p.scale, assemble(x)))) for x in roots]
+        best = min(range(len(roots)), key=values.__getitem__)
+        x, lam = roots[best], roots[best][-1]
         residual_norm = float(np.linalg.norm(residual(x)))
         L_rows, g_rows = jets(x)  # the rows the residual kept at x
+        report = _legendre_report(p.scale, L_rows[4:] - lam * g_rows[4:], mu)
     J_g = _el_jacobian(g_rows[4:], mu)  # row i of diag(mu) J_g is mu_i times J_g's
     _reject_abnormal(p.g, mu[:-1] * _el_rows(g_rows[1:], mu),
                      Tridiagonal(mu[1:-1] * J_g.lower, mu[:-1] * J_g.diag, mu[:-2] * J_g.upper), x)
-    report = _legendre_report(p.scale, L_rows[4:] - lam * g_rows[4:], mu)
     return ExtremalCandidate(y=GridFunction(p.scale, assemble(x)), residual_norm=residual_norm,
                              legendre_ok=report.ok, margins=report.margins,
                              functional_value=values[best], multiplier=float(lam))
@@ -550,10 +554,10 @@ def _finite_values(ts: TimeScale, f, name: str) -> np.ndarray:
 
 
 def _finite_functional(value: Callable[[], float]) -> float:
-    """A direct method's F = ``value()``, taken before y, whose rows it bounds;
-    NonFinite where F is not finite.  The solvers' endpoints are Python floats,
-    whose arithmetic overflows to inf without a warning; math.exp and
-    math.pow raise OverflowError instead."""
+    """A functional value F = ``value()``; NonFinite where F is not finite.  A
+    direct method takes it before y, whose rows it bounds; its endpoints are
+    Python floats, whose arithmetic overflows to inf without a warning, and
+    math.exp and math.pow raise OverflowError instead."""
     try:
         F = float(value())
     except OverflowError:

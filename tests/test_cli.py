@@ -238,6 +238,15 @@ def test_direct_entropy_and_power(tmp_path, capsys):
     capsys.readouterr()
 
 
+
+def test_direct_power_reaches_a_target_far_above_its_first_steps(capsys):
+    # G(x) = x from 0 doubles about 130 times to reach C = 1e40; every piece on
+    # the way is far below 1e-16 C, but G grows, so none is a plateau
+    argv = ["direct", "--kind", "power", "--alpha-exp", "2", "--scale", "uniform(0,1,0.5)",
+            "--phi", "1", "--B", "1e40", "--no-csv"]
+    assert run_cli(argv) == 0
+    assert "power extremum F = 1.0000000000000003e+80 (min)" in capsys.readouterr().out
+
 def test_sturm_matches_closed_form(tmp_path, capsys):
     out = tmp_path / "s"
     assert run_cli(["sturm", "--scale", "uniform(0,10,1)", "--q", "0",
@@ -432,6 +441,24 @@ def test_direct_with_overflowing_functional_value_exits_2(argv, capsys):
     assert captured.err == "config error: the functional value F = inf is not finite\n"
     assert captured.out == ""
 
+
+
+_HUGE_L = "[scale]\nscale = uniform(0, 5, 1)\n\n[problem]\nlagrangian = 1e308\na = 0\nb = 1\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("var-solve", _HUGE_L),
+    ("var-solve", _HUGE_L + "g = u\nl = 1\n"),
+    ("frac-solve", CLASSIC_INI.replace("alpha = 1", "alpha = 0.5")
+     .replace("0.5*v^2 - u", "-w").replace("b = 0", "b = 1e308")),
+], ids=["classical", "isoperimetric", "fractional"])
+def test_solves_with_overflowing_functional_value_exit_2(tmp_path, capsys, command, text):
+    # every y is stationary: F is the sum of mu * 1e308, or with beta = 1 depends
+    # on the boundary values alone, and overflows either way
+    assert run_cli([command, "--config", write_config(tmp_path, text), "--no-csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: the functional value F = inf is not finite\n"
+    assert "candidate(s)" not in captured.out
 
 def test_sturm_with_overflowing_matrix_exits_2(capsys):
     # q = 1e308 is finite, but mu q is not once mu > 1

@@ -1,15 +1,16 @@
 """ineq-check and the 2-D Gronwall bounds against the per-element loops they replaced.
 
-The 2-D bounds build their step products with ``cumprod``, the suites draw
-each trial's slack in one vector call, and the Gronwall, comparison and 2-D
-Gronwall suites run blocks of stacked trials through one kernel per bound;
-none of this may change a single bit.  The references below are the earlier
-double loops, forward-step loops, certifiers and suites.  The suite oracle
-records every certifier call, every bound and every pointwise check that the
-old suites made (arguments and results).  For the certifier suites it records
-the calls ``ineq-check`` makes; for the stacked suites it reads each trial's
-row of every block (grid points, data, reference trajectory, bounds and
-verdicts) and compares both records bit for bit.
+The 2-D bounds build their step products with ``cumprod``, and the suites
+draw a block of trials with one generator call per field and run the
+Gronwall, comparison and 2-D Gronwall blocks through one kernel per bound;
+none of this may change a single bit of what a trial's data give.  The
+references below are the earlier double loops, forward-step loops and
+certifiers.  The suite oracle runs ``ineq-check``'s suites, recording every
+certifier call (arguments and report) and each trial's row of every stacked
+block (grid points, data, reference trajectory, bounds and verdicts).  It then
+rebuilds every trial from its block, a grid as its start plus the running sum
+of its steps, replays it through the per-element references, and compares
+both records bit for bit.
 """
 
 import math
@@ -188,114 +189,73 @@ def old_holds_pointwise(values, bound):
 
 
 # ---------------------------------------------------------------------------
-# reference: the suites with one scalar draw per element
+# reference: each trial rebuilt from its block, one element at a time
 
 
-def _old_random_scale(rng, n_min=3, n_max=9, step_lo=0.1, step_hi=1.0):
-    n = int(rng.integers(n_min, n_max + 1))
-    start = float(rng.uniform(-2.0, 2.0))
-    steps = rng.uniform(step_lo, step_hi, n - 1)
-    return TimeScale(start + np.concatenate([[0.0], np.cumsum(steps)]))
+_OLD_CATALOG = [math.exp, lambda x: x * x, abs, lambda x: x ** 4]
 
 
-def _old_suites(ref):
-    """The seven suites as they drew their data before, calling ``ref.<name>``."""
+def _old_scale(block, k, key=""):
+    """Trial k's grid: its start plus the running sum of its n - 1 steps."""
+    steps = block["steps" + key][k, :int(block["n" + key][k]) - 1]
+    return TimeScale(float(block["start" + key][k]) + np.concatenate([[0.0], np.cumsum(steps)]))
 
-    def jensen(trials, seed):
-        rng = np.random.default_rng(seed)
-        catalog = [math.exp, lambda x: x * x, abs, lambda x: x ** 4]
-        for _ in range(trials):
-            ts = _old_random_scale(rng)
-            g = GridFunction(ts, rng.uniform(-2.0, 2.0, len(ts)))
-            F = catalog[int(rng.integers(len(catalog)))]
-            weights = None
-            if rng.random() < 0.5:
-                weights = GridFunction(ts, rng.uniform(0.05, 3.0, len(ts)))
-            ref.jensen_certify(ts, F, g, weights, float(rng.random()))
 
-    def holder(trials, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            ts = _old_random_scale(rng)
-            f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-            g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-            h = GridFunction(ts, rng.uniform(0.0, 2.0, len(ts)))
-            p = 1.0 + float(rng.uniform(0.1, 3.0))
-            ref.holder_certify(ts, f, g, h, p, float(rng.random()))
+def _replay(suite, block, k, ref):
+    """Trial k of a suite's block through the per-element code, calling ``ref.<name>``."""
+    if suite == "gronwall2d":
+        ts1, ts2 = _old_scale(block, k, "1"), _old_scale(block, k, "2")
+        n1, n2 = len(ts1), len(ts2)
+        mu1, mu2 = np.diff(ts1.points), np.diff(ts2.points)
+        a_const = float(block["a"][k])
+        f, slack = block["f"][k, :n1, :n2], block["slack"][k]
+        u = np.empty((n1, n2))
+        for i1 in range(n1):
+            for i2 in range(n2):
+                acc = a_const
+                for j1 in range(i1):
+                    for j2 in range(i2):
+                        acc += mu1[j1] * mu2[j2] * f[j1, j2] * u[j1, j2]
+                u[i1, i2] = acc - slack[i1, i2]
+        b1, b2 = ref.gronwall_2d_bound(ts1, ts2, lambda t1, t2: a_const, f)
+        if ref.holds_pointwise(u.ravel(), b1.ravel()):
+            ref.holds_pointwise(u.ravel(), b2.ravel())
+        return
+    ts = _old_scale(block, k)
+    n, mu = len(ts), np.diff(ts.points)
 
-    def cauchy_schwarz(trials, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            ts = _old_random_scale(rng)
-            f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-            g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-            ref.cauchy_schwarz_certify(ts, f, g, float(rng.random()))
+    def on_grid(key):
+        return GridFunction(ts, block[key][k, :n])
 
-    def minkowski(trials, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            ts = _old_random_scale(rng)
-            f = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-            g = GridFunction(ts, rng.uniform(-3.0, 3.0, len(ts)))
-            p = 1.0 + float(rng.uniform(0.1, 3.0))
-            ref.minkowski_certify(ts, f, g, p, float(rng.random()))
-
-    def gronwall(trials, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            ts = _old_random_scale(rng)
-            n = len(ts)
-            mu = np.diff(ts.points)
-            a = rng.uniform(-1.0, 2.0, n)
-            b = rng.uniform(0.0, 1.5, n)
-            u = np.empty(n)
-            u[0] = a[0] - rng.uniform(0.0, 0.5)
-            for i in range(1, n):
-                acc = a[i] + float(mu[:i] @ (b[:i] * u[:i]))
-                u[i] = acc - rng.uniform(0.0, 0.5)
-            bound = ref.gronwall_bound(ts, a, b, ts.points[0])
-            ref.holds_pointwise(u, bound.values)
-
-    def comparison(trials, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            ts = _old_random_scale(rng)
-            n = len(ts)
-            mu = np.diff(ts.points)
-            p = rng.uniform(-0.9, 1.5, n)
-            f = rng.uniform(-1.0, 1.0, n)
-            y = np.empty(n)
-            y[0] = float(rng.uniform(-1.0, 1.0))
-            for i in range(n - 1):
-                y[i + 1] = y[i] + mu[i] * (p[i] * y[i] + f[i] - rng.uniform(0.0, 0.5))
-            bound = ref.comparison_bound(ts, y[0], p, f, ts.points[0])
-            ref.holds_pointwise(y, bound.values)
-
-    def gronwall_2d(trials, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            ts1 = _old_random_scale(rng, n_min=3, n_max=6, step_lo=0.2)
-            ts2 = _old_random_scale(rng, n_min=3, n_max=6, step_lo=0.2)
-            n1, n2 = len(ts1), len(ts2)
-            mu1 = np.diff(ts1.points)
-            mu2 = np.diff(ts2.points)
-            a_const = float(rng.uniform(0.5, 2.0))
-            f = rng.uniform(0.0, 1.0, (n1, n2))
-            u = np.empty((n1, n2))
-            for i1 in range(n1):
-                for i2 in range(n2):
-                    acc = a_const
-                    for j1 in range(i1):
-                        for j2 in range(i2):
-                            acc += mu1[j1] * mu2[j2] * f[j1, j2] * u[j1, j2]
-                    u[i1, i2] = acc - rng.uniform(0.0, 0.3)
-            b1, b2 = ref.gronwall_2d_bound(ts1, ts2, lambda t1, t2: a_const, f)
-            if ref.holds_pointwise(u.ravel(), b1.ravel()):
-                ref.holds_pointwise(u.ravel(), b2.ravel())
-
-    return {"jensen": jensen, "holder": holder, "cauchy-schwarz": cauchy_schwarz,
-            "minkowski": minkowski, "gronwall": gronwall, "comparison": comparison,
-            "gronwall2d": gronwall_2d}
+    if suite == "jensen":
+        weights = on_grid("weights") if block["weighted"][k] else None
+        ref.jensen_certify(ts, _OLD_CATALOG[int(block["F"][k])], on_grid("g"), weights,
+                           float(block["alpha"][k]))
+    elif suite == "holder":
+        ref.holder_certify(ts, on_grid("f"), on_grid("g"), on_grid("h"), float(block["p"][k]),
+                           float(block["alpha"][k]))
+    elif suite == "cauchy-schwarz":
+        ref.cauchy_schwarz_certify(ts, on_grid("f"), on_grid("g"), float(block["alpha"][k]))
+    elif suite == "minkowski":
+        ref.minkowski_certify(ts, on_grid("f"), on_grid("g"), float(block["p"][k]),
+                              float(block["alpha"][k]))
+    elif suite == "gronwall":
+        a, b, slack = block["a"][k, :n], block["b"][k, :n], block["slack"][k]
+        u = np.empty(n)
+        u[0] = a[0] - slack[0]
+        for i in range(1, n):
+            acc = a[i] + float(mu[:i] @ (b[:i] * u[:i]))
+            u[i] = acc - slack[i]
+        bound = ref.gronwall_bound(ts, a, b, ts.points[0])
+        ref.holds_pointwise(u, bound.values)
+    else:
+        p, f, slack = block["p"][k, :n], block["f"][k, :n], block["slack"][k]
+        y = np.empty(n)
+        y[0] = float(block["y0"][k])
+        for i in range(n - 1):
+            y[i + 1] = y[i] + mu[i] * (p[i] * y[i] + f[i] - slack[i])
+        bound = ref.comparison_bound(ts, y[0], p, f, ts.points[0])
+        ref.holds_pointwise(y, bound.values)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +320,8 @@ def _record(log, name, args, out):
 
 
 def _trial_records(suite, block, values, bounds, verdicts, log):
-    """The old suite's records of each trial, read from one stacked block."""
+    """Each trial's records, in the order the per-element code makes them, read
+    from one stacked block."""
     for k in range(len(values)):
         mask = block["mask"][k]
         if suite == "gronwall2d":
@@ -375,7 +336,7 @@ def _trial_records(suite, block, values, bounds, verdicts, log):
                 _record(log, "_holds_pointwise", (u, bound[k, :n1, :n2].ravel()),
                         bool(verdict[k]))
                 if not verdict[k]:
-                    break  # the old suite stopped at the first failed check
+                    break  # the per-element code stops at the first failed check
             continue
         n = mask.sum()
         ts = TimeScale(block["points"][k, :n])
@@ -392,32 +353,21 @@ STACKED = {"gronwall": "_gronwall_pass", "comparison": "_comparison_pass",
            "gronwall2d": "_gronwall_2d_pass"}
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_suite_data_and_reports_match_the_old_loops(monkeypatch, seed):
-    _match_old_loops(monkeypatch, seed)
+def _spy_blocks(monkeypatch):
+    """(blocks, passes): every block a suite checks, in order, and for each
+    stacked pass [block, values, bounds, verdicts of each bound]."""
+    blocks, passes = [], []
+    trials_of = ineqcheck._trials
 
-
-def test_stacked_suites_match_the_old_loops_across_block_boundaries(monkeypatch):
-    monkeypatch.setattr(ineqcheck, "TRIAL_BLOCK", 7)  # 300 trials make 43 blocks
-    _match_old_loops(monkeypatch, 0)
-
-
-def _match_old_loops(monkeypatch, seed):
-    expected = []
-    reference = _Reference(expected)
-    for suite in _old_suites(reference).values():
-        suite(300, seed)
-
-    got = []
-    for name in CERTIFIERS:
-        monkeypatch.setattr(inequalities, name,
-                            _recording(got, name, getattr(inequalities, name)))
-    passes = []  # [block, values, bounds, verdicts of each bound] per block
+    def recording_trials(block, *keys):
+        blocks.append(block)
+        return trials_of(block, *keys)
 
     def recording_pass(bound_pass):
-        def record(data):
-            values, bounds = bound_pass(data)
-            passes.append((data, values, bounds, []))
+        def record(block):
+            values, bounds = bound_pass(block)
+            blocks.append(block)
+            passes.append((block, values, bounds, []))
             return values, bounds
 
         return record
@@ -429,17 +379,46 @@ def _match_old_loops(monkeypatch, seed):
         passes[-1][3].append(verdicts)
         return verdicts
 
+    monkeypatch.setattr(ineqcheck, "_trials", recording_trials)
     monkeypatch.setattr(ineqcheck, "_holds_pointwise", recording_holds)
-    for name, attr in STACKED.items():
+    for attr in STACKED.values():
         monkeypatch.setattr(ineqcheck, attr, recording_pass(getattr(ineqcheck, attr)))
+    return blocks, passes
+
+
+def _match_old_loops(monkeypatch, trials, seed):
+    """Run every ``ineq-check`` suite on ``trials`` trials, recording each
+    certifier call and each stacked row; then replay every trial of every
+    block through the references and compare both records bit for bit."""
+    got, expected = [], []
+    reference = _Reference(expected)
+    for name in CERTIFIERS:
+        monkeypatch.setattr(inequalities, name,
+                            _recording(got, name, getattr(inequalities, name)))
+    blocks, passes = _spy_blocks(monkeypatch)
     assert cli._SUITES is ineqcheck.SUITES
     for name, suite in cli._SUITES.items():
-        assert suite(300, seed) == 300
+        assert suite(trials, seed) == trials
         for record in passes:
             _trial_records(name, *record, got)
+        for block in blocks:
+            for k in range(len(block["mask"])):
+                _replay(name, block, k, reference)
+        blocks.clear()
         passes.clear()
 
     # every trial holds, so both 2-D checks run: 12 records per trial
-    assert len(got) == len(expected) == 300 * 12
+    assert len(got) == len(expected) == trials * 12
     for k, (g, e) in enumerate(zip(got, expected)):
         assert g == e, f"record {k} ({e[0]}) differs"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_suite_data_and_reports_match_the_old_loops(monkeypatch, seed):
+    _match_old_loops(monkeypatch, 300, seed)
+
+
+def test_stacked_suites_match_the_old_loops_across_block_boundaries(monkeypatch):
+    # every suite, stacked or not, on 43 blocks; a seed's trials change with the block
+    monkeypatch.setattr(ineqcheck, "TRIAL_BLOCK", 7)
+    _match_old_loops(monkeypatch, 300, 0)

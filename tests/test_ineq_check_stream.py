@@ -1,117 +1,104 @@
-"""The numpy stream behaviour the ineq-check suites rely on, and the block edges.
+"""How the ineq-check suites draw their trials from a seeded generator, and the block edges.
 
-The suites draw a block of trials with one ``rng.integers`` call per integer
-and one ``rng.random(k)`` call per run of doubles, then map each field's raw
-uniforms U to its range as lo + (hi - lo) * U.  They keep the bits of the
-old suites, which made one ``rng.uniform(lo, hi, k)`` call (or a scalar
-``rng.uniform`` / ``rng.random()``) per field, only because numpy's
-Generator
-
-- computes ``uniform(lo, hi)`` as ``lo + (hi - lo) * next_double``, and
-- hands out doubles as one sequence however a run is split into calls,
-  also right after an ``integers`` call, and leaves the integer stream as it
-  was.
-
-The first tests state this for every range the suites use; a numpy release
-that changed it would fail here before the oracle in
-``test_ineq_check_oracle.py`` does.  The others run every suite at block
-edges against the old suites' records and pin one certifier call per
+A suite draws ``TRIAL_BLOCK`` trials at a time, one generator call per field.
+The first tests check each suite's blocks at several seeds: point counts in
+their ranges, every real entry in [lo, hi), every padded entry 0, grids
+strictly increasing on their real points, and the same blocks and counts
+from the same seed.  The others replay every suite at block edges through the
+references of ``test_ineq_check_oracle.py`` and pin one certifier call per
 certifier trial, the count the benchmark's traced ``bounds`` run expects.
 """
 
 import numpy as np
 import pytest
 
-from test_ineq_check_oracle import (CERTIFIERS, STACKED, _old_suites, _recording,
-                                    _Reference, _trial_records)
-from tsvar import cli, ineqcheck, inequalities
+from test_ineq_check_oracle import CERTIFIERS, _match_old_loops, _spy_blocks
+from tsvar import ineqcheck, inequalities
+
+_ONE_GRID = [("", 9, 0.1)]
+_FG = {"f": (-3.0, 3.0, "n"), "g": (-3.0, 3.0, "n")}
+_ALPHA = {"alpha": (0.0, 1.0, None)}
+
+# per suite: its grids as (key, most points, least step), and its fields as
+# name: (lo, hi, real entries), the real entries being a grid's "n" points,
+# "n-1" of them, the points of a "weighted" trial, "n1*n2" or None (one per trial)
+DRAWS = {
+    "jensen": (_ONE_GRID, {"g": (-2.0, 2.0, "n"), "weights": (0.05, 3.0, "weighted"),
+                           **_ALPHA}),
+    "holder": (_ONE_GRID, {**_FG, "h": (0.0, 2.0, "n"), "p": (1.1, 4.0, None), **_ALPHA}),
+    "cauchy-schwarz": (_ONE_GRID, {**_FG, **_ALPHA}),
+    "minkowski": (_ONE_GRID, {**_FG, "p": (1.1, 4.0, None), **_ALPHA}),
+    "gronwall": (_ONE_GRID, {"a": (-1.0, 2.0, "n"), "b": (0.0, 1.5, "n"),
+                             "slack": (0.0, 0.5, "n")}),
+    "comparison": (_ONE_GRID, {"p": (-0.9, 1.5, "n"), "f": (-1.0, 1.0, "n"),
+                               "y0": (-1.0, 1.0, None), "slack": (0.0, 0.5, "n-1")}),
+    "gronwall2d": ([("1", 6, 0.2), ("2", 6, 0.2)],
+                   {"a": (0.5, 2.0, None), "f": (0.0, 1.0, "n1*n2"),
+                    "slack": (0.0, 0.3, "n1*n2")}),
+}
 
 
-def _suite_ranges(monkeypatch) -> set:
-    """Every (lo, hi) a field of some suite is mapped to."""
-    ranges = set()
-    draw = ineqcheck._draw_block
-
-    def spy(rng, count, trial, layout):
-        def recorded(*ints):
-            mask, fields = layout(*ints)
-            ranges.update((lo, hi) for _, lo, hi, _ in fields)
-            return mask, fields
-
-        return draw(rng, count, trial, recorded)
-
-    monkeypatch.setattr(ineqcheck, "_draw_block", spy)
-    for suite in ineqcheck.SUITES.values():
-        suite(3, 0)
-    return ranges
+def _upto(n, width):
+    return np.arange(width) < np.asarray(n)[:, None]
 
 
-def test_uniform_is_lo_plus_width_times_random_for_every_suite_range(monkeypatch):
-    ranges = _suite_ranges(monkeypatch)
-    assert len(ranges) == 15 and (0.05, 3.0) in ranges and (0.0, 0.3) in ranges
-    for lo, hi in sorted(ranges):
-        for seed in range(3):
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            want = a.uniform(lo, hi, 20000)
-            assert np.array_equal(lo + (hi - lo) * b.random(20000), want), (lo, hi)
-            # the old suites' scalar draws: one double each
-            assert (lo + (hi - lo) * b.random(1)[0]) == a.uniform(lo, hi)
-            assert b.random(1)[0] == a.random()
+def _real(block, rule, shape):
+    """Which entries of a field of ``shape`` are a trial's own."""
+    if rule is None:
+        return np.ones(shape, dtype=bool)
+    if rule == "n1*n2":
+        return _upto(block["n1"], shape[1])[:, :, None] & _upto(block["n2"], shape[2])[:, None, :]
+    real = _upto(block["n"] - (rule == "n-1"), shape[1])
+    return real & block["weighted"][:, None] if rule == "weighted" else real
 
 
-@pytest.mark.parametrize("integer_first", [False, True])
-@pytest.mark.parametrize("a, b", [(1, 1), (1, 8), (9, 27), (37, 1)])
-def test_a_run_of_doubles_is_the_same_in_one_call_or_two(integer_first, a, b):
+def _in_range(values, real, lo, hi, what):
+    assert ((lo <= values[real]) & (values[real] < hi)).all(), what
+    assert (values[~real] == 0.0).all(), what
+
+
+def _check_block(name, block):
+    grids, fields = DRAWS[name]
+    keys = {"mask", *fields} | ({"F", "weighted"} if name == "jensen" else set())
+    for key, most, step_lo in grids:
+        keys |= {k + key for k in ("n", "start", "steps", "points")}
+        n = block["n" + key]
+        assert ((3 <= n) & (n <= most)).all()
+        _in_range(block["start" + key], np.ones(len(n), dtype=bool), -2.0, 2.0, "start")
+        real = _upto(n - 1, most - 1)
+        _in_range(block["steps" + key], real, step_lo, 1.0, "steps")
+        gaps = np.diff(block["points" + key], axis=1)
+        assert (gaps[real] > 0.0).all() and (gaps[~real] == 0.0).all()
+    assert set(block) == keys
+    if name == "jensen":
+        assert ((0 <= block["F"]) & (block["F"] < 4)).all() and block["weighted"].dtype == bool
+    mask = block["mask"]
+    assert np.array_equal(mask, _real(block, "n1*n2" if mask.ndim == 3 else "n", mask.shape))
+    for field, (lo, hi, rule) in fields.items():
+        _in_range(block[field], _real(block, rule, block[field].shape), lo, hi, field)
+
+
+@pytest.mark.parametrize("name", sorted(DRAWS))
+def test_draws_lie_in_their_ranges_and_pad_with_zeros(monkeypatch, name):
+    blocks, _ = _spy_blocks(monkeypatch)
     for seed in range(5):
-        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
-        if integer_first:
-            assert one.integers(3, 10) == two.integers(3, 10)
-        joined = one.random(a + b)
-        assert np.array_equal(joined, np.concatenate([two.random(a), two.random(b)]))
-        # and the integer draws after the run are unchanged
-        assert [one.integers(3, 10) for _ in range(3)] == [two.integers(3, 10) for _ in range(3)]
+        assert ineqcheck.SUITES[name](300, seed) == 300
+        assert [len(block["mask"]) for block in blocks] == [256, 44]
+        for block in blocks:
+            _check_block(name, block)
+        blocks.clear()
 
 
-def _match_old_loops(monkeypatch, trials, seed):
-    """Every certifier call and every stacked row of ``trials`` trials, against
-    the old suites' records (as ``test_ineq_check_oracle`` does at 300)."""
-    expected = []
-    for suite in _old_suites(_Reference(expected)).values():
-        suite(trials, seed)
-
-    got = []
-    for name in CERTIFIERS:
-        monkeypatch.setattr(inequalities, name,
-                            _recording(got, name, getattr(inequalities, name)))
-    passes = []  # [block, values, bounds, verdicts of each bound] per block
-
-    def recording_pass(bound_pass):
-        def record(data):
-            values, bounds = bound_pass(data)
-            passes.append((data, values, bounds, []))
-            return values, bounds
-
-        return record
-
-    holds = ineqcheck._holds_pointwise
-
-    def recording_holds(values, bound, mask):
-        verdicts = holds(values, bound, mask)
-        passes[-1][3].append(verdicts)
-        return verdicts
-
-    monkeypatch.setattr(ineqcheck, "_holds_pointwise", recording_holds)
-    for attr in STACKED.values():
-        monkeypatch.setattr(ineqcheck, attr, recording_pass(getattr(ineqcheck, attr)))
-    for name, suite in cli._SUITES.items():
-        assert suite(trials, seed) == trials
-        for record in passes:
-            _trial_records(name, *record, got)
-        passes.clear()
-
-    assert len(got) == len(expected) == trials * 12
-    for k, (g, e) in enumerate(zip(got, expected)):
-        assert g == e, f"record {k} ({e[0]}) differs"
+def test_one_seed_gives_identical_blocks_and_held_counts(monkeypatch):
+    blocks, _ = _spy_blocks(monkeypatch)
+    counts = [[suite(300, 3) for suite in ineqcheck.SUITES.values()] for _ in range(2)]
+    assert counts[0] == counts[1] == [300] * 7
+    first, second = blocks[:len(blocks) // 2], blocks[len(blocks) // 2:]
+    assert len(first) == len(second) == 14
+    for a, b in zip(first, second):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key].dtype == b[key].dtype and a[key].tobytes() == b[key].tobytes(), key
 
 
 @pytest.mark.parametrize("trials", [1, 256, 257])

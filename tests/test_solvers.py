@@ -631,6 +631,14 @@ def test_invert_integral_refuses_a_negative_or_non_finite_integrand(slope):
         invert_integral(slope, [0.25, 5.0], 0.0, 0.0)
 
 
+
+@pytest.mark.parametrize("slope", [lambda s: math.exp(-s), lambda s: 1.0 / (1.0 + s * s)],
+                         ids=["exp(-s)", "1/(1+s^2)"])
+def test_invert_integral_refuses_a_target_above_a_plateau(slope):
+    # G tends to 1 and to pi/2: the walk doubles x until G stops growing in floating point
+    with pytest.raises(RootNotBracketed, match="plateaus below its inversion target 2.0"):
+        invert_integral(slope, [2.0], 0.0, 0.0)
+
 def test_jacobi_eigh_matches_lapack():
     rng = np.random.default_rng(42)
     for n in (2, 3, 6, 10):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsvar import timescale as tsc
-from tsvar.errors import DomainError, NonRegressive, Pole
+from tsvar.errors import DomainError, NonFinite, NonRegressive, Pole
 from tsvar.special import (
     gamma_fn,
     generalized_polynomial_H,
@@ -177,6 +177,15 @@ def test_h_factorial_past_thirty_with_one_gamma_argument_short_of_stirling(h):
                 logs = abs(math.lgamma(z + 1.0)) + abs(math.lgamma(z + 1.0 - y))
                 assert h_factorial(x, float(y), h) == pytest.approx(expect, rel=4 * eps * logs)
 
+
+
+@pytest.mark.parametrize("x, y, h", [(400.0, 380.0, 1.0), (1000.0, 200.0, 1.0),
+                                     (-400.5, 200.0, 1.0), (5.0, 2.5, 1e200)],
+                         ids=["log-gamma difference", "stirling", "reflected", "direct"])
+def test_h_factorial_beyond_the_float_range_is_non_finite(x, y, h):
+    # each branch's quotient exceeds 1.8e308, where math.exp or ** overflows
+    with pytest.raises(NonFinite, match="not finite"):
+        h_factorial(x, y, h)
 
 def test_generalized_polynomial_first_orders():
     g = tsc.explicit(0.0, 1.0, 3.0, 4.0, 5.0)
