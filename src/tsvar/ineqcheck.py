@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import inequalities
-from .timescale import KIND_EXPLICIT, GridFunction, TimeScale
+from .timescale import GridFunction, _explicit_rows
 
 # Trials per block: a fixed block keeps memory flat in --trials and each
 # stacked array small (256 x 6 x 6 floats for the 2-D suite).
@@ -79,10 +79,12 @@ def _suite(draw, check):
 
 def _trials(block: dict, *keys: str):
     """Per trial: its grid, declared explicit (no suite reads kind, step or
-    ratio), and a GridFunction on it of each field in ``keys``."""
-    for k, (row, n) in enumerate(zip(block["points"], block["n"].tolist())):
-        ts = TimeScale(row[:n], kind=KIND_EXPLICIT)
-        yield (ts,) + tuple(GridFunction(ts, block[key][k, :n]) for key in keys)
+    ratio) and checked with the rest of the block, and a GridFunction on it of
+    each field in ``keys``."""
+    fields = [block[key] for key in keys]
+    scales = _explicit_rows(block["points"], block["n"])
+    for k, (ts, n) in enumerate(zip(scales, block["n"].tolist())):
+        yield (ts, *[GridFunction(ts, field[k, :n]) for field in fields])
 
 
 _JENSEN_CATALOG = (math.exp, lambda x: x * x, abs, lambda x: x ** 4)

@@ -29,7 +29,7 @@ from .errors import (
     RootNotBracketed,
     ZeroWeightMass,
 )
-from .solvers import adaptive_simpson, invert_integral
+from .solvers import _finite, adaptive_simpson, invert_integral
 from .timescale import GridFunction, TimeScale, _diamond_sum, values_on
 
 _CERT_TOL = 1e-10  # lhs <= rhs + _CERT_TOL * max(1, |rhs|) holds; ineqcheck reads it too
@@ -75,7 +75,7 @@ def _report(lhs: float, rhs: float) -> BoundReport:
 def _require_finite(what: str, *arrays) -> None:
     """One finiteness check per stack of bound data, before any arithmetic."""
     for x in arrays:
-        if not np.isfinite(x).all():
+        if not _finite(x):
             raise NonFinite(f"{what} must be finite")
 
 
@@ -241,7 +241,7 @@ def jensen_certify(ts: TimeScale, F: Callable[[float], float], g,
         raise ZeroWeightMass("the diamond-alpha integral of |weights| must be positive")
     mean = _diamond_sum(mu, hv * gv, alpha) / mass
     lhs = F(mean)
-    rhs = _diamond_sum(mu, hv * np.array([F(x) for x in gv]), alpha) / mass
+    rhs = _diamond_sum(mu, hv * np.array([F(x) for x in gv.tolist()]), alpha) / mass
     return _report(lhs, rhs)
 
 
@@ -253,7 +253,7 @@ def holder_certify(ts: TimeScale, f, g, h_weights=None, p: float = 2.0,
     q = p / (p - 1.0)
     fv = np.abs(values_on(ts, f))
     gv = np.abs(values_on(ts, g))
-    hv = np.ones(len(ts)) if h_weights is None else np.abs(values_on(ts, h_weights))
+    hv = 1.0 if h_weights is None else np.abs(values_on(ts, h_weights))  # 1.0 * x is x
     mu = ts.points[1:] - ts.points[:-1]
     lhs = _diamond_sum(mu, hv * fv * gv, alpha)
     rhs = (_diamond_sum(mu, hv * fv**p, alpha) ** (1.0 / p)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -47,6 +48,7 @@ MAX_HALVINGS = 30
 # adaptive_simpson's limits: the error tolerance on the whole interval, halving depth
 SIMPSON_TOL = 1e-10
 SIMPSON_MAX_DEPTH = 50
+_EPS = sys.float_info.epsilon
 
 
 def refuse_dense_beyond_cap(n_points: int, solver: str) -> None:
@@ -357,7 +359,11 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
         delta = left + right - whole
         if not math.isfinite(delta):  # NaN would never pass the test below
             raise NonFinite(f"adaptive Simpson estimate is not finite on [{x0}, {x2}]")
-        if abs(delta) <= 15.0 * eps or (x2 - x0) < 1e-14:
+        # or delta at the rounding level of the halves, where halving cannot shrink
+        # it: an integral above about 1e5 would otherwise halve every piece down
+        # to the width floor, some 2^47 evaluations
+        if (abs(delta) <= 15.0 * eps or (x2 - x0) < 1e-14
+                or abs(delta) <= 64.0 * _EPS * (abs(left) + abs(right))):
             return left + right + delta / 15.0
         if depth <= 0:
             raise QuadratureFailure(f"adaptive Simpson recursion exhausted on [{x0}, {x2}]")

@@ -13,12 +13,16 @@ denominator gamma argument is a non-positive integer the whole expression is
 A pole in the numerator alone has no sanctioned value and raises DomainError.
 Past |x/h| = 30 the Gamma quotient is taken in logs: by Stirling's series
 where both arguments exceed 30 or, reflected, both are below -29, else as a
-difference of log|Gamma|s.
+difference of log|Gamma|s.  Below it the quotient is taken directly while
+|x/h + 1 - y| is at most 171 and h^y and h^y Gamma(x/h + 1) are normal floats
+(h^y within e^700 of 1), else as that difference too, so a quotient below the
+float range underflows to 0 rather than failing.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .errors import DomainError, NonFinite, NonRegressive, Pole
 from .timescale import TimeScale, values_on
 
 _POLE_TOL = 1e-9
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal float range
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -88,12 +93,13 @@ def h_factorial(x: float, y: float, h: float) -> float:
             value = ((-1.0) ** (k + round(s)) * math.sin(math.pi * (s - round(s)))
                      / math.sin(math.pi * r)
                      * math.exp(y * math.log(h) + _log_gamma_ratio(y - z, y)))
-        elif abs(z) > 30.0:
+        elif (abs(z) > 30.0 or abs(den_arg) > 171.0 or abs(y * math.log(h)) > 700.0
+              or not _TINY <= abs(top := h**y * gamma_fn(num_arg)) <= _HUGE):
             ln, sn = log_abs_gamma(num_arg)
             ld, sd = log_abs_gamma(den_arg)
             value = sn * sd * math.exp(y * math.log(h) + ln - ld)
-        else:
-            value = h**y * gamma_fn(num_arg) / gamma_fn(den_arg)
+        else:  # h^y, Gamma(x/h + 1 - y) and h^y Gamma(x/h + 1) are normal floats
+            value = top / gamma_fn(den_arg)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):

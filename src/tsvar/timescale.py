@@ -85,9 +85,9 @@ class TimeScale:
             raise ValueError("a time scale needs at least one point")
         # strictly increasing with finite ends means finite throughout; only
         # comparisons here, as inf - inf would warn
-        if not ((pts[1:] > pts[:-1]).all()
+        if not (np.count_nonzero(pts[1:] > pts[:-1]) == len(pts) - 1
                 and math.isfinite(pts[0]) and math.isfinite(pts[-1])):
-            if not np.isfinite(pts).all():
+            if np.count_nonzero(np.isfinite(pts)) < len(pts):
                 raise ValueError("time scale points must be finite")
             raise ValueError("time scale points must be strictly increasing")
         pts.setflags(write=False)
@@ -244,6 +244,31 @@ def geometric(q: float, kmin: int, kmax: int) -> TimeScale:
     return TimeScale(pts, kind=KIND_GEOMETRIC)
 
 
+def _explicit_rows(points: np.ndarray, counts: np.ndarray) -> list:
+    """``TimeScale(points[k, :counts[k]], kind="explicit")`` for every row k of a
+    block, its points checked in one array pass and then not again: the first
+    row with a point that is not finite, or a real gap that does not rise,
+    raises what its own constructor raises."""
+    real = np.arange(points.shape[1]) < counts[:, None]
+    ok = np.isfinite(points)
+    ok[:, 1:] &= points[:, 1:] > points[:, :-1]  # a comparison: NaN fails it, no warning
+    bad = (real & ~ok).any(axis=1) | (counts < 1)
+    if np.count_nonzero(bad):
+        k = int(bad.argmax())
+        TimeScale(points[k, :counts[k]], kind=KIND_EXPLICIT)
+    frozen = np.array(points, dtype=float)  # a copy no caller can alias, read-only
+    frozen.setflags(write=False)             # like each row view taken from it
+    scales = []
+    for row, n in zip(frozen, counts.tolist()):
+        ts = object.__new__(TimeScale)
+        object.__setattr__(ts, "points", row[:n])
+        object.__setattr__(ts, "kind", KIND_EXPLICIT)
+        object.__setattr__(ts, "step", None)
+        object.__setattr__(ts, "ratio", None)
+        scales.append(ts)
+    return scales
+
+
 def explicit(*points: float) -> TimeScale:
     """Scale from explicitly listed points (kind auto-detected)."""
     if len(points) == 1 and isinstance(points[0], (list, tuple, np.ndarray)):
@@ -260,7 +285,7 @@ class GridFunction:
 
     def __init__(self, scale: TimeScale, values: Sequence[float]):
         vals = np.asarray(values, dtype=float)
-        if vals.shape != (len(scale),):
+        if vals.shape != scale.points.shape:
             raise ValueError(
                 f"need {len(scale)} values for this scale, got shape {vals.shape}"
             )
@@ -388,11 +413,11 @@ def _diamond_sum(mu: np.ndarray, values: np.ndarray, alpha: float) -> float:
     """alpha * sum mu f(t) + (1-alpha) * sum mu f(sigma(t)) over a grid's gaps mu and
     values f; at alpha 1 or 0 the other sum, and the end value only it reads, stay out."""
     if 0.0 < alpha < 1.0:
-        return alpha * float(mu @ values[:-1]) + (1.0 - alpha) * float(mu @ values[1:])
+        return alpha * float(mu.dot(values[:-1])) + (1.0 - alpha) * float(mu.dot(values[1:]))
     if alpha == 1.0:
-        return float(mu @ values[:-1])
+        return float(mu.dot(values[:-1]))
     if alpha == 0.0:
-        return float(mu @ values[1:])
+        return float(mu.dot(values[1:]))
     raise InvalidAlpha(f"alpha = {alpha} must lie in [0, 1]")
 
 

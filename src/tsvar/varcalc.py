@@ -47,6 +47,7 @@ from .errors import (
 from .solvers import (
     SolverConfig,
     Tridiagonal,
+    _finite,
     adaptive_simpson,
     invert_integral,
     jacobi_eigh,
@@ -404,7 +405,7 @@ def solve_el(p: Union[VariationalProblem, HigherOrderProblem],
             x = np.linalg.solve(J, -r0)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"higher-order system: {exc}") from exc
-        if not np.isfinite(x).all():
+        if not _finite(x):
             raise SingularJacobian("higher-order system: non-finite solution")
         y = GridFunction(p.scale, x)
         return [ExtremalCandidate(
@@ -522,7 +523,7 @@ def sturm_liouville_first(ts: TimeScale, q_fn) -> tuple:
         d = 1.0 / np.sqrt(mu[:m])
         b_off = k_off * d[1:] * d[:-1]  # B = D^{-1/2} K D^{-1/2}, symmetric by construction
         B = Tridiagonal(b_off, k_diag * d * d, b_off)
-    if not (np.isfinite(B.diag).all() and np.isfinite(b_off).all()):
+    if not (_finite(B.diag) and _finite(b_off)):
         raise NonFinite("the Sturm-Liouville matrix is not finite (mu q overflows)")
     evals, vecs = jacobi_eigh(np.asarray(B))
     lam1 = float(evals[0])
@@ -548,7 +549,7 @@ def sturm_liouville_first(ts: TimeScale, q_fn) -> tuple:
 def _finite_values(ts: TimeScale, f, name: str) -> np.ndarray:
     """``timescale.values_on(ts, f)``, refusing values that are not finite."""
     values = values_on(ts, f)
-    if not np.isfinite(values).all():
+    if not _finite(values):
         raise NonFinite(f"{name} is not finite on the grid")
     return values
 
@@ -611,7 +612,8 @@ def direct_solve_exp(ts: TimeScale, phi, B: float) -> DirectResult:
     a, b = float(pts[0]), float(pts[-1])
     mu = np.diff(pts)
     log_phi = np.log(pv[:-1])
-    C = (float(mu @ log_phi) + B) / (b - a)
+    with np.errstate(over="ignore"):  # an integral of ln phi beyond the float range makes F inf
+        C = (float(mu @ log_phi) + B) / (b - a)
     F = _finite_functional(lambda: (b - a) * math.exp(C))
     cum = np.concatenate([[0.0], np.cumsum(mu * log_phi)])
     y = -cum + C * (pts - a)
@@ -631,7 +633,8 @@ def direct_solve_entropy(ts: TimeScale, phi, B: float) -> DirectResult:
     pts = ts.points
     a, b = float(pts[0]), float(pts[-1])
     mu = np.diff(pts)
-    C = (B + float(mu @ pv[:-1])) / (b - a)
+    with np.errstate(over="ignore"):  # an integral of phi beyond the float range makes F inf
+        C = (B + float(mu @ pv[:-1])) / (b - a)
     if not np.all(C > pv[:-1]):
         raise PreconditionViolated(
             f"(B + integral phi)/(b-a) = {C} must strictly exceed phi on T^kappa")

@@ -6,14 +6,16 @@ import contextlib
 import dataclasses
 import io
 import math
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tsvar import cli
+from tsvar import cli, inequalities
 from tsvar.solvers import SolverConfig
 
 
@@ -290,6 +292,28 @@ def test_ineq_check_builds_its_scales_without_kind_detection(monkeypatch, capsys
     assert capsys.readouterr().out.count("20/20 hold") == len(cli._SUITES)
 
 
+def test_ineq_check_makes_one_certifier_call_per_certifier_trial(monkeypatch, capsys):
+    # the calls the benchmark counts as inequalities.certify.calls on bounds
+    calls = dict.fromkeys(("jensen_certify", "holder_certify", "cauchy_schwarz_certify",
+                           "minkowski_certify"), 0)
+
+    def counting(name, certify):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return certify(*args, **kwargs)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(inequalities, name, counting(name, getattr(inequalities, name)))
+    assert run_cli(["ineq-check", "--suite", "all", "--trials", "1000", "--seed", "0"]) == 0
+    assert capsys.readouterr().out.count("1000/1000 hold") == len(cli._SUITES)
+    # cauchy_schwarz_certify enters holder_certify as well
+    assert calls == {"jensen_certify": 1000, "holder_certify": 2000,
+                     "cauchy_schwarz_certify": 1000, "minkowski_certify": 1000}
+    assert sum(calls.values()) == 5000
+
+
 @pytest.mark.parametrize("trials", ["-5", "0"])
 def test_ineq_check_without_trials_is_a_config_error(capsys, trials):
     # a suite of no trials certifies nothing; exit 1 would read as a failed run
@@ -550,3 +574,65 @@ def test_fuzzed_frac_solve_configs_exit_with_a_documented_code(text):
 @given(_configs(_VAR_FIELDS))
 def test_fuzzed_var_solve_configs_exit_with_a_documented_code(text):
     _run_fuzzed("var-solve", text)
+
+
+# Command-line fuzzing of `direct` and `sturm`: expressions from the dsl grammar
+# (t, the numbers below, the six functions, + - * / ^ and unary minus), a few
+# malformed ones, and scales and numbers with pathological entries.  The
+# contract is checked in-process: a documented exit code, no other exception,
+# no RuntimeWarning, and at exit 0 no number printed that is not finite.
+
+_NUMBERS = ("0", "1", "2", "0.5", "3.7", "1e-300", "1e300", "1e308")
+_FUNCTIONS = ("ln", "exp", "sin", "cos", "sqrt", "abs")
+_BROKEN = ("", "(((", "t +", "q", "1e400", "sin t", "2 ^", "()")
+
+
+def _expressions(leaves):
+    """dsl expressions over ``leaves``, or now and then a malformed one."""
+    def grow(inner):
+        return (st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
+                    lambda x: f"({x[0]}) {x[1]} ({x[2]})")
+                | st.tuples(st.sampled_from(_FUNCTIONS), inner).map(
+                    lambda x: f"{x[0]}({x[1]})")
+                | inner.map(lambda x: f"-{x}"))
+
+    return (st.recursive(st.sampled_from(leaves), grow, max_leaves=6)
+            | st.sampled_from(_BROKEN))
+
+
+_SCALES = ("uniform(0,5,1)", "uniform(0,1,0.1)", "uniform(0,1,0.5)", "uniform(1,2,0.25)",
+           "uniform(-1e308,1e308,1e308)", "uniform(0,1,0)", "uniform(0,inf,1)",
+           "geometric(1.5,0,8)", "geometric(2,0,4)", "geometric(2,-3,2)", "geometric(0.5,0,3)",
+           "points(0,1,3,4)", "points(0.5,1.5)", "points(-1e308,0,1e308)", "points(0,1,1e308)",
+           "points(0,nan,1)", "points(1,0)",
+           "points(7)", "nonsense")
+_NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+def _run_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)  # any exception but SystemExit fails the test
+    assert code in (0, 1, 2, 3), argv
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, (argv, runtime)
+    if code == 0:
+        assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+
+
+@given(st.sampled_from(("power", "exp", "entropy")), st.sampled_from(_SCALES),
+       _expressions(("t",) * 4 + ("u", "pi", "e") + _NUMBERS),
+       st.sampled_from(_NUMBERS + ("-1", "25", "1e40", "-1e308", "nan", "inf", "abc")),
+       st.sampled_from((None,) + _NUMBERS + ("-1", "nan", "inf")))
+def test_fuzzed_direct_runs_keep_the_error_contract(kind, scale, phi, B, alpha_exp):
+    argv = ["direct", "--kind", kind, "--scale", scale, "--phi", phi, "--B", B, "--no-csv"]
+    _run_contract(argv + ([] if alpha_exp is None else ["--alpha-exp", alpha_exp]))
+
+
+@given(st.sampled_from(_SCALES),
+       st.sampled_from(_NUMBERS + ("-1", "-1e308", "nan", "inf"))
+       | _expressions(("t",) * 4 + ("pi", "e") + _NUMBERS))
+def test_fuzzed_sturm_runs_keep_the_error_contract(scale, q):
+    _run_contract(["sturm", "--scale", scale, "--q", q, "--no-csv"])

@@ -597,6 +597,23 @@ def test_adaptive_simpson_refuses_a_non_finite_estimate():
         adaptive_simpson(lambda x: math.inf, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("scale, b", [(1e7, 0.8591409142295227), (1e7, 1.0), (1e300, 1.0)])
+def test_adaptive_simpson_stops_at_the_rounding_level_of_a_large_integral(scale, b):
+    # the absolute tolerance is below the rounding of these estimates, so without
+    # a stop there a piece may halve down to the width floor: [0, 0.859...] is
+    # where `tsvar direct --kind power --phi "1e7*exp(t)"` on uniform(0,1,0.5)
+    # with B = 1 and exponent 2 ran without end
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        if calls[0] > 10**5:
+            raise AssertionError("adaptive Simpson kept refining below the rounding level")
+        return scale * math.exp(x)
+
+    assert adaptive_simpson(f, 0.0, b) == pytest.approx(scale * math.expm1(b), rel=1e-14)
+
+
 def _cubic(x):  # G(x) = x^3 + x, the integral of g(x) = 3x^2 + 1 from 0
     return x ** 3 + x
 

@@ -187,6 +187,23 @@ def test_h_factorial_beyond_the_float_range_is_non_finite(x, y, h):
     with pytest.raises(NonFinite, match="not finite"):
         h_factorial(x, y, h)
 
+
+@pytest.mark.parametrize("x, y, h", [(0.0005, 200, 0.001), (5.0, -300, 1.0),
+                                     (0.0005, 170, 0.001), (0.0005, -120, 0.001)],
+                         ids=["gamma underflows", "gamma overflows",
+                              "h^y underflows", "h^y overflows"])
+def test_h_factorial_with_a_factor_beyond_the_float_range(x, y, h):
+    # |x/h| <= 30, but Gamma(x/h + 1 - y) or h^y leaves the float range while the
+    # quotient does not, or underflows to 0 (5! / 305!): the exact rational
+    # falling product (or its reciprocal) of the float x/h is the reference
+    z = Fraction(x / h)
+    terms = ([z - j for j in range(y)] if y > 0 else [1 / (z + 1 + j) for j in range(-y)])
+    expect = float(Fraction(h) ** y * math.prod(terms))
+    logs = abs(math.lgamma(x / h + 1.0)) + abs(math.lgamma(x / h + 1.0 - y)) + abs(y * math.log(h))
+    tol = 4 * np.finfo(float).eps * logs
+    assert h_factorial(x, float(y), h) == pytest.approx(expect, rel=tol, abs=0.0)
+
+
 def test_generalized_polynomial_first_orders():
     g = tsc.explicit(0.0, 1.0, 3.0, 4.0, 5.0)
     for t in g.points:

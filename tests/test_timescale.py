@@ -188,8 +188,7 @@ def _message(points, kind):
     return None
 
 
-@pytest.mark.parametrize("kind", ["auto", "explicit"])
-@pytest.mark.parametrize("points, message", [
+BAD_POINTS = [
     *(pytest.param(p, NOT_FINITE, id=f"{name}-{where}")
       for name, bad in [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]
       for where, p in [("first", [bad, 1.0, 2.0]), ("middle", [0.0, bad, 2.0]),
@@ -201,7 +200,11 @@ def _message(points, kind):
     pytest.param([0.0, 1.0, 1.0], NOT_INCREASING, id="repeated"),
     pytest.param([0.0, 2.0, 1.0], NOT_INCREASING, id="decreasing"),
     pytest.param([1.0, 1.0], NOT_INCREASING, id="two-equal"),
-])
+]
+
+
+@pytest.mark.parametrize("kind", ["auto", "explicit"])
+@pytest.mark.parametrize("points, message", BAD_POINTS)
 def test_constructor_message_for_each_bad_point(points, message, kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # comparisons only: inf - inf would warn
@@ -222,6 +225,71 @@ def test_constructor_accepts_exactly_the_points_the_old_check_accepts(points, or
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _message(points, kind) == _old_point_check(points)
+
+
+# ---------------------------------------------------------------------------
+# _explicit_rows: a block's scales, its points checked in one array pass
+
+
+def _block(rows, pad=math.nan):
+    """Rows of points as one block, each padded past its count with ``pad``."""
+    points = np.full((len(rows), max(map(len, rows)) + 2), pad)
+    for k, row in enumerate(rows):
+        points[k, :len(row)] = row
+    return points, np.array([len(row) for row in rows])
+
+
+def _block_message(rows, pad=math.nan):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # comparisons only, as in the row constructor
+        try:
+            ts._explicit_rows(*_block(rows, pad))
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("pad", [math.nan, -1.0])
+def test_block_constructor_gives_each_row_its_explicit_scale(pad):
+    rows = [[0.0, 0.5, 1.0, 1.5], [1.0, 2.0, 4.0], [-2.0, -1.9, 0.3, 0.31, 7.0], [3.0]]
+    points, counts = _block(rows, pad)
+    scales = ts._explicit_rows(points, counts)
+    points[:] = 0.0  # the scales own their points
+    assert len(scales) == len(rows)
+    for scale, row in zip(scales, rows):
+        expect = ts.TimeScale(row, kind="explicit")
+        assert scale == expect
+        assert scale.points.dtype == expect.points.dtype
+        assert scale.points.tobytes() == expect.points.tobytes()
+        assert (scale.kind, scale.step, scale.ratio) == ("explicit", None, None)
+        assert not scale.points.flags.writeable
+        with pytest.raises(AttributeError):
+            scale.kind = "uniform"
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+@pytest.mark.parametrize("points, message", BAD_POINTS)
+def test_block_constructor_message_for_each_bad_point(points, message, where):
+    rows = [[0.0, 0.5, 2.0]] * 3
+    rows[where] = points
+    assert _block_message(rows) == message
+
+
+def test_block_constructor_raises_for_the_first_bad_row():
+    rows = [[0.0, 1.0], [0.0, 2.0, 1.0], [0.0, math.nan]]
+    assert _block_message(rows) == NOT_INCREASING
+    assert _block_message(rows[:1] + rows[2:] + rows[1:2]) == NOT_FINITE
+    assert _block_message([[0.0, 1.0], []]) == "a time scale needs at least one point"
+
+
+@given(st.lists(st.lists(_point, min_size=1, max_size=6), min_size=1, max_size=5),
+       st.booleans(), st.sampled_from([math.nan, 0.0, math.inf]))
+def test_block_constructor_accepts_exactly_the_rows_the_row_constructor_accepts(
+        rows, order, pad):
+    if order:
+        rows = [sorted(row) for row in rows]  # mostly increasing
+    messages = [_message(row, "explicit") for row in rows]
+    assert _block_message(rows, pad) == next((m for m in messages if m), None)
 
 
 @pytest.mark.parametrize("points", [
