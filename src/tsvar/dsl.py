@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import weakref
 from dataclasses import dataclass
 from typing import Union
@@ -357,6 +358,8 @@ def _power(x, c, order: int) -> tuple:
 
 _TESTS = {"<": operator.lt, "<=": operator.le, "==": operator.eq}
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_UFUNCS = {"+": "_np.add", "-": "_np.subtract", "*": "_np.multiply", "/": "_np.divide"}
+_NAME = re.compile(r"\br\d+\b")  # a variable of the generated program
 
 
 def _is(x, c: float) -> bool:
@@ -377,11 +380,13 @@ class _Compiler:
     at run time.
     """
 
-    def __init__(self, order: int):
+    def __init__(self, order: int, value: bool = True):
         self.order = order
+        self.value = value
         self.lines = []
         self.consts = {}
         self.checked = set()
+        self.ufuncs = {}  # name -> (its line, that line as one ufunc call into ``out``)
 
     # -- operands ------------------------------------------------------------
 
@@ -392,13 +397,15 @@ class _Compiler:
         self.consts[name] = np.float64(x)
         return name
 
-    def emit(self, template: str, *args) -> str:
-        name = f"r{len(self.lines)}"
-        self.lines.append(f"{name} = " + template.format(*map(self.src, args)))
+    def emit(self, template: str, *args, ufunc: str = "") -> str:
+        name, srcs = f"r{len(self.lines)}", [self.src(x) for x in args]
+        if ufunc:
+            self.ufuncs[name] = (len(self.lines), f"{ufunc}({', '.join(srcs)}, out=out[{{}}, ...])")
+        self.lines.append(f"{name} = " + template.format(*srcs))
         return name
 
     def call(self, fn: str, x) -> str:
-        return self.emit(f"_np.{fn}({{}})", x)
+        return self.emit(f"_np.{fn}({{}})", x, ufunc=f"_np.{fn}")
 
     def check(self, x, op: str, message: str) -> None:
         """Raise DomainError at run time wherever ``x op 0`` holds."""
@@ -413,7 +420,7 @@ class _Compiler:
     def binary(self, op: str, a, b):
         if isinstance(a, float) and isinstance(b, float) and (op != "/" or b != 0.0):
             return _FOLD[op](a, b)
-        return self.emit(f"{{}} {op} {{}}", a, b)
+        return self.emit(f"{{}} {op} {{}}", a, b, ufunc=_UFUNCS[op])
 
     def add(self, a, b):
         if _is(a, 0.0) or _is(b, 0.0):
@@ -436,7 +443,7 @@ class _Compiler:
         return a if _is(b, 1.0) else self.binary("/", a, b)
 
     def neg(self, a):
-        return -a if isinstance(a, float) else self.emit("-{}", a)
+        return -a if isinstance(a, float) else self.emit("-{}", a, ufunc="_np.negative")
 
     def power(self, x, c: float):
         if c == 0.0 or c == 1.0:
@@ -559,8 +566,19 @@ class _Compiler:
     def compile(self, e: Expr):
         root = _fold(e, self.visit)
         n_rows = (1, 4, 10)[self.order]
-        body = self.lines + [f"out = _zeros(({n_rows},) + shape)"]
-        body += [f"out[{k}] = {self.src(x)}" for k, x in sorted(root.items())]
+        rows = {k: self.src(x) for k, x in sorted(root.items()) if k or self.value}
+        lines = self._live(rows)
+        # a row whose last operation is one ufunc, read nowhere else, is
+        # written in place: out[k, ...] is a view at 0-d shapes as well
+        texts = [self.lines[i] for i in lines] + list(rows.values())
+        reads = [name for text in texts for name in _NAME.findall(text)]
+        for k, x in list(rows.items()):
+            if x in self.ufuncs and reads.count(x) == 2:  # its own line's target, and row k
+                i, call = self.ufuncs[x]
+                self.lines[i] = call.format(k)
+                del rows[k]
+        body = [f"out = _zeros(({n_rows},) + shape)"] + [self.lines[i] for i in lines]
+        body += [f"out[{k}] = {x}" for k, x in rows.items()]
         source = "def program(t, u, v, w, shape):\n" + "".join(
             f"    {line}\n" for line in body) + "    return out\n"
         namespace = {"_np": np, "_zeros": np.zeros, "_count": np.count_nonzero,
@@ -568,16 +586,33 @@ class _Compiler:
         exec(compile(source, "<tsvar.dsl>", "exec"), namespace)
         run = namespace["program"]
         run.rows = tuple(None if isinstance(x, str) else x
-                         for x in (root.get(k, 0.0) for k in range(n_rows)))
+                         for x in (root.get(k, 0.0) if k or self.value else 0.0
+                                   for k in range(n_rows)))
         return run
 
+    def _live(self, rows: dict) -> list:
+        """Indices of the lines the program keeps, in order.  A program with
+        the value row keeps all; one without it drops each line that only the
+        value row reads, but keeps every line that can raise DomainError (the
+        checks and ``_power``) and every line those read."""
+        if self.value:
+            return list(range(len(self.lines)))
+        live = {name for x in rows.values() for name in _NAME.findall(x)}
+        kept = []
+        for i in reversed(range(len(self.lines))):
+            target, _, expr = self.lines[i].partition(" = ")
+            if target in live or target.startswith("if ") or "_power(" in expr:
+                live.update(_NAME.findall(expr or target))
+                kept.append(i)
+        return kept[::-1]
 
-# id(expression) -> its programs by order; an entry leaves with its expression.
-# Keying by the tree itself would hash it recursively on every lookup.
+
+# id(expression) -> its programs by (order, value); an entry leaves with its
+# expression.  Keying by the tree itself would hash it recursively on every lookup.
 _PROGRAMS = {}
 
 
-def program(e: Expr, order: int):
+def program(e: Expr, order: int, value: bool = True):
     """The compiled program of ``e`` at ``order`` (0, 1 or 2), built once.
 
     ``program(e, order)(t, u, v, w, shape)`` takes float arrays that broadcast
@@ -587,18 +622,27 @@ def program(e: Expr, order: int):
     caller that wants overflow to give inf silently, as they do, sets
     ``np.errstate(all="ignore")`` itself.
 
+    ``value=False`` (orders 1 and 2) gives the derivative-only program, for a
+    caller that never reads the value: its row 0 is 0.0, and it drops every
+    operation only the value reads.  Its other rows are the full program's,
+    bit for bit, and it keeps every domain check, so it raises DomainError at
+    exactly the same points.
+
     Its ``rows`` attribute tells, row by row and without evaluating, what the
     compiler knows: a float for a row that is the same at every point (0.0
     for a structurally zero row, one the program never writes; the compiler
     drops every other zero), None for a row that varies with (t, u, v, w).
     """
+    if not (value or order):
+        raise ValueError("an order-0 program is its value row")
     programs = _PROGRAMS.get(id(e))
     if programs is None:
-        programs = _PROGRAMS[id(e)] = [None, None, None]
+        programs = _PROGRAMS[id(e)] = {}
         weakref.finalize(e, _PROGRAMS.pop, id(e), None)
-    if programs[order] is None:
-        programs[order] = _Compiler(order).compile(e)
-    return programs[order]
+    run = programs.get((order, value))
+    if run is None:
+        run = programs[order, value] = _Compiler(order, value).compile(e)
+    return run
 
 
 def _run(e: Expr, order: int, t, u, v, w) -> np.ndarray:

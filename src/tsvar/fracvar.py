@@ -22,6 +22,10 @@ Gamma(x + 1) = x Gamma(x).  The tests cross-check both against the textbook
 kernels.
 The solver's Newton pair and candidate reports come from ``varcalc``'s
 ``newton_pair`` and ``extremal_candidates``, shared with the classical solvers.
+Its maps y -> (u, v, w) are one (3, m, N) array A, component by component:
+the residual reads A's unknown columns and the gradient rows as views, and
+the Jacobian adds A_a^T diag(L_ab) A_b, per varying Hessian entry, to the
+constant part formed once per solve.
 """
 
 from __future__ import annotations
@@ -349,68 +353,87 @@ def legendre_frac_check(p: FracProblem, y: GridFunction) -> LegendreReport:
 
 def _newton_maps(structure, p: FracProblem, lo: int, hi: int):
     """(A, residual_of, jacobian_of) for the fractional system with unknowns
-    y_lo .. y_{hi-1}: A, of shape (m, 3, N), stacks the maps y -> (u, v, w)
-    point by point (u_j = y_{j+1}, v and w from _diff_maps); the other two
-    are ``newton_pair``'s maps of the jet rows ``rows[0]``.
+    y_lo .. y_{hi-1}: A, of shape (3, m, N), holds the maps y -> u, v and w
+    component by component (u_j = y_{j+1}, v and w from _diff_maps); the
+    other two are ``newton_pair``'s maps of the jet rows ``rows[0]``.
 
     As h * residual is the gradient of the functional, the system has one row
     per unknown, in their order: each applies the unknown's column of A to
     the partials (L_u, L_v, L_w), a free end's row (the first at a free left
-    end, the last at a free right end) times h; J is those rows .
-    blockdiag(per-point Hessians) . A's unknown columns.  ``structure``, the
-    ``rows`` of ``dsl.program(L, 2)``, reads a float for a row that is
-    constant and None for one that varies.  Where a Hessian entry other than
-    L_uu varies, both maps apply the stacked row matrix C, its free-end rows
-    from ``_natural_bc_rows``.  Otherwise J is K, the constant entries' part
-    formed here once into one n x n buffer, plus L_uu written on the diagonal
-    where u_q = y_{q+1} enters (coefficient 1, h on a free right end's row).
-    Every call returns that buffer: a returned Jacobian is valid until the
-    next call.
+    end, the last at a free right end) times h.  The residual is one product
+    of two views, A's unknown columns and the gradient rows.  J is the sum
+    over the Hessian entries (a, b) of A_a^T . diag(L_ab) . A_b on the
+    unknown columns, its free-end rows times h.  ``structure``, the ``rows``
+    of ``dsl.program(L, 2)``, reads a float for a row that is constant and
+    None for one that varies.  K, the constant entries' part, is formed here
+    once; a varying L_uu is written on the diagonal where u_q = y_{q+1}
+    enters (coefficient 1, h on a free right end's row), and each other
+    varying entry adds its product through buffers allocated here once.
+    Every call returns the one J buffer: a returned Jacobian is valid until
+    the next call.
     """
     h, N = p.grid.h, p.grid.n_steps + 1
     m, n = N - 1, hi - lo
     hessian = 4 + HESS_INDEX  # rows of the jet holding each Hessian entry
-    product = None in structure[5:]
-    # J shares A's allocation: as two blocks, they and a threaded OpenBLAS's
-    # level-3 work buffer outgrow the heap top that glibc keeps mapped (twice
-    # the largest block it has unmapped), and each solve faults it in again
-    block = np.zeros(3 * m * N + (0 if product else n * n))
-    A = block[:3 * m * N].reshape(m, 3, N)
-    A[np.arange(m), 0, np.arange(1, N)] = 1.0
-    _diff_maps(p.orders.alpha, p.orders.beta, h, N, out=(A[:, 1], A[:, 2]))
+    varying = [(a, b, k) for (a, b), k in np.ndenumerate(hessian)
+               if k > 4 and structure[k] is None]
+    constant = any(structure[4:])  # a nonzero constant; a varying entry reads None
+    # one allocation for A and every buffer: as separate blocks, they and a
+    # threaded OpenBLAS's level-3 work buffer outgrow the heap top that glibc
+    # keeps mapped (twice the largest block it has unmapped), and each solve
+    # faults them in again
+    # (A, J, K, T the scaled columns of one product, P a second product)
+    shapes = ((3, m, N), (n, n), (n if varying and constant else 0, n),
+              (m if varying else 0, n), (n if len(varying) > 1 else 0, n))
+    sizes = [math.prod(shape) for shape in shapes]
+    A, J, K, T, P = (part.reshape(shape) for part, shape in
+                     zip(np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1]), shapes))
+    A[0, np.arange(m), np.arange(1, N)] = 1.0
+    _diff_maps(p.orders.alpha, p.orders.beta, h, N, out=(A[1], A[2]))
     A_unknown = A[:, :, lo:hi]
-    if product:
-        left, right = ([] if row is None else [np.stack(row, axis=1).ravel()]
-                       for row in _natural_bc_rows(p))
-        C = A.reshape(3 * m, N)[:, 1:N - 1].T
-        C = np.vstack([*left, C, *right]) if left or right else C
-        at = hessian[None] * m + np.arange(m)[:, None, None]  # rows[0][hessian, j], flat
-        return (A, lambda x, rows: C @ rows[0][1:4].T.ravel(),
-                lambda x, rows: C @ (rows[0].take(at) @ A_unknown).reshape(3 * m, n))
-    R = A_unknown.reshape(3 * m, n).T
-    row_scale = np.ones(n)
-    row_scale[[i for i, end in ((0, p.A), (n - 1, p.B)) if end is None]] = h
+    R = A_unknown.reshape(3 * m, n).T  # a view: A's component axis and point axis merge
+    free = [i for i, end in ((0, p.A), (n - 1, p.B)) if end is None]
 
     def residual_of(x, rows):
-        r = R @ rows[0][1:4].T.ravel()
-        r *= row_scale
+        r = R @ rows[0][1:4].reshape(-1)
+        for i in free:
+            r[i] *= h
         return r
 
-    J, term = block[3 * m * N:].reshape(n, n), np.empty((n, n))
-    for (a, b), k in np.ndenumerate(hessian):
-        if structure[k]:  # a nonzero constant; a varying L_uu reads None
-            np.matmul(A_unknown[:, a].T, A_unknown[:, b], out=term)
-            term *= structure[k]
-            J += term
-    J *= row_scale[:, None]
-    if structure[4] is not None:
-        return A, residual_of, lambda x, rows: J
+    row_scale = np.ones(n)
+    row_scale[free] = h
+    if constant:
+        # K is J itself where nothing besides L_uu varies
+        K, term = (K, J) if varying else (J, np.empty((n, n)))
+        for (a, b), k in np.ndenumerate(hessian):
+            if structure[k]:
+                np.matmul(A_unknown[a].T, A_unknown[b], out=term)
+                term *= structure[k]
+                K += term
+        K *= row_scale[:, None]
     # the diagonal from the row of y_1: L_uu[q] at u_q = y_{q+1}, row q + 1 - lo
     diagonal = J.reshape(-1)[(1 - lo) * (n + 1)::n + 1]
     K_diagonal, coef = diagonal.copy(), row_scale[1 - lo:]
 
+    # each varying entry (a, b) but L_uu: (A_a^T, A_b, its jet row), as views
+    products = [(A_unknown[a].T, A_unknown[b], k) for a, b, k in varying]
+    free_rows = [J[i] for i in free]
+    uu_varies = structure[4] is None
+
     def jacobian_of(x, rows):
-        diagonal[:] = K_diagonal + coef * rows[0][4, :coef.size]
+        for i, (left, right, k) in enumerate(products):
+            np.multiply(rows[0][k, :, None], right, out=T)
+            np.matmul(left, T, out=P if i else J)
+            if i:
+                np.add(J, P, out=J)
+        if products:
+            for row in free_rows:
+                row *= h
+            if constant:
+                np.add(J, K, out=J)
+        if uu_varies:
+            np.add(diagonal if products else K_diagonal, coef * rows[0][4, :coef.size],
+                   out=diagonal)
         return J
 
     return A, residual_of, jacobian_of
@@ -438,14 +461,14 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
         full[lo:hi] = x
         return full.copy()
 
-    # A stacks the maps y -> (u, v, w) point by point.  Since h * residual is
-    # the gradient of the functional, the system's rows are A's columns read
-    # transposed, with the free-end rows scaled by h; _newton_maps builds A
-    # and both maps by the Lagrangian's structure
+    # A holds the maps y -> u, v and w.  Since h * residual is the gradient
+    # of the functional, the system's rows are A's columns read transposed,
+    # with the free-end rows scaled by h; _newton_maps builds A and both maps
+    # by the Lagrangian's structure
     A, residual_of, jacobian_of = _newton_maps(program(p.L, 2).rows, p, lo, hi)
     A = A.reshape(3 * m, N)
     uvw = np.empty(3 * m)
-    args = (pts[:-1], *uvw.reshape(m, 3).T)  # views, built once, of the buffer each call fills
+    args = (pts[:-1], *uvw.reshape(3, m))  # contiguous views of the buffer each call fills
 
     def arguments(x):
         full[lo:hi] = x

@@ -6,9 +6,10 @@ Newton solves a dense Jacobian with LAPACK's gesv, through the gufunc that
 classical Euler-Lagrange system costs linear time and memory in the grid
 size.  ``newton_solve`` sets one ``np.errstate(all="ignore")`` per solve.
 Its finiteness checks (the residual at the start, each Jacobian and step)
-count the finite entries with ``np.count_nonzero``, which runs in C, where
-``ndarray.all`` goes through numpy's Python-level reductions: on the 3 to
-12 entries of a small system the check takes half the time.
+count the finite entries with numpy's C ``count_nonzero``, without the
+Python wrapper ``np.count_nonzero`` adds, where ``ndarray.all`` goes
+through numpy's Python-level reductions: on the 3 to 12 entries of a small
+system the check takes a fraction of the time.
 Solvers that stay dense refuse grids of more than ``MAX_DENSE_POINTS``
 points before they allocate.
 The symmetric eigenproblem goes to LAPACK through ``np.linalg.eigh``.
@@ -24,6 +25,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+try:  # np.count_nonzero's C function, without the Python wrapper around it
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # numpy < 2
+    _count_nonzero = np.count_nonzero
 
 from .errors import (
     DomainError,
@@ -45,9 +51,13 @@ DEDUP_TOL = 1e-6
 # newton_solve's limits: Newton iterations per solve, step halvings per iteration
 MAX_ITER = 200
 MAX_HALVINGS = 30
-# adaptive_simpson's limits: the error tolerance on the whole interval, halving depth
+# adaptive_simpson's limits: the error tolerance on the whole interval, halving
+# depth, evaluations of the integrand per call (the most the test suite or
+# `tsvar repro all` needs is 40,301, for 1/sqrt(x) on (0, 1]; unbounded, a
+# pole such as 1/(x - 0.30000001) on [0, 1] takes 185,069 and returns -10.27)
 SIMPSON_TOL = 1e-10
 SIMPSON_MAX_DEPTH = 50
+SIMPSON_MAX_EVALS = 100_000
 _EPS = sys.float_info.epsilon
 
 
@@ -180,7 +190,7 @@ def tikhonov_tridiagonal(T: Tridiagonal, r: np.ndarray, tau: float) -> np.ndarra
 
 def _finite(a: np.ndarray) -> bool:
     """True when every entry of ``a`` is finite."""
-    return np.count_nonzero(np.isfinite(a)) == a.size
+    return _count_nonzero(np.isfinite(a)) == a.size
 
 
 def _dense_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -340,15 +350,22 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Simpson integration of a smooth scalar function.
 
     Raises NonFinite at the first estimate that is not finite, QuadratureFailure
-    where SIMPSON_TOL is not met within SIMPSON_MAX_DEPTH halvings.
+    where SIMPSON_TOL is not met within SIMPSON_MAX_DEPTH halvings or
+    SIMPSON_MAX_EVALS evaluations of f.
     """
     if a == b:
         return 0.0
+    evals = 3
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
     def rec(x0, x2, f0, f1, f2, whole, eps, depth):
+        nonlocal evals
+        evals += 2
+        if evals > SIMPSON_MAX_EVALS:
+            raise QuadratureFailure(f"adaptive Simpson needs more than {SIMPSON_MAX_EVALS} "
+                                    f"evaluations on [{a}, {b}]")
         xm = 0.5 * (x0 + x2)
         xl = 0.5 * (x0 + xm)
         xr = 0.5 * (xm + x2)

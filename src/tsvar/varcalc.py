@@ -330,13 +330,18 @@ def newton_pair(exprs: Sequence[Expr], arguments: Callable,
     arguments, and a Jacobian, may be views of a per-solve buffer, valid
     until the next call (the fractional solver's are).  The residual runs
     each order-2 program once per point and keeps the rows (it runs order 1
-    and keeps none where a Hessian raises DomainError).  Newton
+    and keeps none where a Hessian raises DomainError).  The first
+    expression is the Lagrangian, whose value no stationarity row reads: its
+    programs are the derivative-only ones (``value=False``, row 0 reads 0.0),
+    which raise DomainError where the full ones do; any further expression
+    (a constraint) runs in full.  Newton
     asks for the Jacobian only at the very x object of its latest successful
     residual call, so ``jets(x)``, and the Jacobian with it, reads the kept
     rows there and evaluates afresh elsewhere.  The programs run under the
     caller's ``np.errstate``, which newton_solve sets.
     """
-    jet2, jet1 = [program(e, 2) for e in exprs], [program(e, 1) for e in exprs]
+    jet2, jet1 = ([program(e, order, value=i > 0) for i, e in enumerate(exprs)]
+                  for order in (2, 1))
     kept = [None, None]  # [x, rows at x]
 
     def evaluate(programs, args):

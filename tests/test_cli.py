@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dsl_expressions import LAGRANGIAN_LEAVES, NUMBERS, expressions
 from tsvar import cli, inequalities
 from tsvar.solvers import SolverConfig
 
@@ -446,6 +447,17 @@ def test_direct_with_overflowing_phi_is_a_config_error(kind, capsys):
     assert err.startswith("config error:") and "not finite" in err
 
 
+def test_direct_power_with_a_pole_in_phi_is_a_config_error(capsys):
+    # phi's integral over [0, B] diverges at t = 0.30000001: the quadrature
+    # runs out of evaluations instead of returning a finite value
+    argv = ["direct", "--kind", "power", "--scale", "uniform(0,1,0.25)",
+            "--phi", "(t - 0.30000001)^-2", "--B", "1", "--alpha-exp", "2", "--no-csv"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: adaptive Simpson needs more than")
+    assert captured.out == ""
+
+
 def test_sturm_with_overflowing_potential_is_a_config_error(capsys):
     argv = ["sturm", "--scale", "uniform(0,1,0.1)", "--q", "exp(1000*t)", "--no-csv"]
     assert run_cli(argv) == 2
@@ -507,6 +519,12 @@ def _field(base, *others):
     return base, st.sampled_from(others) | st.sampled_from(_TRAPS)
 
 
+def _lagrangian_field(base, *others):
+    """A Lagrangian's field: the tokens given, traps, or any dsl expression."""
+    base, drawn = _field(base, *others)
+    return base, drawn | expressions(LAGRANGIAN_LEAVES)
+
+
 _SOLVER_FIELDS = {
     ("solver", "starts"): _field("3", "1", "0", "-1", "2.5", "1e8", "1e30"),
     ("solver", "seed"): _field("0", "7", "-1", "2.5", "1e30"),
@@ -523,7 +541,7 @@ _FRAC_FIELDS = {
     ("scale", "h"): _field("0.25", "1/3", "0.5", "0", "-0.25", "1e-300", "1e-6"),
     ("problem", "alpha"): _field("0.8", "1", "0.3", "0", "-0.5", "1.5", "1e-300"),
     ("problem", "beta"): _field("0.5", "1", "0", "2"),
-    ("problem", "lagrangian"): _field("0.5*v^2 - u", *_LAGRANGIANS),
+    ("problem", "lagrangian"): _lagrangian_field("0.5*v^2 - u", *_LAGRANGIANS),
     ("problem", "a"): _field("0", "1", "1e308"),
     ("problem", "b"): _field("0", "1", "-1e308"),
     **_SOLVER_FIELDS,
@@ -534,7 +552,7 @@ _VAR_FIELDS = {
         "uniform(0, 1, 1e-300)", "uniform(1, 2)", "geometric(2, 0, 4)", "geometric(0.5, 0, 3)",
         "geometric(inf, 0, 3)", "geometric(2, 0, 1e400)", "geometric(2, 0, 2000)",
         "points(0, 1, 3, 4)", "points(0, nan, 1)", "points(1, 0)", "points()", "nonsense"),
-    ("problem", "lagrangian"): _field("v^2", *_LAGRANGIANS),
+    ("problem", "lagrangian"): _lagrangian_field("v^2", *_LAGRANGIANS),
     ("problem", "a"): _field("0", "1", "1e308"),
     ("problem", "b"): _field("1", "0", "-1e308"),
     ("problem", "g"): _field(None, "u", "v^2", "ln(u)", "0*u", "u +"),
@@ -556,14 +574,11 @@ def _configs(draw, fields):
 
 
 def _run_fuzzed(command, text):
-    err = io.StringIO()
+    """The contract of the `direct` and `sturm` fuzz tests, on a config file."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "fuzz.ini"
         config.write_text(text)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run_cli([command, "--config", str(config), "--no-csv"])
-    assert code in (0, 1, 2, 3), text
-    assert "Traceback" not in err.getvalue(), text
+        _run_contract([command, "--config", str(config), "--no-csv"], text)
 
 
 @given(_configs(_FRAC_FIELDS))
@@ -577,28 +592,10 @@ def test_fuzzed_var_solve_configs_exit_with_a_documented_code(text):
 
 
 # Command-line fuzzing of `direct` and `sturm`: expressions from the dsl grammar
-# (t, the numbers below, the six functions, + - * / ^ and unary minus), a few
-# malformed ones, and scales and numbers with pathological entries.  The
-# contract is checked in-process: a documented exit code, no other exception,
-# no RuntimeWarning, and at exit 0 no number printed that is not finite.
-
-_NUMBERS = ("0", "1", "2", "0.5", "3.7", "1e-300", "1e300", "1e308")
-_FUNCTIONS = ("ln", "exp", "sin", "cos", "sqrt", "abs")
-_BROKEN = ("", "(((", "t +", "q", "1e400", "sin t", "2 ^", "()")
-
-
-def _expressions(leaves):
-    """dsl expressions over ``leaves``, or now and then a malformed one."""
-    def grow(inner):
-        return (st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
-                    lambda x: f"({x[0]}) {x[1]} ({x[2]})")
-                | st.tuples(st.sampled_from(_FUNCTIONS), inner).map(
-                    lambda x: f"{x[0]}({x[1]})")
-                | inner.map(lambda x: f"-{x}"))
-
-    return (st.recursive(st.sampled_from(leaves), grow, max_leaves=6)
-            | st.sampled_from(_BROKEN))
-
+# (t and the numbers of dsl_expressions), a few malformed ones, and scales and
+# numbers with pathological entries.  The contract is checked in-process: a
+# documented exit code, no other exception, no RuntimeWarning, and at exit 0
+# no number printed that is not finite.
 
 _SCALES = ("uniform(0,5,1)", "uniform(0,1,0.1)", "uniform(0,1,0.5)", "uniform(1,2,0.25)",
            "uniform(-1e308,1e308,1e308)", "uniform(0,1,0)", "uniform(0,inf,1)",
@@ -609,30 +606,34 @@ _SCALES = ("uniform(0,5,1)", "uniform(0,1,0.1)", "uniform(0,1,0.5)", "uniform(1,
 _NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
 
-def _run_contract(argv):
+def _run_contract(argv, context=None):
+    """A documented exit code, no other exception, no RuntimeWarning, and at
+    exit 0 no number printed that is not finite; failures show ``context``
+    (argv by default)."""
+    context = argv if context is None else context
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run_cli(argv)  # any exception but SystemExit fails the test
-    assert code in (0, 1, 2, 3), argv
+    assert code in (0, 1, 2, 3), context
     runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not runtime, (argv, runtime)
+    assert not runtime, (context, runtime)
     if code == 0:
-        assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+        assert not _NON_FINITE.search(out.getvalue()), (context, out.getvalue())
 
 
 @given(st.sampled_from(("power", "exp", "entropy")), st.sampled_from(_SCALES),
-       _expressions(("t",) * 4 + ("u", "pi", "e") + _NUMBERS),
-       st.sampled_from(_NUMBERS + ("-1", "25", "1e40", "-1e308", "nan", "inf", "abc")),
-       st.sampled_from((None,) + _NUMBERS + ("-1", "nan", "inf")))
+       expressions(("t",) * 4 + ("u", "pi", "e") + NUMBERS),
+       st.sampled_from(NUMBERS + ("-1", "25", "1e40", "-1e308", "nan", "inf", "abc")),
+       st.sampled_from((None,) + NUMBERS + ("-1", "nan", "inf")))
 def test_fuzzed_direct_runs_keep_the_error_contract(kind, scale, phi, B, alpha_exp):
     argv = ["direct", "--kind", kind, "--scale", scale, "--phi", phi, "--B", B, "--no-csv"]
     _run_contract(argv + ([] if alpha_exp is None else ["--alpha-exp", alpha_exp]))
 
 
 @given(st.sampled_from(_SCALES),
-       st.sampled_from(_NUMBERS + ("-1", "-1e308", "nan", "inf"))
-       | _expressions(("t",) * 4 + ("pi", "e") + _NUMBERS))
+       st.sampled_from(NUMBERS + ("-1", "-1e308", "nan", "inf"))
+       | expressions(("t",) * 4 + ("pi", "e") + NUMBERS))
 def test_fuzzed_sturm_runs_keep_the_error_contract(scale, q):
     _run_contract(["sturm", "--scale", scale, "--q", q, "--no-csv"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dsl_expressions import LAGRANGIAN_LEAVES, expressions
 from tsvar import dsl
 from tsvar.errors import DomainError, ExprSyntaxError
 
@@ -296,6 +297,55 @@ def test_program_rows_of_a_lagrangian_with_t_in_its_hessian():
     rows = dsl.program(dsl.parse("t*v^2 + u^2"), 2).rows
     # value, L_u, L_v, L_w; then uu, uv, uw, vv = 2t, vw, ww
     assert rows == (None, None, None, 0.0, 2.0, 0.0, 0.0, None, 0.0, 0.0)
+
+
+def _outcome(run, args, shape):
+    """The rows of ``run`` at the points ``args``, or its DomainError's message."""
+    try:
+        with np.errstate(all="ignore"):
+            return run(*args, shape)
+    except DomainError as exc:
+        return str(exc)
+
+
+# values that reach every domain rule: zero, negative, fractional, huge
+_POINTS = st.sampled_from((0.0, -1.0, -0.5, 0.3, 1.0, 2.0, 1e300))
+
+
+@given(expressions(LAGRANGIAN_LEAVES, broken=()), st.sampled_from([(), (3,)]), st.data())
+def test_derivative_only_program_matches_the_full_one(text, shape, data):
+    # rows 1-9 bit for bit and DomainError at the same points, with the
+    # same message, at orders 1 and 2, at 0-d and at array shapes
+    e = dsl.parse(text)
+    point = st.lists(_POINTS, min_size=3, max_size=3) if shape else _POINTS
+    args = [np.array(data.draw(point)) for _ in range(4)]
+    for order in (1, 2):
+        full = _outcome(dsl.program(e, order), args, shape)
+        derivatives = _outcome(dsl.program(e, order, value=False), args, shape)
+        if isinstance(full, str):
+            assert derivatives == full
+        else:
+            assert derivatives.shape == full.shape == ((4, 10)[order - 1],) + shape
+            assert np.array_equal(derivatives[1:], full[1:], equal_nan=True)
+            assert np.all(derivatives[0] == 0.0)
+
+
+def test_derivative_only_program_drops_the_value_but_no_domain_check():
+    e = dsl.parse("v^3 + exp(w) + ln(u)")
+    full, derivatives = dsl.program(e, 2), dsl.program(e, 2, value=False)
+    assert derivatives is dsl.program(e, 2, value=False)  # compiled once
+    assert derivatives is not full
+    assert derivatives.rows == (0.0,) + full.rows[1:]
+    args = [np.array([0.5, 1.5])] * 4
+    assert np.array_equal(derivatives(*args, (2,))[1:], full(*args, (2,))[1:])
+    with pytest.raises(DomainError, match="ln of non-positive value"):
+        derivatives(np.zeros(2), np.zeros(2), np.ones(2), np.ones(2), (2,))
+    # (t - 2)^t only feeds the value row, but its run-time rules still apply
+    power = dsl.program(dsl.parse("(t - 2)^t + v^2"), 2, value=False)
+    with pytest.raises(DomainError, match="negative base with non-integer exponent"):
+        power(np.array([0.5, 3.0]), *[np.ones(2)] * 3, (2,))
+    with pytest.raises(ValueError):
+        dsl.program(e, 0, value=False)
 
 
 def test_hessian_index_map_places_every_pair_of_gradient_rows():

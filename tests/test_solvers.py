@@ -570,6 +570,20 @@ def test_adaptive_simpson_handles_mild_singularity():
     assert val == pytest.approx(2.0, abs=5e-4)
 
 
+def test_adaptive_simpson_refuses_a_pole_past_its_evaluation_budget():
+    # 1/(x - c) is not integrable across c; unbounded, the refinement near the
+    # pole takes 185,069 evaluations and returns -10.27
+    calls = [0]
+
+    def pole(x):
+        calls[0] += 1
+        return 1.0 / (x - 0.30000001)
+
+    with pytest.raises(QuadratureFailure, match="evaluations"):
+        adaptive_simpson(pole, 0.0, 1.0)
+    assert calls[0] <= solvers.SIMPSON_MAX_EVALS
+
+
 def test_adaptive_simpson_depth_limit(monkeypatch):
     def nasty(x):
         return 1.0 if x < 0.5 else -1.0  # jump keeps refinement alive

@@ -631,8 +631,9 @@ def test_isoperimetric_1001_point_solve_peaks_under_20_mib():
 def _solve_counting_runs(monkeypatch, module, solve):
     """solve()'s result, and calls[(name, where)] with where "inside" or
     "outside" multi_start, for name "_run" (the eval_* wrapper), "program"
-    (runs of the programs newton_pair compiled) and "residual" (Newton's
-    residual calls)."""
+    (runs of the programs newton_pair compiled), "full" and "derivatives"
+    (the programs it asked for, with and without the value row) and
+    "residual" (Newton's residual calls)."""
     calls = Counter()
     where = ["outside"]
 
@@ -651,9 +652,12 @@ def _solve_counting_runs(monkeypatch, module, solve):
         finally:
             where[0] = "outside"
 
+    def program(e, order, value=True):
+        calls["full" if value else "derivatives", where[0]] += 1
+        return counted("program", real_program(e, order, value=value))
+
     monkeypatch.setattr(dsl, "_run", counted("_run", dsl._run))
-    monkeypatch.setattr(varcalc, "program",
-                        lambda e, order: counted("program", real_program(e, order)))
+    monkeypatch.setattr(varcalc, "program", program)
     monkeypatch.setattr(module, "multi_start", inside)
     return solve(), calls
 
@@ -673,12 +677,15 @@ def _solve_counting_runs(monkeypatch, module, solve):
 def test_newton_loop_runs_each_lagrangian_once_per_residual_call(monkeypatch, module, solve,
                                                                  lagrangians):
     # inside multi_start the residual runs each compiled program once and the
-    # Jacobian reads the rows it kept, never the eval_* wrapper
+    # Jacobian reads the rows it kept, never the eval_* wrapper; L, whose
+    # value no row reads, runs without its value row (orders 2 and 1)
     result, calls = _solve_counting_runs(monkeypatch, module, solve)
     assert result
     assert calls["_run", "inside"] == 0
     assert calls["residual", "inside"] > 0
     assert calls["program", "inside"] == lagrangians * calls["residual", "inside"]
+    assert calls["derivatives", "outside"] == 2
+    assert calls["full", "outside"] == 2 * (lagrangians - 1)
 
 
 def test_repeated_isoperimetric_solve_compiles_no_program(monkeypatch):
