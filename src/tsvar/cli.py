@@ -248,12 +248,25 @@ def cmd_var_solve(args) -> RunReport:
                      rows=candidates, elapsed=elapsed)
 
 
+def _function_of_t(e: dsl.Expr):
+    """t -> ``dsl.eval_value(e, t)``, bit for bit, with ``e`` compiled once:
+    its order-0 program runs on the 0-d arguments eval_value would make,
+    under the same errstate, without eval_value's per-call set-up."""
+    run, zero = dsl.program(e, 0), np.zeros(())
+
+    def f(t) -> float:
+        with np.errstate(all="ignore"):  # overflow gives inf, as in eval_value
+            return float(run(np.asarray(t, dtype=float), zero, zero, zero, ())[0])
+
+    return f
+
+
 def cmd_direct(args) -> RunReport:
     scale = _parse_scale(args.scale)
-    phi_expr = _parse_lagrangian(args.phi)
+    phi_of_t = _function_of_t(_parse_lagrangian(args.phi))
 
     def phi(t: float) -> float:
-        value = dsl.eval_value(phi_expr, t)
+        value = phi_of_t(t)
         if not math.isfinite(value):
             raise NonFinite(f"phi({float(t)!r}) = {value!r} is not finite")
         return value
@@ -280,8 +293,7 @@ def cmd_sturm(args) -> RunReport:
     try:
         q = float(args.q)
     except ValueError:
-        q_expr = _parse_lagrangian(args.q)
-        q = lambda t: dsl.eval_value(q_expr, t)  # noqa: E731
+        q = _function_of_t(_parse_lagrangian(args.q))
     lam, y1 = varcalc.sturm_liouville_first(scale, q)
     print(f"lambda_1 = {lam!r}")
     if args.csv:

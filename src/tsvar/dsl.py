@@ -566,7 +566,10 @@ class _Compiler:
     def compile(self, e: Expr):
         root = _fold(e, self.visit)
         n_rows = (1, 4, 10)[self.order]
-        rows = {k: self.src(x) for k, x in sorted(root.items()) if k or self.value}
+        rows = {k: x for k, x in sorted(root.items()) if k or self.value}
+        # a constant row is written once, where the program allocates ``out``
+        fixed = [f"    out[{k}] = {self.src(x)}" for k, x in rows.items() if isinstance(x, float)]
+        rows = {k: x for k, x in rows.items() if isinstance(x, str)}
         lines = self._live(rows)
         # a row whose last operation is one ufunc, read nowhere else, is
         # written in place: out[k, ...] is a view at 0-d shapes as well
@@ -577,9 +580,9 @@ class _Compiler:
                 i, call = self.ufuncs[x]
                 self.lines[i] = call.format(k)
                 del rows[k]
-        body = [f"out = _zeros(({n_rows},) + shape)"] + [self.lines[i] for i in lines]
-        body += [f"out[{k}] = {x}" for k, x in rows.items()]
-        source = "def program(t, u, v, w, shape):\n" + "".join(
+        body = ["if out is None:", f"    out = _zeros(({n_rows},) + shape)", *fixed]
+        body += [self.lines[i] for i in lines] + [f"out[{k}] = {x}" for k, x in rows.items()]
+        source = "def program(t, u, v, w, shape, out=None):\n" + "".join(
             f"    {line}\n" for line in body) + "    return out\n"
         namespace = {"_np": np, "_zeros": np.zeros, "_count": np.count_nonzero,
                      "_fail": _fail, "_power": _power, **self.consts}
@@ -632,6 +635,14 @@ def program(e: Expr, order: int, value: bool = True):
     compiler knows: a float for a row that is the same at every point (0.0
     for a structurally zero row, one the program never writes; the compiler
     drops every other zero), None for a row that varies with (t, u, v, w).
+
+    ``program(e, order)(t, u, v, w, shape, out)`` runs into ``out``, the
+    array an earlier run of the same program returned, and returns it.  The
+    program writes the constant rows only where it allocates its array, so
+    given ``out`` it rewrites just the varying rows (None in ``rows``), with
+    the bits a fresh array gets, and the other rows keep what they hold.  A
+    run that raises DomainError leaves some varying rows of ``out`` half
+    written; the next run that returns rewrites them all.
     """
     if not (value or order):
         raise ValueError("an order-0 program is its value row")

@@ -370,7 +370,10 @@ def _newton_maps(structure, p: FracProblem, lo: int, hi: int):
     enters (coefficient 1, h on a free right end's row), and each other
     varying entry adds its product through buffers allocated here once.
     Every call returns the one J buffer: a returned Jacobian is valid until
-    the next call.
+    the next call.  ``rows[0]`` is one of the few row buffers that
+    ``newton_pair`` holds for the solve, so the views the maps read of it
+    (the residual's flat gradient rows, the Jacobian's varying Hessian rows
+    as columns) are built when a buffer first arrives, not at every call.
     """
     h, N = p.grid.h, p.grid.n_steps + 1
     m, n = N - 1, hi - lo
@@ -394,8 +397,12 @@ def _newton_maps(structure, p: FracProblem, lo: int, hi: int):
     R = A_unknown.reshape(3 * m, n).T  # a view: A's component axis and point axis merge
     free = [i for i, end in ((0, p.A), (n - 1, p.B)) if end is None]
 
+    grad = [None, None]  # [the rows buffer last read, its gradient rows as one flat view]
+
     def residual_of(x, rows):
-        r = R @ rows[0][1:4].reshape(-1)
+        if rows[0] is not grad[0]:
+            grad[:] = rows[0], rows[0][1:4].reshape(-1)
+        r = R @ grad[1]
         for i in free:
             r[i] *= h
         return r
@@ -419,10 +426,15 @@ def _newton_maps(structure, p: FracProblem, lo: int, hi: int):
     products = [(A_unknown[a].T, A_unknown[b], k) for a, b, k in varying]
     free_rows = [J[i] for i in free]
     uu_varies = structure[4] is None
+    # [the jet buffer last read, its product rows as columns, its L_uu row]
+    columns = [None, None, None]
 
     def jacobian_of(x, rows):
-        for i, (left, right, k) in enumerate(products):
-            np.multiply(rows[0][k, :, None], right, out=T)
+        jet = rows[0]
+        if jet is not columns[0]:
+            columns[:] = jet, [jet[k, :, None] for *_, k in products], jet[4, :coef.size]
+        for i, ((left, right, _), column) in enumerate(zip(products, columns[1])):
+            np.multiply(column, right, out=T)
             np.matmul(left, T, out=P if i else J)
             if i:
                 np.add(J, P, out=J)
@@ -432,8 +444,7 @@ def _newton_maps(structure, p: FracProblem, lo: int, hi: int):
             if constant:
                 np.add(J, K, out=J)
         if uu_varies:
-            np.add(diagonal if products else K_diagonal, coef * rows[0][4, :coef.size],
-                   out=diagonal)
+            np.add(diagonal if products else K_diagonal, coef * columns[2], out=diagonal)
         return J
 
     return A, residual_of, jacobian_of
@@ -472,7 +483,7 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
 
     def arguments(x):
         full[lo:hi] = x
-        np.matmul(A, full, out=uvw)
+        A.dot(full, out=uvw)  # matmul's gemv call, with less dispatch
         return args
 
     residual, jacobian, _ = newton_pair([p.L], arguments, residual_of, jacobian_of)

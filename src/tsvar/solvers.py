@@ -261,7 +261,7 @@ def newton_solve(
         r = np.asarray(fn(x), dtype=float)
         if not _finite(r):
             raise NonFinite("residual is not finite at the initial point")
-        rnorm = math.sqrt(r @ r)  # np.linalg.norm's formula for a 1-D vector
+        rnorm = math.sqrt(r.dot(r))  # np.linalg.norm's formula for a 1-D vector: one ddot
         for _ in range(MAX_ITER):
             if rnorm <= tol:
                 return x
@@ -282,7 +282,7 @@ def newton_solve(
                 if r_try is not None:
                     # a NaN or infinite entry makes the norm NaN or inf, and so
                     # does a finite residual whose norm overflows: all rejected
-                    rnorm_try = math.sqrt(r_try @ r_try)
+                    rnorm_try = math.sqrt(r_try.dot(r_try))
                     if math.isfinite(rnorm_try) and (rnorm_try < rnorm or rnorm_try <= tol):
                         x, r, rnorm = x_try, r_try, rnorm_try
                         break

@@ -339,24 +339,44 @@ def newton_pair(exprs: Sequence[Expr], arguments: Callable,
     residual call, so ``jets(x)``, and the Jacobian with it, reads the kept
     rows there and evaluates afresh elsewhere.  The programs run under the
     caller's ``np.errstate``, which newton_solve sets.
+
+    Each call to ``newton_pair`` (one per solve) holds one row buffer per
+    program, the order-2 ones and their order-1 fallbacks, and every run
+    after a program's first rewrites that buffer's varying rows in place
+    (``dsl.program``'s ``out``).  So ``rows`` is the same list of the same
+    arrays at every call, and the rows that ``residual_of``,
+    ``jacobian_of`` and ``jets`` see are valid until the next residual or
+    ``jets`` call, like the arguments and the Jacobian.
     """
     jet2, jet1 = ([program(e, order, value=i > 0) for i, e in enumerate(exprs)]
                   for order in (2, 1))
-    kept = [None, None]  # [x, rows at x]
+    # the solve's row buffers, by position: every solve of one Expr runs the
+    # one cached program, so the buffers cannot hang off the program
+    rows2, rows1 = [None] * len(exprs), [None] * len(exprs)
+    kept = [None]  # the x whose rows rows2 holds
 
-    def evaluate(programs, args):
-        return [run(*args, args[0].shape) for run in programs]
+    def evaluate(programs, rows, args):
+        shape = args[0].shape
+        for i, run in enumerate(programs):
+            rows[i] = run(*args, shape, rows[i])
+        return rows
 
     def residual(x):
         args = arguments(x)
+        kept[0] = None  # rows2 changes below, even where a run raises part-way
         try:
-            kept[:] = x, evaluate(jet2, args)
+            rows = evaluate(jet2, rows2, args)
+            kept[0] = x
         except DomainError:
-            kept[:] = None, evaluate(jet1, args)
-        return residual_of(x, kept[1])
+            rows = evaluate(jet1, rows1, args)
+        return residual_of(x, rows)
 
     def jets(x):
-        return kept[1] if kept[0] is x else evaluate(jet2, arguments(x))
+        if kept[0] is not x:
+            kept[0] = None
+            evaluate(jet2, rows2, arguments(x))
+            kept[0] = x
+        return rows2
 
     return residual, lambda x: jacobian_of(x, jets(x)), jets
 

@@ -740,6 +740,20 @@ def test_residual_keeps_no_jet_where_only_the_hessian_is_undefined(monkeypatch):
     assert np.array_equal(jacobian(y), ref_jacobian(y))
 
 
+def test_jacobian_after_a_residual_whose_hessian_raised_reads_no_half_written_rows(monkeypatch):
+    # the order-2 run at y writes -sin(v), L_vv, into the solve's row buffer
+    # before u^1.5's Hessian check raises at u = 0: the rows kept at x are
+    # gone, so a Jacobian at x evaluates afresh instead of reading them
+    p = FracProblem(FracGrid(0.0, 1.0, 0.25), FracOrders(0.8, 0.5),
+                    "0.5*w^2 + sin(v) + u^1.5", A=0.0, B=1.0)
+    residual, jacobian = _capture_pair(monkeypatch, p)
+    _, ref_jacobian, _ = _reference_pair(p)
+    x, y = np.array([0.2, 0.3, 0.6]), np.array([0.0, 0.9, 1.7])
+    residual(x)
+    residual(y)  # the order-1 fallback
+    assert np.array_equal(jacobian(x), ref_jacobian(x))
+
+
 QUARTIC = "0.5*v^2 + 0.5*w^2 - u + 0.1*u^4"
 
 
@@ -785,27 +799,33 @@ def test_newton_runs_match_the_fresh_jacobian_pair(monkeypatch, p, starts, box, 
 
 
 def test_newton_pairs_of_two_solves_share_no_buffer(monkeypatch):
-    # each solve fills its own y, (u, v, w) and Jacobian buffers: the pairs
-    # of a problem whose L_vv varies and of one with only L_uu varying, on
-    # one grid, with other orders
-    # and ends, evaluated in turn give bit for bit what each gives alone and
-    # keep what they returned
-    grid = FracGrid(0.0, 1.0, 0.25)
-    problems = [FracProblem(grid, FracOrders(0.8, 0.5), "v^3 + 1*w^2", A=0.0, B=1.0),
-                FracProblem(grid, FracOrders(0.75, 0.6), QUARTIC, A=0.5, B=2.0)]
-    points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 2, 3))  # [call, problem]
-    alone = []
-    for k, p in enumerate(problems):
-        fn, jac = _capture_pair(monkeypatch, p)
-        alone.append([(fn(x).copy(), jac(x).copy()) for x in points[:, k]])
-    pairs = [_capture_pair(monkeypatch, p) for p in problems]
-    for i, xs in enumerate(points):
-        r = [fn(x) for (fn, _), x in zip(pairs, xs)]
-        for fresh in (False, True):  # the Jacobian from the residual's jet, then anew
-            J = [jac(x.copy() if fresh else x) for (_, jac), x in zip(pairs, xs)]
-            for k in range(2):
-                assert np.array_equal(r[k], alone[k][i][0])
-                assert np.array_equal(J[k], alone[k][i][1])
+    # each solve fills its own y, (u, v, w), jet row and Jacobian buffers:
+    # the pairs of two problems on one grid, with other orders and ends,
+    # evaluated in turn give bit for bit what each gives alone and keep what
+    # they returned.  In the first pair L_vv varies in one and only L_uu in
+    # the other; the second pair solves one parsed L, whose programs dsl
+    # caches once for every solve
+    grid, shared = FracGrid(0.0, 1.0, 0.25), dsl.parse("v^3 + 1*w^2 + 0.1*u^4")
+    pairs = [[FracProblem(grid, FracOrders(0.8, 0.5), "v^3 + 1*w^2", A=0.0, B=1.0),
+              FracProblem(grid, FracOrders(0.75, 0.6), QUARTIC, A=0.5, B=2.0)],
+             [FracProblem(grid, FracOrders(0.8, 0.5), shared, A=0.0, B=1.0),
+              FracProblem(grid, FracOrders(0.6, 0.7), shared, A=-0.5, B=2.0)]]
+    # [call][problem], each point one array object: the Jacobian reuses the
+    # rows only at the very object of the latest residual call
+    points = [list(xs) for xs in np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 2, 3))]
+    for problems in pairs:
+        alone = []
+        for k, p in enumerate(problems):
+            fn, jac = _capture_pair(monkeypatch, p)
+            alone.append([(fn(x).copy(), jac(x).copy()) for x in (xs[k] for xs in points)])
+        newton_pairs = [_capture_pair(monkeypatch, p) for p in problems]
+        for i, xs in enumerate(points):
+            r = [fn(x) for (fn, _), x in zip(newton_pairs, xs)]
+            for fresh in (False, True):  # the Jacobian from the residual's jet, then anew
+                J = [jac(x.copy() if fresh else x) for (_, jac), x in zip(newton_pairs, xs)]
+                for k in range(2):
+                    assert np.array_equal(r[k], alone[k][i][0])
+                    assert np.array_equal(J[k], alone[k][i][1])
 
 
 def test_solve_frac_el_overflowing_starts_leak_no_warning():

@@ -609,6 +609,72 @@ def test_isoperimetric_newton_jacobian_forms_one_tridiagonal_block(monkeypatch):
     assert isinstance(seen["hess"], solvers.Tridiagonal)
 
 
+class _Captured(Exception):
+    pass
+
+
+def _capture_pair(monkeypatch, solve, p):
+    """The (residual, Jacobian) pair that ``solve(p)`` hands to multi_start."""
+    pair = []
+
+    def capture(fn, jac, n, config):
+        pair.extend((fn, jac))
+        raise _Captured
+
+    monkeypatch.setattr(varcalc, "multi_start", capture)
+    with pytest.raises(_Captured):
+        solve(p)
+    monkeypatch.undo()
+    return pair
+
+
+def test_newton_pairs_of_two_solves_of_one_parsed_lagrangian_share_no_buffer(monkeypatch):
+    # a classical and an isoperimetric solve of one parsed L run its one
+    # cached program, each into its own row buffers: evaluated in turn, the
+    # pairs give bit for bit what each gives alone and keep what they returned
+    grid, L = _explicit_grid(3, n=11), dsl.parse("v^2 + 0.1*u^4 + t*u*v")
+    solves = [(solve_el, VariationalProblem(grid, L, 0.0, 1.0)),
+              (solve_isoperimetric, IsoperimetricProblem(grid, L, "u^2 + 0.5*u*v", 0.0, 1.0, 0.5))]
+    rng = np.random.default_rng(5)
+    # [problem][call], each point one array object: the Jacobian reuses the
+    # rows only at the very object of the latest residual call
+    points = [list(rng.uniform(-1.0, 1.0, size=(2, n))) for n in (9, 10)]
+    alone = []
+    for (solve, p), xs in zip(solves, points):
+        fn, jac = _capture_pair(monkeypatch, solve, p)
+        alone.append([(fn(x).copy(), np.array(jac(x))) for x in xs])
+    pairs = [_capture_pair(monkeypatch, solve, p) for solve, p in solves]
+    for i in range(2):
+        r = [fn(xs[i]) for (fn, _), xs in zip(pairs, points)]
+        for fresh in (False, True):  # the Jacobian from the residual's rows, then anew
+            J = [np.array(jac(xs[i].copy() if fresh else xs[i]))
+                 for (_, jac), xs in zip(pairs, points)]
+            for k in range(2):
+                assert np.array_equal(r[k], alone[k][i][0])
+                assert np.array_equal(J[k], alone[k][i][1])
+
+
+def test_isoperimetric_abnormality_check_reads_the_rows_at_the_chosen_root(monkeypatch):
+    # the check gets c = mu (g_u - (g_v)^Delta) and diag(mu) J_g from the row
+    # buffer that Newton last filled; they must be g's rows at the chosen
+    # root, not those of another start or of a rejected trial point
+    seen = {}
+    monkeypatch.setattr(varcalc, "_reject_abnormal",
+                        lambda g, grad, hess, x: seen.update(grad=grad, hess=hess, x=x.copy()))
+    p = IsoperimetricProblem(_explicit_grid(3, n=11), "v^2 + 0.1*u^4 + t*u*v", "u^2 + 0.5*u*v",
+                             0.0, 1.0, 0.5)
+    cand = solve_isoperimetric(p, SolverConfig(starts=16, seed=0, box=(-2.0, 2.0)))
+    assert np.array_equal(seen["x"][:-1], cand.y.values[1:-1])
+    mu = np.diff(p.scale.points)
+    t, u, v = varcalc._first_order_args(p.scale, cand.y.values)[:3]
+    with np.errstate(all="ignore"):
+        g_rows = dsl.program(p.g, 2)(t, u, v, 0.0, t.shape)
+    assert np.array_equal(seen["grad"], mu[:-1] * varcalc._el_rows(g_rows[1:], mu))
+    J_g = varcalc._el_jacobian(g_rows[4:], mu)
+    assert np.array_equal(seen["hess"].diag, mu[:-1] * J_g.diag)
+    assert np.array_equal(seen["hess"].lower, mu[1:-1] * J_g.lower)
+
+
 def test_isoperimetric_1001_point_solve_peaks_under_20_mib():
     # the bordered Jacobian is one (N - 1)^2 buffer per solve, about 7.6 MiB
     # here; forming it from two densified tridiagonals peaked at 38.3 MiB
