@@ -4,7 +4,8 @@ A small recursive-descent parser builds an immutable AST.  Evaluation compiles
 the AST, once per expression and derivative order, into a straight-line numpy
 program: order 0 gives the value, order 1 adds the gradient and order 2 the
 Hessian with respect to the three active variables (u, v, w), as second-order
-forward-mode jets.  Derivative entries that are structurally zero are dropped
+forward-mode jets, each returned as one array of rows (``eval_grad`` 4,
+``eval_jet2`` 10).  Derivative entries that are structurally zero are dropped
 while compiling, and one call evaluates a whole grid of points at once.  The
 time variable t is a passive parameter: no theorem used here ever needs L_t,
 so jets simply treat any t-subexpression as a constant.  a^b with a variable b
@@ -314,27 +315,6 @@ _PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 HESS_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-class Jet2:
-    """Value, gradient rows (u, v, w) and Hessian rows (uu, uv, uw, vv, vw, ww).
-
-    For scalar arguments ``value`` is a float, ``grad`` has shape (3,) and
-    ``hess`` shape (6,); array arguments add their broadcast shape to each.
-    """
-
-    __slots__ = ("value", "grad", "hess")
-
-    def __init__(self, value, grad, hess):
-        self.value = value
-        self.grad = grad
-        self.hess = hess
-
-    def hess_matrix(self) -> np.ndarray:
-        return self.hess[HESS_INDEX]
-
-    def __repr__(self):
-        return f"Jet2(value={self.value}, grad={self.grad}, hess={self.hess})"
-
-
 def _fail(bad, x, message: str):
     first = np.broadcast_to(x, np.shape(bad))[bad][0]
     raise DomainError(f"{message}: {float(first)!r}")
@@ -620,10 +600,10 @@ def program(e: Expr, order: int, value: bool = True):
 
     ``program(e, order)(t, u, v, w, shape)`` takes float arrays that broadcast
     to ``shape`` and returns 1, 4 or 10 rows of that shape: the value, then the
-    gradient and Hessian rows (``Jet2``'s order).  It raises DomainError as the
-    ``eval_*`` functions do, but runs under the caller's ``np.errstate``: a
-    caller that wants overflow to give inf silently, as they do, sets
-    ``np.errstate(all="ignore")`` itself.
+    gradient rows (u, v, w) and the Hessian rows (uu, uv, uw, vv, vw, ww).  It
+    raises DomainError as the ``eval_*`` functions do, but runs under the
+    caller's ``np.errstate``: a caller that wants overflow to give inf
+    silently, as they do, sets ``np.errstate(all="ignore")`` itself.
 
     ``value=False`` (orders 1 and 2) gives the derivative-only program, for a
     caller that never reads the value: its row 0 is 0.0, and it drops every
@@ -674,7 +654,7 @@ def eval_grad(e: Expr, t, u, v, w) -> np.ndarray:
     return _run(e, 1, t, u, v, w)
 
 
-def eval_jet2(e: Expr, t, u, v, w) -> Jet2:
-    """Value, (u, v, w)-gradient and Hessian at the given point(s)."""
-    out = _run(e, 2, t, u, v, w)
-    return Jet2(float(out[0]) if out.ndim == 1 else out[0], out[1:4], out[4:])
+def eval_jet2(e: Expr, t, u, v, w) -> np.ndarray:
+    """Rows (L, L_u, L_v, L_w, L_uu, L_uv, L_uw, L_vv, L_vw, L_ww), each of the
+    arguments' broadcast shape; entry (a, b) of the Hessian is row 4 + HESS_INDEX[a, b]."""
+    return _run(e, 2, t, u, v, w)

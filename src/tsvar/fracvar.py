@@ -25,7 +25,9 @@ The solver's Newton pair and candidate reports come from ``varcalc``'s
 Its maps y -> (u, v, w) are one (3, m, N) array A, component by component:
 the residual reads A's unknown columns and the gradient rows as views, and
 the Jacobian adds A_a^T diag(L_ab) A_b, per varying Hessian entry, to the
-constant part formed once per solve.
+constant part formed once per solve.  A free end's natural boundary residual
+is h times A's column at that end against the partials, summed from the same
+weights without forming A.
 """
 
 from __future__ import annotations
@@ -269,37 +271,26 @@ def functional_value(p: FracProblem, y: GridFunction) -> float:
     return p.grid.h * float(np.sum(eval_value(p.L, *_arg_arrays(p, y))))
 
 
-def _natural_bc_rows(p: FracProblem):
-    """(left, right) natural-boundary rows, each dF/dy of the summed functional
-    at its end (y(a), y(b)), as coefficients (c_u, c_v, c_w) of the per-point
-    partials (L_u, L_v, L_w) on T^kappa; None at a fixed end.
-
-    Since h * residual is the gradient of F, these are h times the first and
-    last columns of the maps y -> (u, v, w) of _diff_maps, read off the
-    weights of (1 - z)^alpha and (1 - z)^beta.
-    """
-    h = p.grid.h
-    m = p.grid.n_steps
-    alpha, beta = p.orders.alpha, p.orders.beta
-    first, last = np.zeros(m), np.zeros(m)
-    first[0] = last[-1] = 1.0
-    left = right = None
-    if p.A is None:
-        left = (np.zeros(m), math.pow(h, 1.0 - alpha) * _weights(-alpha, m + 1)[1:],
-                math.pow(h, 1.0 - beta) * first)
-    if p.B is None:
-        right = (h * last, math.pow(h, 1.0 - alpha) * last,
-                 math.pow(h, 1.0 - beta) * _weights(-beta, m + 1)[:0:-1])
-    return (left, right)
-
-
 def natural_bc_residuals(p: FracProblem, y: GridFunction):
-    """(left, right) residuals of the natural boundary conditions; None when fixed."""
+    """(left, right) residuals of the natural boundary conditions; None when fixed.
+
+    Each is dF/dy of the summed functional at its end: since h * residual is
+    the gradient of F, h times the first or last column of the maps
+    y -> (u, v, w) of _diff_maps against the partials (L_u, L_v, L_w).
+    """
     if p.A is not None and p.B is not None:
         return (None, None)
-    partials = eval_grad(p.L, *_arg_arrays(p, y))[1:]
-    return tuple(None if row is None else float(sum(c @ d for c, d in zip(row, partials)))
-                 for row in _natural_bc_rows(p))
+    h, m = p.grid.h, p.grid.n_steps
+    alpha, beta = p.orders.alpha, p.orders.beta
+    Lu, Lv, Lw = eval_grad(p.L, *_arg_arrays(p, y))[1:]
+    left = right = None
+    if p.A is None:  # y(a) enters v through w_{-alpha}(j + 1) and w only at t_0
+        left = float((math.pow(h, 1.0 - alpha) * _weights(-alpha, m + 1)[1:]) @ Lv
+                     + math.pow(h, 1.0 - beta) * Lw[0])
+    if p.B is None:  # y(b) enters u and v only at t_{m-1}, and w through w_{-beta}(m - j)
+        right = float(h * Lu[-1] + math.pow(h, 1.0 - alpha) * Lv[-1]
+                      + (math.pow(h, 1.0 - beta) * _weights(-beta, m + 1)[:0:-1]) @ Lw)
+    return (left, right)
 
 
 def _legendre_kernel(nu: float, h: float, m: int) -> np.ndarray:
@@ -318,7 +309,7 @@ def legendre_frac_check(p: FracProblem, y: GridFunction) -> LegendreReport:
     nu = p.orders.nu_order
     t, u, v, w = _arg_arrays(p, y)
     m = t.size
-    Huu, Huv, Huw, Hvv, Hvw, Hww = eval_jet2(p.L, t, u, v, w).hess
+    Huu, Huv, Huw, Hvv, Hvw, Hww = eval_jet2(p.L, t, u, v, w)[4:]
 
     if nu != 0.0:
         cw = nu * (1.0 - nu) / gamma_fn(nu + 1.0)

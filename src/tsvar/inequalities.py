@@ -64,6 +64,9 @@ class BoundReport:
 
 
 def _report(lhs: float, rhs: float) -> BoundReport:
+    """A certifier's verdict on lhs <= rhs; NonFinite where a side is not finite."""
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NonFinite(f"the inequality's sides {float(lhs)!r} <= {float(rhs)!r} are not finite")
     holds = lhs <= rhs + _CERT_TOL * max(1.0, abs(rhs))
     return BoundReport(float(lhs), float(rhs), bool(holds), float(rhs - lhs))
 
@@ -245,11 +248,15 @@ def jensen_certify(ts: TimeScale, F: Callable[[float], float], g,
     return _report(lhs, rhs)
 
 
+def _check_exponent(p: float) -> None:
+    if not 1.0 < p < math.inf:  # NaN fails the comparison
+        raise InvalidExponent(f"p = {p} must exceed 1 and be finite")
+
+
 def holder_certify(ts: TimeScale, f, g, h_weights=None, p: float = 2.0,
                    alpha: float = 1.0) -> BoundReport:
     """Diamond-alpha Hoelder: int h|fg| <= (int h|f|^p)^(1/p) (int h|g|^q)^(1/q)."""
-    if p <= 1.0:
-        raise InvalidExponent(f"p = {p} must exceed 1")
+    _check_exponent(p)
     q = p / (p - 1.0)
     fv = np.abs(values_on(ts, f))
     gv = np.abs(values_on(ts, g))
@@ -268,8 +275,7 @@ def cauchy_schwarz_certify(ts: TimeScale, f, g, alpha: float = 1.0) -> BoundRepo
 def minkowski_certify(ts: TimeScale, f, g, p: float = 2.0,
                       alpha: float = 1.0) -> BoundReport:
     """Diamond-alpha Minkowski: ||f+g||_p <= ||f||_p + ||g||_p."""
-    if p <= 1.0:
-        raise InvalidExponent(f"p = {p} must exceed 1")
+    _check_exponent(p)
     fv = values_on(ts, f)
     gv = values_on(ts, g)
     mu = ts.points[1:] - ts.points[:-1]

@@ -7,7 +7,9 @@ keeps the calculus identities (fundamental theorem, integration by parts,
 additivity) bit-tight and testable.
 
 Only isolated grids are supported; scales containing continuous sub-intervals
-are out of scope by design.
+are out of scope by design.  The constructor detects a scale's kind (uniform,
+geometric or explicit) from its points; ``_explicit_rows`` is the one builder
+of scales declared explicit, whose step and ratio stay None.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import GridTooSmall, InvalidAlpha, NotOnGrid
 KIND_UNIFORM = "uniform"
 KIND_GEOMETRIC = "geometric"
 KIND_EXPLICIT = "explicit"
-_KINDS = ("auto", KIND_UNIFORM, KIND_GEOMETRIC, KIND_EXPLICIT)
 
 _REL_KIND_TOL = 1e-12  # spacing uniformity check
 _REL_GRID_TOL = 1e-9   # membership snap tolerance
@@ -64,9 +65,8 @@ class TimeScale:
     points : np.ndarray
         Strictly increasing grid points.
     kind : str
-        One of ``uniform`` / ``geometric`` / ``explicit``.  ``auto`` detects
-        it; a declared ``explicit`` skips detection, so step and ratio stay
-        None even for evenly spaced points.
+        One of ``uniform`` / ``geometric`` / ``explicit``, detected from the
+        points.
     step : float or None
         Common step h for uniform scales.
     ratio : float or None
@@ -75,9 +75,7 @@ class TimeScale:
 
     __slots__ = ("points", "kind", "step", "ratio")
 
-    def __init__(self, points: Iterable[float], kind: str = "auto"):
-        if kind not in _KINDS:
-            raise ValueError(f"time scale kind {kind!r} must be one of {', '.join(_KINDS)}")
+    def __init__(self, points: Iterable[float]):
         if not isinstance(points, np.ndarray):
             points = list(points)
         pts = np.array(points, dtype=float)  # always a copy the caller cannot alias
@@ -92,22 +90,14 @@ class TimeScale:
             raise ValueError("time scale points must be strictly increasing")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if kind == KIND_EXPLICIT:  # declared: no step or ratio is looked for
-            detected, h, q = KIND_EXPLICIT, None, None
-        elif float(pts[-1]) - float(pts[0]) < math.inf:  # no gap can overflow
-            detected, h, q = _detect_kind(pts, pts[1:] - pts[:-1])
+        if float(pts[-1]) - float(pts[0]) < math.inf:  # no gap can overflow
+            kind, h, q = _detect_kind(pts, pts[1:] - pts[:-1])
         else:  # rare, so only here pay for np.errstate; an infinite gap fails as NaN
             with np.errstate(over="ignore", invalid="ignore"):
-                detected, h, q = _detect_kind(pts, pts[1:] - pts[:-1])
-        if kind == "auto":
-            kind = detected
-        elif kind == KIND_UNIFORM and detected != KIND_UNIFORM:
-            raise ValueError("points are not uniformly spaced")
-        elif kind == KIND_GEOMETRIC and detected != KIND_GEOMETRIC:
-            raise ValueError("points are not in geometric progression")
+                kind, h, q = _detect_kind(pts, pts[1:] - pts[:-1])
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "step", h if kind == KIND_UNIFORM else None)
-        object.__setattr__(self, "ratio", q if kind == KIND_GEOMETRIC else None)
+        object.__setattr__(self, "step", h)
+        object.__setattr__(self, "ratio", q)
 
     def __setattr__(self, name, value):
         raise AttributeError("TimeScale is immutable")
@@ -175,13 +165,13 @@ class TimeScale:
         """The scale T^{kappa^k}: remove the k largest points."""
         if len(self) <= k:
             raise GridTooSmall(f"cannot drop {k} points from a {len(self)}-point scale")
-        return TimeScale(self.points[: len(self) - k], kind="auto")
+        return TimeScale(self.points[: len(self) - k])
 
     def drop_first(self, k: int = 1) -> "TimeScale":
         """The scale T_{kappa^k}: remove the k smallest points."""
         if len(self) <= k:
             raise GridTooSmall(f"cannot drop {k} points from a {len(self)}-point scale")
-        return TimeScale(self.points[k:], kind="auto")
+        return TimeScale(self.points[k:])
 
     # -- (H) coefficients -----------------------------------------------------
 
@@ -220,7 +210,7 @@ def uniform(a: float, b: float, h: float) -> TimeScale:
     """Uniform scale {a, a+h, ..., b}; (b-a)/h must be a positive integer."""
     pts = a + h * np.arange(_uniform_steps(a, b, h) + 1)
     pts[-1] = b  # kill accumulated rounding at the right endpoint
-    return TimeScale(pts, kind=KIND_UNIFORM)
+    return TimeScale(pts)  # uniform: _uniform_steps bounds the last gap
 
 
 def _whole(k, name: str) -> int:
@@ -236,26 +226,29 @@ def geometric(q: float, kmin: int, kmax: int) -> TimeScale:
     if q <= 1:
         raise ValueError("ratio q must exceed 1")
     kmin, kmax = _whole(kmin, "kmin"), _whole(kmax, "kmax")
-    if kmax - kmin < 1:
-        raise ValueError("need at least two exponents")
+    if kmax - kmin < 2:  # two points are detected as uniform
+        raise ValueError(f"need at least three exponents, got kmin = {kmin}, kmax = {kmax}")
     if kmax - kmin >= MAX_POINTS:
         raise ValueError(f"{kmax - kmin + 1} exponents would exceed {MAX_POINTS} grid points")
-    pts = [float(q) ** k for k in range(kmin, kmax + 1)]
-    return TimeScale(pts, kind=KIND_GEOMETRIC)
+    scale = TimeScale([float(q) ** k for k in range(kmin, kmax + 1)])
+    if scale.kind != KIND_GEOMETRIC:
+        raise ValueError("points are not in geometric progression")
+    return scale
 
 
 def _explicit_rows(points: np.ndarray, counts: np.ndarray) -> list:
-    """``TimeScale(points[k, :counts[k]], kind="explicit")`` for every row k of a
-    block, its points checked in one array pass and then not again: the first
-    row with a point that is not finite, or a real gap that does not rise,
-    raises what its own constructor raises."""
+    """An explicit scale of ``points[k, :counts[k]]`` for every row k of a block,
+    with no kind detection, so step and ratio stay None even for evenly spaced
+    points.  The points are checked in one array pass and then not again: the
+    first row with a point that is not finite, or a real gap that does not
+    rise, raises what ``TimeScale`` raises for it."""
     real = np.arange(points.shape[1]) < counts[:, None]
     ok = np.isfinite(points)
     ok[:, 1:] &= points[:, 1:] > points[:, :-1]  # a comparison: NaN fails it, no warning
     bad = (real & ~ok).any(axis=1) | (counts < 1)
     if np.count_nonzero(bad):
         k = int(bad.argmax())
-        TimeScale(points[k, :counts[k]], kind=KIND_EXPLICIT)
+        TimeScale(points[k, :counts[k]])
     frozen = np.array(points, dtype=float)  # a copy no caller can alias, read-only
     frozen.setflags(write=False)             # like each row view taken from it
     scales = []
@@ -275,7 +268,7 @@ def explicit(*points: float) -> TimeScale:
         points = points[0]
     if len(points) < 2:
         raise ValueError("need at least two points")
-    return TimeScale(points, kind="auto")
+    return TimeScale(points)
 
 
 class GridFunction:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -73,11 +72,6 @@ class VariationalProblem:
         object.__setattr__(self, "L", ensure_expr(self.L))
         if len(self.scale) < 3:
             raise GridTooSmall("need at least 3 points for a variational problem")
-
-    @cached_property
-    def residual_scale(self) -> TimeScale:
-        """T^{kappa kappa}, where el_residual lives; built once, not per residual."""
-        return self.scale.drop_last(2)
 
 
 @dataclass(frozen=True)
@@ -201,7 +195,7 @@ def el_residual(p: VariationalProblem, y: GridFunction) -> GridFunction:
     # order 1: the rows equal an order-2 jet's gradient, and a Hessian undefined
     # where L_u and L_v are defined raises nothing; called on the dsl module,
     # where bench/tracer.py counts evaluations
-    return GridFunction(p.residual_scale, _el_rows(dsl.eval_grad(p.L, t, u, v, 0.0)[1:], mu))
+    return GridFunction(p.scale.drop_last(2), _el_rows(dsl.eval_grad(p.L, t, u, v, 0.0)[1:], mu))
 
 
 def _el_jacobian(hess: np.ndarray, mu: np.ndarray) -> Tridiagonal:
@@ -236,7 +230,7 @@ def legendre_check(p: VariationalProblem, y: GridFunction) -> LegendreReport:
     rho(b) where mu(sigma(t)) = 0.
     """
     t, u, v, mu = _first_order_args(p.scale, np.asarray(y.values, dtype=float))
-    return _legendre_report(p.scale, eval_jet2(p.L, t, u, v, 0.0).hess, mu)
+    return _legendre_report(p.scale, eval_jet2(p.L, t, u, v, 0.0)[4:], mu)
 
 
 def _legendre_report(ts: TimeScale, hess: np.ndarray, mu: np.ndarray) -> LegendreReport:
@@ -601,6 +595,8 @@ def direct_solve_power(ts: TimeScale, phi: Callable[[float], float],
     """
     if alpha_exp in (0.0, 1.0):
         raise InvalidExponent("the functional is constant for exponent 0 or 1")
+    if not math.isfinite(alpha_exp):
+        raise InvalidExponent(f"exponent {alpha_exp} must be finite")
     if B <= 0:
         raise DomainError("right boundary value B must be positive")
     a, b = float(ts.points[0]), float(ts.points[-1])

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from tsvar import inequalities as ineq
-from tsvar.timescale import KIND_EXPLICIT, TimeScale
+from tsvar.timescale import TimeScale
 
 
 def _trial(rng, n):
     steps = rng.uniform(0.01, 0.5, n - 1)
     pts = float(rng.uniform(-2.0, 2.0)) + np.concatenate([[0.0], np.cumsum(steps)])
-    return TimeScale(pts, kind=KIND_EXPLICIT)
+    return TimeScale(pts)
 
 
 def _stack(rows, width):

@@ -478,6 +478,24 @@ def test_direct_with_overflowing_functional_value_exits_2(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("alpha_exp", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("phi", ["0.5", "1"])
+def test_direct_power_with_an_exponent_that_is_not_finite_exits_2(alpha_exp, phi, capsys):
+    argv = ["direct", "--kind", "power", "--scale", "uniform(0,1,0.5)", "--phi", phi,
+            "--B", "1", f"--alpha-exp={alpha_exp}", "--no-csv"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: exponent {float(alpha_exp)} must be finite\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("scale", ["geometric(2,0,1)", "geometric(2,3,3)"])
+def test_geometric_scale_of_fewer_than_three_exponents_exits_2(scale, capsys):
+    argv = ["sturm", "--scale", scale, "--q", "1", "--no-csv"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: need at least three exponents")
+
+
 
 _HUGE_L = "[scale]\nscale = uniform(0, 5, 1)\n\n[problem]\nlagrangian = 1e308\na = 0\nb = 1\n"
 

@@ -151,10 +151,10 @@ def test_jet2_hessian_matches_finite_differences(text):
     e = dsl.parse(text)
     t, u, v, w = 0.7, 0.9, 0.6, 0.8
     jet = dsl.eval_jet2(e, t, u, v, w)
-    assert jet.value == pytest.approx(dsl.eval_value(e, t, u, v, w), rel=1e-13)
+    assert jet[0] == pytest.approx(dsl.eval_value(e, t, u, v, w), rel=1e-13)
     g = dsl.eval_grad(e, t, u, v, w)
-    assert jet.grad == pytest.approx(g[1:], rel=1e-12, abs=1e-12)
-    H = jet.hess_matrix()
+    assert jet[1:4] == pytest.approx(g[1:], rel=1e-12, abs=1e-12)
+    H = jet[4:][dsl.HESS_INDEX]
     # symmetry is structural; check entries against central differences of the gradient
     eps = 1e-5
     names = ["u", "v", "w"]
@@ -175,10 +175,10 @@ def test_polynomial_jet_identity(t, u, v, w):
     # d/dv of (v^3 + w^2) is 3 v^2; second derivative 6 v -- exact algebra
     e = dsl.parse("v^3 + 1*w^2")
     jet = dsl.eval_jet2(e, t, u, v, w)
-    assert jet.value == pytest.approx(v ** 3 + w ** 2, rel=1e-12, abs=1e-12)
-    assert jet.grad[1] == pytest.approx(3 * v * v, rel=1e-12, abs=1e-12)
-    assert jet.grad[2] == pytest.approx(2 * w, rel=1e-12, abs=1e-12)
-    hess = dict(zip(("uu", "uv", "uw", "vv", "vw", "ww"), jet.hess))
+    assert jet[0] == pytest.approx(v ** 3 + w ** 2, rel=1e-12, abs=1e-12)
+    assert jet[2] == pytest.approx(3 * v * v, rel=1e-12, abs=1e-12)
+    assert jet[3] == pytest.approx(2 * w, rel=1e-12, abs=1e-12)
+    hess = dict(zip(("uu", "uv", "uw", "vv", "vw", "ww"), jet[4:]))
     assert hess["vv"] == pytest.approx(6 * v, rel=1e-12, abs=1e-12)
     assert hess["ww"] == pytest.approx(2.0)
     assert hess["vw"] == 0.0
@@ -219,14 +219,8 @@ def test_array_call_matches_per_point_calls(text):
                                _per_point(dsl.eval_value, e, points)[0], rtol=1e-15, atol=0)
     np.testing.assert_allclose(dsl.eval_grad(e, *points),
                                _per_point(dsl.eval_grad, e, points), rtol=1e-15, atol=0)
-    jet = dsl.eval_jet2(e, *points)
-
-    def rows(e, *p):
-        j = dsl.eval_jet2(e, *p)
-        return np.hstack([j.value, j.grad, j.hess])
-
-    np.testing.assert_allclose(np.vstack([jet.value, jet.grad, jet.hess]),
-                               _per_point(rows, e, points), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(dsl.eval_jet2(e, *points),
+                               _per_point(dsl.eval_jet2, e, points), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("text", PARITY_CASES + ["v^3 + 1*w^2",
@@ -237,8 +231,7 @@ def test_jet2_value_and_gradient_rows_equal_eval_grad(text):
     e = dsl.parse(text)
     points = np.random.default_rng(5).uniform(0.2, 1.5, (4, 25))
     jet, grad = dsl.eval_jet2(e, *points), dsl.eval_grad(e, *points)
-    assert np.array_equal(jet.value, grad[0])
-    assert np.array_equal(jet.grad, grad[1:])
+    assert np.array_equal(jet[:4], grad)
 
 
 @pytest.mark.parametrize("text", ["u^v", "u^(v*w)", "(1+u)^(v+t)", "exp(u)^v", "u^(2*v)/v"])
@@ -250,7 +243,7 @@ def test_variable_exponent_value_does_not_depend_on_the_order(text):
     u, v, w = rng.uniform(0.1, 3.0, 1000), rng.uniform(-2.5, 2.5, 1000), rng.uniform(-1.0, 1.0, 1000)
     value = dsl.eval_value(e, 0.3, u, v, w)
     assert np.array_equal(dsl.eval_grad(e, 0.3, u, v, w)[0], value)
-    assert np.array_equal(dsl.eval_jet2(e, 0.3, u, v, w).value, value)
+    assert np.array_equal(dsl.eval_jet2(e, 0.3, u, v, w)[0], value)
 
 
 def test_variable_exponent_derivatives_need_a_positive_base():
@@ -271,8 +264,7 @@ def test_program_is_the_one_evaluator_behind_eval(text):
     with np.errstate(all="ignore"):
         rows = [dsl.program(e, order)(*points, (25,)) for order in (1, 2)]
     assert np.array_equal(rows[0], dsl.eval_grad(e, *points))
-    jet = dsl.eval_jet2(e, *points)
-    assert np.array_equal(rows[1], np.vstack([jet.value, jet.grad, jet.hess]))
+    assert np.array_equal(rows[1], dsl.eval_jet2(e, *points))
 
 
 @pytest.mark.parametrize("text", PARITY_CASES + [
@@ -359,6 +351,25 @@ def test_program_run_into_its_own_rows_gives_the_fresh_rows(text, shape, data):
                 assert out[k].tobytes() == np.full(shape, known).tobytes()
 
 
+@given(expressions(LAGRANGIAN_LEAVES, broken=()), st.sampled_from([(), (3,)]), st.data())
+def test_eval_jet2_returns_the_rows_of_the_order_2_program(text, shape, data):
+    # the ten rows as the program writes them, byte for byte (NaN as NaN),
+    # or the same DomainError
+    e = dsl.parse(text)
+    point = st.lists(_POINTS, min_size=3, max_size=3) if shape else _POINTS
+    args = [np.array(data.draw(point)) for _ in range(4)]
+    expect = _outcome(dsl.program(e, 2), args, shape)
+    try:
+        got = dsl.eval_jet2(e, *args)
+    except DomainError as exc:
+        got = str(exc)
+    if isinstance(expect, str):
+        assert got == expect
+    else:
+        assert got.shape == (10,) + shape
+        assert got.tobytes() == expect.tobytes()
+
+
 def test_derivative_only_program_drops_the_value_but_no_domain_check():
     e = dsl.parse("v^3 + exp(w) + ln(u)")
     full, derivatives = dsl.program(e, 2), dsl.program(e, 2, value=False)
@@ -380,7 +391,7 @@ def test_derivative_only_program_drops_the_value_but_no_domain_check():
 def test_hessian_index_map_places_every_pair_of_gradient_rows():
     for k, (i, j) in enumerate(dsl._PAIRS):
         assert dsl.HESS_INDEX[i - 1, j - 1] == dsl.HESS_INDEX[j - 1, i - 1] == k
-    H = dsl.Jet2(0.0, None, np.arange(6.0)[:, None] * np.ones(2)).hess_matrix()
+    H = (np.arange(6.0)[:, None] * np.ones(2))[dsl.HESS_INDEX]
     assert H.shape == (3, 3, 2)
     assert np.array_equal(H[:, :, 1], dsl.HESS_INDEX)
 
@@ -419,7 +430,7 @@ def test_overflow_gives_inf_without_warnings():
         g = dsl.eval_grad(dsl.parse("u^3"), 0.0, np.array([1.0, 1e200]), 0.0, 0.0)
         assert g[:2].tolist() == [[1.0, math.inf], [3.0, math.inf]]
         jet = dsl.eval_jet2(dsl.parse("exp(u) - exp(u)"), 0.0, 1000.0, 0.0, 0.0)
-        assert math.isnan(jet.value)
+        assert math.isnan(jet[0])
 
 
 # fragments of the grammar, with near misses, so the fuzzer reaches the parser

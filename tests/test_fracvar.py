@@ -380,17 +380,23 @@ def test_natural_bc_superposition_for_quadratic_L():
 def test_natural_bc_rows_are_h_times_the_end_columns_of_the_diff_maps(
         special_calls, alpha, beta, h):
     # h * residual is the gradient of F, so dF/dy(a) and dF/dy(b) are h times
-    # the first and last columns of y -> (u, v, w); no gamma value is needed
-    p = FracProblem(FracGrid(0.0, 1.0, h), FracOrders(alpha, beta), "v^2", A=None, B=None)
-    left, right = fracvar._natural_bc_rows(p)
+    # the first and last columns of y -> (u, v, w) against the partials
+    # (L_u, L_v, L_w); no gamma value is needed
+    p = FracProblem(FracGrid(0.0, 1.0, h), FracOrders(alpha, beta),
+                    "exp(u) + v^2 + sin(w)", A=None, B=None)
+    N = p.grid.n_steps + 1
+    y = GridFunction(p.grid.scale(), np.random.default_rng(N).uniform(-1.0, 1.0, N))
+    left, right = natural_bc_residuals(p, y)
     assert special_calls == []
 
-    N = p.grid.n_steps + 1
     A = np.zeros((N - 1, 3, N))
     A[np.arange(N - 1), 0, np.arange(1, N)] = 1.0
     A[:, 1], A[:, 2] = fracvar._diff_maps(alpha, beta, h, N)
-    for row, column in ((left, 0), (right, N - 1)):
-        assert_allclose(np.stack(row, axis=1), h * A[:, :, column], rtol=1e-13, atol=0.0)
+    partials = dsl.eval_grad(p.L, *fracvar._arg_arrays(p, y))[1:].T
+    for got, column in ((left, 0), (right, N - 1)):
+        terms = h * A[:, :, column] * partials
+        # rtol 1e-13 of the sum of the terms' sizes: the terms may cancel
+        assert abs(got - terms.sum()) <= 1e-13 * np.abs(terms).sum()
 
 
 def test_solve_with_free_right_end_zeroes_natural_residual():
@@ -423,7 +429,7 @@ def legendre_margins_oracle(p, y):
     v = left_frac_diff(y, p.orders.alpha).values
     w = right_frac_diff(y, p.orders.beta).values
     m = t.size
-    H = np.array([dsl.eval_jet2(p.L, t[j], vals[j + 1], v[j], w[j]).hess for j in range(m)]).T
+    H = np.array([dsl.eval_jet2(p.L, t[j], vals[j + 1], v[j], w[j])[4:] for j in range(m)]).T
     Huu, Huv, Huw, Hvv, Hvw, Hww = H
     cw = nu * (1.0 - nu) / gamma_fn(nu + 1.0)
     cv = gamma * (gamma - 1.0) / gamma_fn(gamma + 1.0)
@@ -597,8 +603,8 @@ def _stationarity_maps(p):
     """(A, A_unknown, C, lo, n) of solve_frac_el, built apart from it: A, of
     shape (3, m, N), maps y to the rows u, v and w in turn, C maps the
     partials (L_u, L_v, L_w), stacked the same way, to the system's rows, one
-    per unknown in their order (the free-end rows from _natural_bc_rows), and
-    the n unknowns are y_lo .. y_{lo+n-1}."""
+    per unknown in their order (a free end's row is dF/dy there: h times A's
+    first or last column), and the n unknowns are y_lo .. y_{lo+n-1}."""
     N, h = p.grid.points().size, p.grid.h
     m = N - 1
     lo = 0 if p.A is None else 1
@@ -606,9 +612,9 @@ def _stationarity_maps(p):
     A = np.zeros((3, m, N))
     A[0, np.arange(m), np.arange(1, N)] = 1.0
     A[1], A[2] = fracvar._diff_maps(p.orders.alpha, p.orders.beta, h, N)
-    left, right = ([] if row is None else [np.concatenate(row)]
-                   for row in fracvar._natural_bc_rows(p))
-    interior = A.reshape(3 * m, N)[:, 1:N - 1].T
+    columns = A.reshape(3 * m, N).T
+    left, right = ([h * columns[k]] if end is None else [] for k, end in ((0, p.A), (-1, p.B)))
+    interior = columns[1:N - 1]
     C = np.vstack([*left, interior, *right]) if left or right else interior
     return A, A[:, :, lo:lo + n], C, lo, n
 
@@ -617,12 +623,6 @@ def _newton_maps(p):
     """The solver's (residual_of, jacobian_of), built by its own helper."""
     _, _, _, lo, n = _stationarity_maps(p)
     return fracvar._newton_maps(dsl.program(p.L, 2).rows, p, lo, lo + n)[1:]
-
-
-def _jet_rows(L, args):
-    """The ten rows of L's order-2 program, from a fresh eval_jet2."""
-    jet = dsl.eval_jet2(L, *args)
-    return np.vstack([jet.value, jet.grad, jet.hess])
 
 
 def _reference_pair(p):
@@ -652,7 +652,7 @@ def _reference_pair(p):
         return residual_of(x, [dsl.eval_grad(p.L, *arguments(x))])
 
     def jacobian(x):
-        return jacobian_of(x, [_jet_rows(p.L, arguments(x))])
+        return jacobian_of(x, [dsl.eval_jet2(p.L, *arguments(x))])
 
     return residual, jacobian, n
 
@@ -675,7 +675,7 @@ def _dense_oracle(p, C, A_unknown, seed):
     the per-point Hessians as a 3 x 3 block matrix of diagonal blocks."""
     N = p.grid.points().size
     y = GridFunction(p.grid.scale(), np.random.default_rng(seed).uniform(-1.0, 1.0, N))
-    rows = _jet_rows(p.L, fracvar._arg_arrays(p, y))
+    rows = dsl.eval_jet2(p.L, *fracvar._arg_arrays(p, y))
     HA = np.einsum("abj,bjn->ajn", rows[4:][dsl.HESS_INDEX], A_unknown)
     return rows, C @ rows[1:4].ravel(), C @ HA.reshape(C.shape[1], -1)
 

@@ -403,6 +403,26 @@ def test_certifier_invalid_exponent():
         ineq.holder_certify(g, lambda t: 1.0, lambda t: 1.0, p=1.0)
     with pytest.raises(InvalidExponent):
         ineq.minkowski_certify(g, lambda t: 1.0, lambda t: 1.0, p=0.5)
+    for p in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidExponent, match="finite"):
+            ineq.holder_certify(g, lambda t: 1.0, lambda t: 1.0, p=p)
+        with pytest.raises(InvalidExponent, match="finite"):
+            ineq.minkowski_certify(g, lambda t: 1.0, lambda t: 2.0, p=p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200], ids=["nan", "inf", "overflow"])
+def test_certifier_reports_carry_no_value_that_is_not_finite(bad):
+    # NaN or infinite data, or 1e200, whose |f|^p overflows: no report carries NaN
+    g = uniform(0.0, 3.0, 1.0)
+    f = GridFunction(g, [1.0, bad, 2.0, 1.0])
+    for certify in (lambda: ineq.jensen_certify(g, lambda x: x * x, f),
+                    lambda: ineq.holder_certify(g, f, 1.0, p=3.0),
+                    lambda: ineq.cauchy_schwarz_certify(g, f, 1.0),
+                    lambda: ineq.minkowski_certify(g, f, 1.0, p=3.0)):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
+            certify()
+    with pytest.raises(NonFinite):
+        ineq.jensen_certify(g, lambda x: bad * bad, lambda t: 1.0)  # F not finite
 
 
 @given(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=12),

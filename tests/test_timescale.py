@@ -40,8 +40,8 @@ def test_constructor_rejects_bad_grids():
         ts.explicit(0.0, 1.0, 1.0)  # duplicate
     with pytest.raises(ValueError):
         ts.TimeScale([3.0, 1.0, 2.0])  # unsorted
-    with pytest.raises(ValueError):
-        ts.TimeScale([0.0, 0.3, 0.6, 1.0], kind="geometric")
+    with pytest.raises(ValueError, match="not in geometric progression"):
+        ts.geometric(1.0 + 1e-15, 0, 5)  # its gaps are equal to rounding: uniform
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -95,9 +95,12 @@ def test_constructor_detects_kind_step_and_ratio(points, kind, step, ratio):
     pytest.param([5e-324, 1e-10, 1.0], "explicit", None, id="first-ratio"),
     pytest.param([1e-300, 1e-299, 1e10], "explicit", None, id="second-ratio"),
     pytest.param([2.0 ** k for k in range(-1074, 1024)], "geometric", 2.0, id="geometric"),
+    pytest.param([-1e308, 1e308], "explicit", None, id="one-gap"),
+    pytest.param([-1.7e308, 1e308, 1.7e308], "explicit", None, id="first-gap"),
 ])
 def test_kind_of_grids_spanning_more_than_the_float_range(points, kind, ratio):
-    # neighbour ratios, or the ratio of the ends, overflow; no warning escapes
+    # neighbour ratios, the ratio of the ends, or a gap overflow; no warning
+    # escapes, and a gap beyond the float range is not uniform
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = ts.TimeScale(points)
@@ -131,14 +134,21 @@ def test_constructor_error_messages(points, message):
         ts.TimeScale(points)
 
 
-@pytest.mark.parametrize("kind", ["unifrom", "Uniform", "", "detect", None])
+@pytest.mark.parametrize("kind", ["unifrom", "Uniform", "", "detect", None,
+                                  "auto", "uniform", "geometric", "explicit"])
 def test_constructor_refuses_an_unknown_kind(kind):
-    with pytest.raises(ValueError, match="auto, uniform, geometric, explicit"):
+    # the kind is always detected from the points: the constructor takes no other argument
+    with pytest.raises(TypeError, match="kind"):
         ts.TimeScale([0.0, 0.5, 1.0], kind=kind)
 
 
 def _no_detection(points, gaps):
     raise AssertionError("kind detection ran for a declared explicit scale")
+
+
+def _declared_explicit(points):
+    """The scale of ``points`` declared explicit: ``_explicit_rows`` of one row."""
+    return ts._explicit_rows(np.array([points], dtype=float), np.array([len(points)]))[0]
 
 
 @pytest.mark.parametrize("points", [
@@ -148,7 +158,7 @@ def _no_detection(points, gaps):
 def test_declared_explicit_scale_skips_kind_detection(monkeypatch, points):
     assert ts.TimeScale(points).kind != "explicit"  # detection would find a kind
     monkeypatch.setattr(ts, "_detect_kind", _no_detection)
-    g = ts.TimeScale(points, kind="explicit")
+    g = _declared_explicit(points)
     assert (g.kind, g.step, g.ratio) == ("explicit", None, None)
     assert g.hypothesis_h() is None
     assert_allclose(g.points, points)
@@ -163,7 +173,7 @@ def test_declared_explicit_scale_skips_kind_detection(monkeypatch, points):
 def test_declared_explicit_scale_still_checks_its_points(monkeypatch, points, message):
     monkeypatch.setattr(ts, "_detect_kind", _no_detection)
     with pytest.raises(ValueError, match=message):
-        ts.TimeScale(points, kind="explicit")
+        _declared_explicit(points)
 
 
 NOT_FINITE = "time scale points must be finite"
@@ -181,8 +191,10 @@ def _old_point_check(points):
 
 
 def _message(points, kind):
+    """What the constructor ("auto") or the builder of declared-explicit
+    scales ("explicit") raises for ``points``, or None."""
     try:
-        ts.TimeScale(points, kind=kind)
+        ts.TimeScale(points) if kind == "auto" else _declared_explicit(points)
     except ValueError as exc:
         return str(exc)
     return None
@@ -257,7 +269,7 @@ def test_block_constructor_gives_each_row_its_explicit_scale(pad):
     points[:] = 0.0  # the scales own their points
     assert len(scales) == len(rows)
     for scale, row in zip(scales, rows):
-        expect = ts.TimeScale(row, kind="explicit")
+        expect = ts.TimeScale(row)
         assert scale == expect
         assert scale.points.dtype == expect.points.dtype
         assert scale.points.tobytes() == expect.points.tobytes()
@@ -288,27 +300,8 @@ def test_block_constructor_accepts_exactly_the_rows_the_row_constructor_accepts(
         rows, order, pad):
     if order:
         rows = [sorted(row) for row in rows]  # mostly increasing
-    messages = [_message(row, "explicit") for row in rows]
+    messages = [_message(row, "auto") for row in rows]
     assert _block_message(rows, pad) == next((m for m in messages if m), None)
-
-
-@pytest.mark.parametrize("points", [
-    pytest.param([-1e308, 1e308], id="one-gap"),
-    pytest.param([-1.7e308, 1e308, 1.7e308], id="first-gap"),
-])
-@pytest.mark.parametrize("kind, message", [
-    ("auto", None),
-    ("uniform", "not uniformly spaced"),
-    ("geometric", "not in geometric progression"),
-])
-def test_a_gap_beyond_the_float_range_is_not_uniform(points, kind, message):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the gap overflows: no RuntimeWarning
-        if message is None:
-            assert ts.TimeScale(points, kind=kind).kind == "explicit"
-        else:
-            with pytest.raises(ValueError, match=message):
-                ts.TimeScale(points, kind=kind)
 
 
 def test_a_span_beyond_the_float_range_with_finite_gaps_stays_uniform():
@@ -339,6 +332,58 @@ def test_geometric_accepts_whole_float_exponents(args, points):
 def test_geometric_refuses_exponents_that_are_not_whole(args):
     with pytest.raises(ValueError, match="kmin and kmax must be integers"):
         ts.geometric(*args)
+
+
+@pytest.mark.parametrize("kmin, kmax", [(0, 1), (-3, -2), (2, 2), (3, 0)])
+def test_geometric_refuses_fewer_than_three_exponents(kmin, kmax):
+    # two points are detected as uniform, so they are refused up front,
+    # with the reason, and not as points out of geometric progression
+    with pytest.raises(ValueError, match="need at least three exponents"):
+        ts.geometric(2.0, kmin, kmax)
+
+
+@pytest.mark.parametrize("build, kind, step, ratio", [
+    pytest.param(lambda: ts.uniform(0.0, 1.0, 0.25), "uniform", 0.25, None, id="uniform"),
+    pytest.param(lambda: ts.uniform(-1.0, 1.0, 1.0), "uniform", 1.0, None, id="uniform-one-gap"),
+    pytest.param(lambda: ts.geometric(2.0, -2, 3), "geometric", None, 2.0, id="geometric"),
+    pytest.param(lambda: ts.explicit(0.0, 0.5, 0.75), "explicit", None, None, id="explicit"),
+    pytest.param(lambda: ts.explicit(0.0, 0.5, 1.0), "uniform", 0.5, None,
+                 id="explicit-uniform"),
+    pytest.param(lambda: ts.explicit([1.0, 3.0, 9.0]), "geometric", None, 3.0,
+                 id="explicit-geometric"),
+    pytest.param(lambda: ts.uniform(0.0, 1.0, 0.25).drop_last(2), "uniform", 0.25, None,
+                 id="uniform-drop-last"),
+    pytest.param(lambda: ts.uniform(0.0, 1.0, 0.25).drop_first(), "uniform", 0.25, None,
+                 id="uniform-drop-first"),
+    pytest.param(lambda: ts.geometric(2.0, 0, 4).drop_first(2), "geometric", None, 2.0,
+                 id="geometric-drop-first"),
+    pytest.param(lambda: ts.geometric(2.0, 0, 4).drop_last(3), "uniform", 1.0, None,
+                 id="geometric-drop-to-two-points"),
+    pytest.param(lambda: ts.explicit(0.0, 0.5, 0.75, 1.5).drop_last(), "explicit", None, None,
+                 id="explicit-drop-last"),
+    pytest.param(lambda: ts.explicit(0.0, 1.0, 2.0, 4.0).drop_first(), "geometric", None, 2.0,
+                 id="explicit-drop-first"),
+    pytest.param(lambda: ts.explicit(0.0, 0.5, 0.75, 1.5).drop_last(2), "uniform", 0.5, None,
+                 id="explicit-drop-to-two-points"),
+])
+def test_builders_and_restrictions_detect_their_kind(build, kind, step, ratio):
+    g = build()
+    assert (g.kind, g.step, g.ratio) == (kind, step, ratio)
+
+
+@given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e3), st.integers(1, 2000),
+       st.sampled_from([0.0, 1e-12, -1e-12, 1e-10, -1e-10]))
+@settings(max_examples=300)
+def test_every_grid_uniform_accepts_is_detected_as_uniform(a, h, steps, jitter):
+    # uniform() does not check the kind: _uniform_steps bounds the last gap
+    # within the detection's slack of the first
+    b = a + steps * h * (1.0 + jitter)
+    try:
+        ts._uniform_steps(a, b, h)
+    except ValueError:
+        return
+    g = ts.uniform(a, b, h)
+    assert g.kind == "uniform" and g.points[-1] == b
 
 
 def test_index_of_exact_grid_points():

@@ -102,7 +102,7 @@ def test_el_residual_rows_are_the_order_2_gradient(L):
         y = rng.uniform(0.1, 2.0, len(g))
         t, u, mu = g.points[:-1], y[1:], np.diff(g.points)
         jet = dsl.eval_jet2(dsl.parse(L), t, u, np.diff(y) / mu, 0.0)
-        want = jet.grad[0][:-1] - np.diff(jet.grad[1]) / mu[:-1]
+        want = jet[1][:-1] - np.diff(jet[2]) / mu[:-1]
         got = el_residual(VariationalProblem(g, L, y[0], y[-1]), tsc.GridFunction(g, y))
         assert np.array_equal(got.values, want)
 
@@ -371,7 +371,7 @@ def _dense_reference_pair(p):
 
     def jacobian(x):
         y = assemble(x)
-        huu, huv, _, hvv, _, _ = dsl.eval_jet2(p.L, pts[:-1], y[1:], np.diff(y) / mu, 0.0).hess
+        huu, huv, _, hvv, _, _ = dsl.eval_jet2(p.L, pts[:-1], y[1:], np.diff(y) / mu, 0.0)[4:]
         d_lu = huu[:, None] * shift + huv[:, None] * slope
         d_lv = huv[:, None] * shift + hvv[:, None] * slope
         return (d_lu[:-1] - (d_lv[1:] - d_lv[:-1]) / mu[:-1, None])[:, 1:-1]
@@ -885,6 +885,9 @@ def test_direct_power_curved_phi_and_max_case():
         out.F_value, abs=1e-10)
     with pytest.raises(InvalidExponent):
         direct_solve_power(g, phi, 1.0, 2.0)
+    for alpha_exp in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidExponent, match="finite"):
+            direct_solve_power(g, phi, alpha_exp, 2.0)
     with pytest.raises(DomainError):
         direct_solve_power(g, phi, 2.0, -1.0)
 
