@@ -89,7 +89,7 @@ def _parse_scale(text: str) -> TimeScale:
                 raise _ConfigError("geometric(q,kmin,kmax) takes three numbers")
             return timescale.geometric(*args)
         return timescale.explicit(*args)
-    except (TsvarError, ValueError, OverflowError) as exc:  # q**k may overflow
+    except (TsvarError, ValueError) as exc:
         raise _ConfigError(str(exc)) from exc
 
 
@@ -532,9 +532,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Variational calculus on discrete time scales.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_config=True):
-        if with_config:
-            p.add_argument("--config", required=True, help="INI problem file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="INI problem file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--starts", type=int, default=None)
@@ -585,14 +584,10 @@ def main(argv=None) -> None:
     args = _build_parser().parse_args(argv)
     try:
         report = args.fn(args)
-    except (_ConfigError, ExprSyntaxError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        sys.exit(2)
     except (NoConvergence, ConstraintInfeasible, SingularJacobian) as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         sys.exit(3)
-    except (TsvarError, ValueError) as exc:
-        # invalid problem data that only surfaces once the objects are built
+    except (_ConfigError, TsvarError, ValueError) as exc:  # a bad config or bad problem data
         print(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
     sys.exit(report.exit_status)

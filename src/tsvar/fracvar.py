@@ -478,7 +478,7 @@ def solve_frac_el(p: FracProblem, config: Optional[SolverConfig] = None) -> list
         return args
 
     residual, jacobian, _ = newton_pair([p.L], arguments, residual_of, jacobian_of)
-    roots = multi_start(residual, jacobian, n_unknowns, config or SolverConfig())
+    roots = multi_start(residual, jacobian, n_unknowns, config)
 
     def textbook_residual(y):
         # the textbook system, evaluated apart from the row maps: an independent check of them

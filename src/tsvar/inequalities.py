@@ -7,7 +7,8 @@ Gronwall bounds come from kernels over a stack of trials (``_gronwall_stack``,
 ``_comparison_stack``, ``_gronwall_2d_stack``: one trial per row, zero-padded
 past each grid), which ``ineqcheck`` runs on blocks of random trials; the
 public functions are one-row wrappers with the same bits.  Bound data must be
-finite (``NonFinite`` otherwise).  The integrodynamic solver is a plain
+finite, and so must the 2-D bounds' products, which one section-product
+kernel builds (``NonFinite`` otherwise).  The integrodynamic solver is a plain
 forward recursion (exact on isolated grids).  Per-point coefficients, data
 and weights on one grid may come in any form ``timescale.values_on`` reads.
 """
@@ -301,12 +302,15 @@ def _surface_values(ts1: TimeScale, ts2: TimeScale, fn) -> np.ndarray:
     return out
 
 
-def _step_products(mu: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """P[:, i] = product over j < i of (1 + mu[:, j] S[:, j]) along axis 1 of a
-    stack; cumprod multiplies in loop order, so P is bit-identical to a running
-    product."""
-    P = np.ones_like(S)
-    P[:, 1:] = np.cumprod(1.0 + mu[:, :, None] * S[:, :-1], axis=1)
+def _section_products(mu_t: np.ndarray, mu_s: np.ndarray, f: np.ndarray, a) -> np.ndarray:
+    """Entry [:, i, j] is a times prod_{k<i} (1 + mu_t[:, k] S[:, k, j]), S[:, k, j] =
+    sum_{l<j} f[:, k, l] mu_s[:, l], in loop order; NonFinite where an entry is not finite."""
+    S, P = np.zeros_like(f), np.ones_like(f)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
+        S[:, :, 1:] = np.cumsum(f[:, :, :-1] * mu_s[:, None, :], axis=2)
+        P[:, 1:] = np.cumprod(1.0 + mu_t[:, :, None] * S[:, :-1], axis=1)
+        P *= a
+    _require_finite("2-D Gronwall step products", P)
     return P
 
 
@@ -319,15 +323,8 @@ def _gronwall_2d_stack(mu1: np.ndarray, mu2: np.ndarray, a: np.ndarray,
     follows the real ones in a sum or product, so it leaves them unchanged.
     """
     _require_finite("2-D Gronwall data a and f", a, f)
-    # S2[:, i1, i2] = integral of f(t1_{i1}, .) over [a2, t2_{i2})
-    S2 = np.zeros_like(a)
-    S2[:, :, 1:] = np.cumsum(f[:, :, :-1] * mu2[:, None, :], axis=2)
-    bound1 = a * _step_products(mu1, S2)
-
-    S1 = np.zeros_like(a)
-    S1[:, 1:, :] = np.cumsum(f[:, :-1, :] * mu1[:, :, None], axis=1)
-    bound2 = a * _step_products(mu2, S1.transpose(0, 2, 1)).transpose(0, 2, 1)
-    return bound1, bound2
+    return (_section_products(mu1, mu2, f, a),  # bound2 is bound1 on the transposed surfaces
+            _section_products(mu2, mu1, f.swapaxes(1, 2), a.swapaxes(1, 2)).swapaxes(1, 2))
 
 
 def gronwall_2d_bound(ts1: TimeScale, ts2: TimeScale, a_fn, f_fn):
@@ -351,18 +348,21 @@ def gronwall_2d_power_bound(ts1: TimeScale, ts2: TimeScale, a_fn, f_fn,
         raise InvalidExponent(f"need p >= q > 0, got p={p}, q={q}")
     a = _surface_values(ts1, ts2, a_fn)
     f = _surface_values(ts1, ts2, f_fn)
+    _require_finite("2-D Gronwall data a and f", a, f)
     if np.any(a <= 0):
         raise ValueError("a must be positive for the power bound")
-    mu1 = np.diff(ts1.points)
-    mu2 = np.diff(ts2.points)
-    kernel = f * a ** (q / p - 1.0)
-    S2 = np.zeros_like(a)
-    S2[:, 1:] = np.cumsum(kernel[:, :-1] * mu2, axis=1)
-    prod = _step_products(mu1[None], S2[None])[0]
-    # pow on Python floats: numpy's vectorised power may round the last bit differently
-    e = 1.0 / p
-    bound = [x ** e * y ** e for x, y in zip(a.ravel().tolist(), prod.ravel().tolist())]
-    return np.array(bound).reshape(a.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # the products refuse what overflows
+        weighted = f * a ** (q / p - 1.0)
+    prod = _section_products(np.diff(ts1.points)[None], np.diff(ts2.points)[None],
+                             weighted[None], 1.0)[0]
+    e = 1.0 / p  # pow on Python floats: numpy's power may round the last bit differently
+    try:
+        bound = np.array([x ** e * y ** e for x, y in zip(a.ravel().tolist(),
+                                                          prod.ravel().tolist())])
+    except OverflowError as exc:
+        raise NonFinite("the 2-D power bound must be finite") from exc
+    _require_finite("the 2-D power bound", bound)
+    return bound.reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ additivity) bit-tight and testable.
 
 Only isolated grids are supported; scales containing continuous sub-intervals
 are out of scope by design.  The constructor detects a scale's kind (uniform,
-geometric or explicit) from its points; ``_explicit_rows`` is the one builder
-of scales declared explicit, whose step and ratio stay None.
+geometric or explicit) from its points, where a gap or ratio may overflow;
+``_explicit_rows`` is the one builder of scales declared explicit, whose step
+and ratio stay None.  ``geometric`` refuses a q^k past the float range.
 """
 
 from __future__ import annotations
@@ -46,11 +47,7 @@ def _detect_kind(points: np.ndarray, gaps: np.ndarray):
     if np.abs(gaps - h).max() <= _spacing_slack(h, points[0], points[-1]):
         return KIND_UNIFORM, float(h), None
     if points[0] > 0:
-        if float(points[-1]) / float(points[0]) < math.inf:  # no ratio can overflow
-            ratios = points[1:] / points[:-1]
-        else:  # spans over 308 decades: rare, so only here pay for np.errstate
-            with np.errstate(over="ignore"):
-                ratios = points[1:] / points[:-1]
+        ratios = points[1:] / points[:-1]
         q = ratios[0]
         if 1 < q < np.inf and np.abs(ratios - q).max() <= _REL_KIND_TOL * q:
             return KIND_GEOMETRIC, None, float(q)
@@ -90,11 +87,8 @@ class TimeScale:
             raise ValueError("time scale points must be strictly increasing")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if float(pts[-1]) - float(pts[0]) < math.inf:  # no gap can overflow
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite gap fails as NaN
             kind, h, q = _detect_kind(pts, pts[1:] - pts[:-1])
-        else:  # rare, so only here pay for np.errstate; an infinite gap fails as NaN
-            with np.errstate(over="ignore", invalid="ignore"):
-                kind, h, q = _detect_kind(pts, pts[1:] - pts[:-1])
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "step", h)
         object.__setattr__(self, "ratio", q)
@@ -230,7 +224,10 @@ def geometric(q: float, kmin: int, kmax: int) -> TimeScale:
         raise ValueError(f"need at least three exponents, got kmin = {kmin}, kmax = {kmax}")
     if kmax - kmin >= MAX_POINTS:
         raise ValueError(f"{kmax - kmin + 1} exponents would exceed {MAX_POINTS} grid points")
-    scale = TimeScale([float(q) ** k for k in range(kmin, kmax + 1)])
+    try:
+        scale = TimeScale([float(q) ** k for k in range(kmin, kmax + 1)])
+    except OverflowError as exc:
+        raise ValueError(f"q^kmax = {q}^{kmax} overflows the float range") from exc
     if scale.kind != KIND_GEOMETRIC:
         raise ValueError("points are not in geometric progression")
     return scale

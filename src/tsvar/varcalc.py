@@ -437,7 +437,7 @@ def solve_el(p: Union[VariationalProblem, HigherOrderProblem],
     residual, jacobian, _ = newton_pair(
         [p.L], arguments, lambda x, rows: _el_rows(rows[0][1:], mu),
         lambda x, rows: _el_jacobian(rows[0][4:], mu))
-    roots = multi_start(residual, jacobian, n - 2, config or SolverConfig())
+    roots = multi_start(residual, jacobian, n - 2, config)
     return extremal_candidates(roots, p.scale, assemble, lambda y: el_residual(p, y).values,
                                lambda y: legendre_check(p, y), lambda y: functional_value(p, y))
 
@@ -474,7 +474,7 @@ def solve_isoperimetric(p: IsoperimetricProblem,
 
     residual, jacobian, jets = newton_pair([p.L, p.g], arguments, residual_of, jacobian_of)
     try:
-        roots = multi_start(residual, jacobian, n - 1, config or SolverConfig())
+        roots = multi_start(residual, jacobian, n - 1, config)
     except NoConvergence as exc:
         raise ConstraintInfeasible(str(exc)) from exc
     with np.errstate(all="ignore"):  # as in multi_start: overflow gives inf

@@ -135,6 +135,61 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert run_cli(["frac-solve", "--config", no_section]) == 2
 
 
+_VAR_INI = "[scale]\nscale = {scale}\n\n[problem]\nlagrangian = {L}\na = 0\nb = 1\n{extra}"
+_ARC_LENGTH = "\n[solver]\nstarts = 16\nseed = 0\nbox = -3, 3\n"
+
+
+@pytest.mark.parametrize("argv, config, code, err", [
+    pytest.param(["frac-solve", "--config", "{config}"],
+                 CLASSIC_INI.replace("0.5*v^2 - u", "0.5*v^2 - $"), 2,
+                 "config error: bad lagrangian: syntax error at offset 10: "
+                 "unexpected character '$'", id="bad-lagrangian"),
+    pytest.param(["frac-solve", "--config", "{config}"],
+                 CLASSIC_INI.replace("lagrangian = 0.5*v^2 - u\n", ""), 2,
+                 "config error: missing [problem] lagrangian", id="missing-key"),
+    pytest.param(["frac-solve", "--config", "{config}"], None, 2,
+                 "config error: cannot read config file '{config}'", id="unreadable-file"),
+    pytest.param(["var-solve", "--config", "{config}", "--no-csv"],
+                 _VAR_INI.format(scale="points(0, 1)", L="v^2", extra=""), 2,
+                 "config error: need at least 3 points for a variational problem",
+                 id="two-point-scale"),
+    pytest.param(["frac-solve", "--config", "{config}", "--no-csv"],
+                 CLASSIC_INI.replace("starts = 6", "starts = 0"), 2,
+                 "config error: solver starts = 0 must be at least 1", id="zero-starts"),
+    pytest.param(["frac-solve", "--config", "{config}", "--no-csv"],
+                 CLASSIC_INI.replace("h = 0.25", "h = 0.3"), 2,
+                 "config error: (b-a)/h = 3.3333333333333335 is not a positive integer",
+                 id="steps-not-whole"),
+    pytest.param(["sturm", "--scale", "uniform(0,1,0.1)", "--q", "ln(t-5)", "--no-csv"], None, 2,
+                 "config error: ln of non-positive value: -5.0", id="ln-as-q"),
+    pytest.param(["ineq-check", "--suite", "jensen", "--trials", "0"], None, 2,
+                 "config error: --trials 0 must be at least 1", id="zero-trials"),
+    pytest.param(["var-solve", "--config", "{config}", "--no-csv"],
+                 _VAR_INI.format(scale="uniform(0, 1, 0.1)", L="sqrt(1 + v^2)", extra=_ARC_LENGTH),
+                 3, "solver failed: no start converged", id="arc-length-no-convergence"),
+])
+def test_each_error_kind_prints_its_one_line(tmp_path, capsys, argv, config, code, err):
+    # a pole in phi is pinned by test_direct_power_with_a_pole_in_phi_is_a_config_error
+    path = str(tmp_path / "problem.ini")
+    if config is not None:
+        write_config(tmp_path, config)
+    assert run_cli([arg.replace("{config}", path) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err.replace("{config}", path) + "\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("scale, shown", [("geometric(1e200,0,2)", "1e+200^2"),
+                                          ("geometric(2,0,1100)", "2.0^1100")])
+def test_geometric_scales_past_the_float_range_exit_2(tmp_path, capsys, scale, shown):
+    line = f"config error: q^kmax = {shown} overflows the float range\n"
+    config = write_config(tmp_path, _VAR_INI.format(scale=scale, L="v^2", extra=""))
+    assert run_cli(["var-solve", "--config", config, "--no-csv"]) == 2
+    assert capsys.readouterr().err == line
+    assert run_cli(["sturm", "--scale", scale, "--no-csv"]) == 2
+    assert capsys.readouterr().err == line
+
+
 def test_var_solve_classical(tmp_path, capsys):
     config = write_config(tmp_path, """\
 [scale]
@@ -454,7 +509,8 @@ def test_direct_power_with_a_pole_in_phi_is_a_config_error(capsys):
             "--phi", "(t - 0.30000001)^-2", "--B", "1", "--alpha-exp", "2", "--no-csv"]
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("config error: adaptive Simpson needs more than")
+    assert captured.err == ("config error: adaptive Simpson needs more than 100000 "
+                            "evaluations on [0.0, 1.0]\n")
     assert captured.out == ""
 
 
@@ -618,6 +674,7 @@ def test_fuzzed_var_solve_configs_exit_with_a_documented_code(text):
 _SCALES = ("uniform(0,5,1)", "uniform(0,1,0.1)", "uniform(0,1,0.5)", "uniform(1,2,0.25)",
            "uniform(-1e308,1e308,1e308)", "uniform(0,1,0)", "uniform(0,inf,1)",
            "geometric(1.5,0,8)", "geometric(2,0,4)", "geometric(2,-3,2)", "geometric(0.5,0,3)",
+           "geometric(1e200,0,2)", "geometric(2,0,1100)",
            "points(0,1,3,4)", "points(0.5,1.5)", "points(-1e308,0,1e308)", "points(0,1,1e308)",
            "points(0,nan,1)", "points(1,0)",
            "points(7)", "nonsense")

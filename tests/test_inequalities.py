@@ -574,6 +574,37 @@ def test_gronwall_2d_and_nonlinear_bounds_reject_non_finite_data():
         ineq.nonlinear_gronwall_bound(ts, None, math.nan, 0.1, lambda t, s: 0.1, spec)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, f", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+def test_gronwall_2d_power_bound_rejects_non_finite_data(a, f):
+    with pytest.raises(NonFinite, match="2-D Gronwall data a and f must be finite"):
+        ineq.gronwall_2d_power_bound(uniform(0.0, 3.0, 1.0), uniform(0.0, 2.0, 1.0), a, f,
+                                     2.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, f, p, q", [(1e300, 0.0, 0.5, 0.25), (1e200, 1.0, 0.5, 0.5),
+                                        (1e308, 1.0, 1.0, 1.0), (1.0, 1e300, 2.0, 1.0),
+                                        (1e-20, 1e300, 2.0, 1.0)])
+def test_gronwall_2d_power_bound_past_the_float_range_is_non_finite(a, f, p, q):
+    # a^(1/p), the weight f a^(q/p - 1) or the step products leave the float
+    # range: no OverflowError, no warning
+    with pytest.raises(NonFinite):
+        ineq.gronwall_2d_power_bound(uniform(0.0, 3.0, 1.0), uniform(0.0, 2.0, 1.0), a, f, p, q)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, f", [
+    pytest.param(1.0, 1e300, id="products-overflow"),
+    # 0 times an infinite product would be NaN
+    pytest.param(np.array([[1.0] * 3] * 3 + [[1.0, 1.0, 0.0]]), 1e300, id="zero-times-inf"),
+    pytest.param(1e308, 1.0, id="a-times-products-overflows"),
+])
+def test_gronwall_2d_bounds_past_the_float_range_are_non_finite(a, f):
+    with pytest.raises(NonFinite, match="2-D Gronwall step products must be finite"):
+        ineq.gronwall_2d_bound(uniform(0.0, 3.0, 1.0), uniform(0.0, 2.0, 1.0), a, f)
+
+
 # ---------------------------------------------------------------------------
 # integrodynamic recursion
 

@@ -1,6 +1,7 @@
 """Grid mechanics: jumps, graininess, derivatives, integrals."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -340,6 +341,24 @@ def test_geometric_refuses_fewer_than_three_exponents(kmin, kmax):
     # with the reason, and not as points out of geometric progression
     with pytest.raises(ValueError, match="need at least three exponents"):
         ts.geometric(2.0, kmin, kmax)
+
+
+@pytest.mark.parametrize("q, kmin, kmax", [(1e200, 0, 2), (2.0, 0, 1100)])
+def test_geometric_refuses_powers_past_the_float_range(q, kmin, kmax):
+    # float(q) ** k raises OverflowError there; the scale names it as bad data
+    with pytest.raises(ValueError, match=re.escape(f"q^kmax = {q}^{kmax} overflows the float")):
+        ts.geometric(q, kmin, kmax)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-10.0, max_value=1e300) | st.sampled_from([math.nan, math.inf]),
+       st.integers(-1200, 1200), st.integers(-2, 1200))
+def test_geometric_returns_a_scale_or_raises_value_error(q, kmin, span):
+    try:
+        g = ts.geometric(q, kmin, kmin + span)
+    except ValueError:
+        return
+    assert g.kind == "geometric" and len(g) == span + 1
 
 
 @pytest.mark.parametrize("build, kind, step, ratio", [
